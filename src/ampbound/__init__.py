@@ -45,10 +45,10 @@ from .field_modes import (
 )
 from .fock_oracle import (
     DensityMatrix,
+    KetEnsemble,
     TruncationSpec,
     choose_truncation,
     expectations,
-    partial_trace,
     purity,
     verify_grid,
     verify_point,
@@ -56,11 +56,10 @@ from .fock_oracle import (
 )
 from .su11 import (
     BCHFactors,
+    LadderKet,
     SqueezeParams,
-    TwoModeKet,
     bch_factors,
     build_joint_blocks,
-    build_joint_density,
     evolve_basis_state,
 )
 

@@ -187,10 +187,12 @@ def _parse_points(specs) -> list[tuple[float, float]]:
     points = []
     for spec in specs:
         try:
-            a, b = spec.split(",")
-            points.append((float(a), float(b)))
+            a, b = (float(v) for v in spec.split(","))
         except ValueError as exc:
             raise CliError(f"bad --point {spec!r}, expected 'n_bar,r'") from exc
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise CliError(f"bad --point {spec!r}, n_bar and r must be finite")
+        points.append((a, b))
     return points
 
 
@@ -218,7 +220,6 @@ def cmd_spectrum(args) -> int:
     results = field_modes.spectrum(
         kgrid, pump, thermal, args.tau_in, args.tau_fin, tol=args.tol,
         polarizations=polarizations, convention=args.omega_convention,
-        threads=args.threads,
     )
     _emit(field_modes.spectrum_csv(results, polarizations), args.out)
     return 0
@@ -234,12 +235,6 @@ def _add_common_flags(parser, suppress: bool) -> None:
     parser.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="JSON output where applicable")
-    parser.add_argument("--threads", type=int,
-                        default=argparse.SUPPRESS if suppress else 1,
-                        help="worker threads for scans")
-    parser.add_argument("--seed", type=int,
-                        default=argparse.SUPPRESS if suppress else None,
-                        help="reserved; no randomness is used")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,8 +320,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, ValueError, OSError, dynamics.PumpError,
-            dynamics.IntegrationError, fock_oracle.TruncationError,
-            fock_oracle.TruncationInfeasibleError) as exc:
+            dynamics.IntegrationError, fock_oracle.TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,6 @@ density-of-states factors.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "total_heat",
     "total_particles",
     "spectrum_csv",
-    "write_spectrum_csv",
 ]
 
 OMEGA_CONVENTIONS = {
@@ -150,12 +148,11 @@ def mode_bound(mode: ModeSpec, pump, thermal: analytic.ThermalSpec,
 
 def spectrum(kgrid, pump, thermal: analytic.ThermalSpec, tau_in: float,
              tau_fin: float, tol: float = 1e-10, polarizations: int = 1,
-             convention: str = "k", threads: int = 1) -> list[ModeResult]:
+             convention: str = "k") -> list[ModeResult]:
     """Evaluate the bound on every mode of a sorted wavenumber grid.
 
-    Modes are independent, so the scan parallelizes trivially; results come
-    back in grid order regardless of completion order.  A failure on one
-    mode is recorded in its result and does not abort the scan.
+    Results come back in grid order.  A failure on one mode is recorded in
+    its result and does not abort the scan.
     """
     kgrid = [float(k) for k in kgrid]
     if any(k2 <= k1 for k1, k2 in zip(kgrid, kgrid[1:])):
@@ -169,9 +166,6 @@ def spectrum(kgrid, pump, thermal: analytic.ThermalSpec, tau_in: float,
         except (dynamics.PumpError, dynamics.IntegrationError, ValueError) as exc:
             return ModeResult.failed(mode, str(exc))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, modes))
     return [run(mode) for mode in modes]
 
 
@@ -234,7 +228,3 @@ def spectrum_csv(results, polarizations: int = 1) -> str:
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
-
-def write_spectrum_csv(path, results, polarizations: int = 1) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(spectrum_csv(results, polarizations))

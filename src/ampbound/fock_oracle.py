@@ -1,23 +1,19 @@
 """Brute-force truncated-Fock-space engine.
 
 Everything the closed forms in :mod:`ampbound.analytic` claim is re-derived
-here by assembling the joint density matrix of the two oscillators on a
+here by assembling the evolved joint state of the two oscillators on a
 truncated number basis and doing plain linear algebra on it: partial traces,
 eigendecompositions, occupation and energy expectations, purities.  No
 closed-form shortcut enters any of these operations, which is what makes the
 module usable as ground truth.
 
-Two representations of the joint state are supported:
-
-* a dense two-mode :class:`DensityMatrix` over the product basis
-  ``(n_s, n_e)``, row-major with ``n_e`` fastest.  Dense joints are capped at
-  ``DENSE_DIM_CAP`` basis states; this is the desk-scale path used wherever
-  it fits and by the fully label-blind partial trace.
-* a list of charge-sector blocks (:class:`JointBlocks`).  The pair-creating
-  interaction conserves ``n_e - n_s``, so the joint state is block diagonal
-  over that label; storing one dense block per sector keeps tight truncation
-  tolerances affordable at large squeeze amplitudes.  Reductions from blocks
-  still sum literal matrix entries keyed by their basis labels.
+The system starts in the vacuum and the environment in a Bose-Einstein
+mixture, and the pair-creating interaction conserves ``n_e - n_s``.  The
+evolved joint state is therefore the mixture ``sum_m pbar_m |psi_m><psi_m|``
+of one pure pair ladder per charge sector ``m``.  :class:`KetEnsemble`
+stores exactly that, the thermal weights and one ladder ket per sector, and
+its reductions sum ``|amplitude|**2`` over the entries whose traced-out basis
+labels agree.
 """
 
 from __future__ import annotations
@@ -26,23 +22,22 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import nbinom
+from scipy.special import betainc
 
 __all__ = [
-    "DENSE_DIM_CAP",
-    "BLOCK_ENTRY_BUDGET",
+    "ENTRY_BUDGET",
     "TruncationError",
     "TruncationInfeasibleError",
     "DensityMatrixError",
     "TruncationSpec",
     "DensityMatrix",
-    "JointBlocks",
+    "KetEnsemble",
+    "thermal_weights",
     "thermal_tail",
     "squeeze_tail",
     "choose_truncation",
     "thermal_density",
     "vacuum_density",
-    "partial_trace",
     "von_neumann_entropy",
     "expectations",
     "purity",
@@ -51,8 +46,7 @@ __all__ = [
     "verify_grid",
 ]
 
-DENSE_DIM_CAP = 4000          # max side of a dense joint matrix
-BLOCK_ENTRY_BUDGET = 2 * 10**7  # max total complex entries across blocks
+ENTRY_BUDGET = 2 * 10**7      # max entries of the kets plus both reduced matrices
 
 EIGENVALUE_FLOOR = -1e-10     # below this an eigenvalue is a bug, not noise
 
@@ -61,7 +55,7 @@ class TruncationError(RuntimeError):
     """A truncated construction failed to reach the requested tail mass."""
 
 
-class TruncationInfeasibleError(RuntimeError):
+class TruncationInfeasibleError(TruncationError):
     """The requested tolerance needs more storage than the configured budget."""
 
 
@@ -95,20 +89,12 @@ class TruncationSpec:
         if not 0 < self.tolerance < 1:
             raise ValueError("tolerance must be in (0, 1)")
 
-    @property
-    def dense_dim(self) -> int:
-        """Side of the dense two-mode matrix implied by these cutoffs."""
-        return (self.max_squeeze + 1) * (self.max_thermal + self.max_squeeze + 1)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense Hermitian trace-one operator on an explicit number basis.
+    """Dense Hermitian trace-one single-mode operator on a number basis.
 
-    ``basis`` is either a list of ``(n_s, n_e)`` pairs (two-mode) or a list
-    of plain occupation numbers (single mode).  Two-mode bases are row-major
-    over ``(n_s, n_e)`` with ``n_e`` fastest so that entries are reproducible
-    from the coefficient formulas bit for bit.
+    ``basis`` lists the occupation number of each row.
     """
 
     dim: int
@@ -126,17 +112,80 @@ class DensityMatrix:
         if herm > 1e-12:
             raise DensityMatrixError(f"matrix not Hermitian: max deviation {herm:.3e}")
 
-    @property
-    def is_two_mode(self) -> bool:
-        return isinstance(self.basis[0], tuple)
-
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries)))
 
 
-def product_basis(dim_s: int, dim_e: int) -> tuple:
-    """Ordered two-mode basis, row-major over (n_s, n_e), n_e fastest."""
-    return tuple((ns, ne) for ns in range(dim_s) for ne in range(dim_e))
+@dataclass(frozen=True)
+class KetEnsemble:
+    """Joint state ``sum_m pbar[m] |psi_m><psi_m|`` stored as ladder kets.
+
+    Row ``m`` of ``kets`` is the ket of the charge sector ``n_e - n_s = m``;
+    its rung ``l`` carries the basis label ``(n_s, n_e) = (l, m + l)``.
+    ``dropped_mass`` is the probability the truncation left out: the thermal
+    tail beyond the last row plus the weighted ladder tails beyond the last
+    rung.
+    """
+
+    pbar: np.ndarray
+    kets: np.ndarray
+    dropped_mass: float
+
+    def __post_init__(self):
+        if self.kets.ndim != 2 or self.pbar.shape != self.kets.shape[:1]:
+            raise ValueError(
+                f"weights of shape {self.pbar.shape} do not match kets of "
+                f"shape {self.kets.shape}"
+            )
+
+    @property
+    def dim_s(self) -> int:
+        return self.kets.shape[1]
+
+    @property
+    def dim_e(self) -> int:
+        return self.kets.shape[0] + self.kets.shape[1] - 1
+
+    def _weights(self) -> np.ndarray:
+        """``pbar_m |<l, m+l|psi_m>|**2``, the diagonal of every sector."""
+        return self.pbar[:, None] * np.abs(self.kets) ** 2
+
+    def trace(self) -> float:
+        return float(np.sum(self._weights()))
+
+    def purity(self) -> float:
+        """``Tr[rho^2]``; sectors never mix and each is rank one, so sector
+        ``m`` contributes ``(pbar_m <psi_m|psi_m>)**2``."""
+        return float(np.sum(np.sum(self._weights(), axis=1) ** 2))
+
+    def reduced_system(self) -> DensityMatrix:
+        """Trace out the environment by matching its basis labels.
+
+        The entry ``(l, l')`` of sector ``m`` carries environment labels
+        ``(m+l, m+l')``; it survives the trace only when those agree, and
+        lands on system label ``l``.
+        """
+        rho = np.diag(self._weights().sum(axis=0))
+        return DensityMatrix(self.dim_s, rho, tuple(range(self.dim_s)))
+
+    def reduced_environment(self) -> DensityMatrix:
+        """Trace out the system; entry ``(l, l')`` of sector ``m`` survives
+        only at ``l = l'`` and lands on environment label ``m + l``."""
+        rows, rungs = self.kets.shape
+        labels = np.arange(rows)[:, None] + np.arange(rungs)
+        diag = np.bincount(labels.ravel(), weights=self._weights().ravel(),
+                           minlength=self.dim_e)
+        return DensityMatrix(self.dim_e, np.diag(diag), tuple(range(self.dim_e)))
+
+
+def thermal_weights(n_bar: float, count: int) -> np.ndarray:
+    """Bose-Einstein probabilities ``n**m / (n+1)**(m+1)`` for ``m < count``."""
+    if n_bar == 0:
+        w = np.zeros(count)
+        w[0] = 1.0
+        return w
+    m = np.arange(count)
+    return np.exp(m * (np.log(n_bar) - np.log1p(n_bar)) - np.log1p(n_bar))
 
 
 def thermal_tail(n_bar: float, max_thermal: int) -> float:
@@ -152,24 +201,26 @@ def squeeze_tail(n_bar: float, r: float, max_thermal: int, max_squeeze: int) -> 
     The pair ladder of the sector that started with ``m`` thermal quanta is
     negative-binomially distributed with ``m+1`` successes and failure
     probability ``tanh(r)**2``; its exact survival function beyond the cutoff
-    is weighted by the thermal probability of the sector.
+    ``L``, the regularized incomplete beta ``I_{tanh(r)**2}(L+1, m+1)``, is
+    weighted by the thermal probability of the sector.
     """
     if r == 0:
         return 0.0
     t2 = np.tanh(r) ** 2
     m = np.arange(max_thermal + 1)
-    if n_bar > 0:
-        log_pbar = m * (np.log(n_bar) - np.log1p(n_bar)) - np.log1p(n_bar)
-        pbar = np.exp(log_pbar)
-    else:
-        pbar = np.zeros(max_thermal + 1)
-        pbar[0] = 1.0
-    tails = nbinom.sf(max_squeeze, m + 1, 1.0 - t2)
-    return float(np.sum(pbar * tails))
+    tails = betainc(max_squeeze + 1, m + 1, t2)
+    return float(np.sum(thermal_weights(n_bar, max_thermal + 1) * tails))
+
+
+def _stored_entries(max_thermal: int, max_squeeze: int) -> int:
+    """Entries held at these cutoffs: the kets and both reduced matrices."""
+    rungs = max_squeeze + 1
+    return ((max_thermal + 1) * rungs + rungs ** 2
+            + (max_thermal + rungs) ** 2)
 
 
 def choose_truncation(n_bar: float, r: float, tolerance: float,
-                      budget: int = BLOCK_ENTRY_BUDGET) -> TruncationSpec:
+                      budget: int = ENTRY_BUDGET) -> TruncationSpec:
     """Smallest cutoffs meeting the documented tail estimator.
 
     The thermal cutoff takes half the tolerance through the exact geometric
@@ -179,11 +230,16 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
 
     Raises
     ------
+    ValueError
+        If ``n_bar`` or ``r`` is negative or not finite, or the tolerance is
+        outside ``(0, 1)``.
     TruncationInfeasibleError
-        If the resulting block storage exceeds ``budget`` complex entries.
+        If the kets and reduced matrices would exceed ``budget`` entries.
     """
     if not 0 < tolerance < 1:
         raise ValueError("tolerance must be in (0, 1)")
+    if not (np.isfinite(n_bar) and np.isfinite(r)):
+        raise ValueError(f"n_bar and r must be finite, got n_bar={n_bar}, r={r}")
     if n_bar < 0 or r < 0:
         raise ValueError("n_bar and r must be nonnegative")
     half = tolerance / 2.0
@@ -199,12 +255,13 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
     else:
         L = 1
         while squeeze_tail(n_bar, r, M, L) > half:
-            L *= 2
-            if (M + 1) * (L + 1) ** 2 > 64 * budget:
+            # the cutoff is at least L + 1 from here on
+            if _stored_entries(M, L + 1) > budget:
                 raise TruncationInfeasibleError(
                     f"no feasible ladder cutoff for n_bar={n_bar}, r={r}, "
-                    f"tolerance={tolerance}"
+                    f"tolerance={tolerance} within {budget} entries"
                 )
+            L *= 2
         lo, hi = L // 2, L
         while lo < hi:
             mid = (lo + hi) // 2
@@ -213,122 +270,25 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
             else:
                 lo = mid + 1
         L = lo
-    entries = (M + 1) * (L + 1) ** 2
+    entries = _stored_entries(M, L)
     if entries > budget:
         raise TruncationInfeasibleError(
-            f"truncation (M={M}, L={L}) needs {entries} block entries, "
+            f"truncation (M={M}, L={L}) needs {entries} entries, "
             f"budget is {budget}"
         )
     return TruncationSpec(max_thermal=M, max_squeeze=L, tolerance=tolerance)
 
 
-@dataclass(frozen=True)
-class JointBlocks:
-    """Joint state stored as one dense block per charge sector.
-
-    ``blocks[m]`` is the ``(L+1, L+1)`` matrix of the sector with
-    ``n_e - n_s = m``; its row ``l`` carries the basis label
-    ``(n_s, n_e) = (l, m + l)``.
-    """
-
-    trunc: TruncationSpec
-    blocks: tuple
-
-    @property
-    def dim_s(self) -> int:
-        return self.trunc.max_squeeze + 1
-
-    @property
-    def dim_e(self) -> int:
-        return self.trunc.max_thermal + self.trunc.max_squeeze + 1
-
-    def trace(self) -> float:
-        return float(sum(np.real(np.trace(b)) for b in self.blocks))
-
-    def purity(self) -> float:
-        """``Tr[rho^2]``; charge blocks never mix, so the square is blockwise."""
-        return float(sum(np.sum(np.abs(b) ** 2) for b in self.blocks))
-
-    def reduced_system(self) -> DensityMatrix:
-        """Trace out the environment by matching its basis labels.
-
-        The entry ``(l, l')`` of block ``m`` carries environment labels
-        ``(m+l, m+l')``; it survives the trace only when those agree.
-        """
-        rho = np.zeros((self.dim_s, self.dim_s), dtype=complex)
-        for b in self.blocks:
-            np.fill_diagonal(rho, rho.diagonal() + b.diagonal())
-        return DensityMatrix(self.dim_s, rho, tuple(range(self.dim_s)))
-
-    def reduced_environment(self) -> DensityMatrix:
-        """Trace out the system; entry ``(l, l')`` survives only at ``l = l'``."""
-        rho = np.zeros((self.dim_e, self.dim_e), dtype=complex)
-        for m, b in enumerate(self.blocks):
-            idx = np.arange(b.shape[0]) + m
-            rho[idx, idx] += b.diagonal()
-        return DensityMatrix(self.dim_e, rho, tuple(range(self.dim_e)))
-
-    def to_dense(self, cap: int = DENSE_DIM_CAP) -> DensityMatrix:
-        """Embed into the full product basis (fails above the dense cap)."""
-        dim = self.dim_s * self.dim_e
-        if dim > cap:
-            raise TruncationInfeasibleError(
-                f"dense dimension {dim} exceeds cap {cap}"
-            )
-        rho = np.zeros((dim, dim), dtype=complex)
-        for m, b in enumerate(self.blocks):
-            L1 = b.shape[0]
-            idx = np.array([l * self.dim_e + (m + l) for l in range(L1)])
-            rho[np.ix_(idx, idx)] += b
-        return DensityMatrix(dim, rho, product_basis(self.dim_s, self.dim_e))
-
-
 def thermal_density(n_bar: float, dim: int) -> DensityMatrix:
     """Truncated single-mode Bose-Einstein state, diagonal geometric weights."""
-    n = np.arange(dim)
-    if n_bar == 0:
-        w = np.zeros(dim)
-        w[0] = 1.0
-    else:
-        w = np.exp(n * (np.log(n_bar) - np.log1p(n_bar)) - np.log1p(n_bar))
-    return DensityMatrix(dim, np.diag(w.astype(complex)), tuple(range(dim)))
+    return DensityMatrix(dim, np.diag(thermal_weights(n_bar, dim)), tuple(range(dim)))
 
 
 def vacuum_density(dim: int) -> DensityMatrix:
     """Single-mode vacuum projector on a truncated basis."""
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((dim, dim))
     rho[0, 0] = 1.0
     return DensityMatrix(dim, rho, tuple(range(dim)))
-
-
-def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
-    """Label-blind partial trace of a dense two-mode matrix.
-
-    Parameters
-    ----------
-    rho : DensityMatrix
-        Two-mode matrix on the row-major ``(n_s, n_e)`` basis.
-    keep : {"system", "environment"}
-
-    Returns
-    -------
-    DensityMatrix
-        Single-mode matrix; the trace is preserved exactly by construction.
-    """
-    if not rho.is_two_mode:
-        raise ValueError("partial_trace needs a two-mode matrix")
-    if keep not in ("system", "environment"):
-        raise ValueError(f"keep must be 'system' or 'environment', got {keep!r}")
-    dim_s = rho.basis[-1][0] + 1
-    dim_e = rho.basis[-1][1] + 1
-    if dim_s * dim_e != rho.dim:
-        raise ValueError("basis is not a full rectangular product basis")
-    four = rho.entries.reshape(dim_s, dim_e, dim_s, dim_e)
-    if keep == "system":
-        red = np.einsum("aeue->au", four)
-        return DensityMatrix(dim_s, red, tuple(range(dim_s)))
-    red = np.einsum("sesf->ef", four)
-    return DensityMatrix(dim_e, red, tuple(range(dim_e)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -355,8 +315,6 @@ def expectations(rho: DensityMatrix, omega: float) -> tuple[float, float]:
     ``energy = omega * (number + 1/2)``; the zero-point term cancels in any
     difference of energies.
     """
-    if rho.is_two_mode:
-        raise ValueError("expectations needs a single-mode matrix")
     if omega <= 0:
         raise ValueError("omega must be positive")
     n = np.asarray(rho.basis, dtype=float)
@@ -376,38 +334,26 @@ def max_offdiagonal(rho: DensityMatrix) -> float:
 
 
 def verify_point(n_bar: float, r: float, omega: float = 1.0,
-                 tolerance: float = 1e-12,
-                 dense_cap: int = DENSE_DIM_CAP) -> dict:
+                 tolerance: float = 1e-12) -> dict:
     """Run the full oracle at one ``(n_bar, r)`` point.
 
-    Assembles the evolved joint state, reduces it both ways, and returns a
-    record comparing every oracle number against its closed form.  The dense
-    product-basis route (with its label-blind partial trace) is used whenever
-    the dense dimension fits ``dense_cap``; otherwise the charge-block route
-    carries the reduction.
+    Assembles the evolved joint state as a :class:`KetEnsemble`, reduces it
+    both ways, and returns a record comparing every oracle number against
+    its closed form.
 
     Record fields: ``n_bar, r, M, L, delta_S_analytic, delta_S_oracle,
     delta_Q_analytic, delta_Q_oracle, delta_N_analytic, delta_N_oracle,
-    purity_formula, purity_oracle, max_offdiag, dense_route``.
+    purity_formula, purity_oracle, max_offdiag``.
     """
     from . import analytic, su11
 
     trunc = choose_truncation(n_bar, r, tolerance)
     params = su11.SqueezeParams(r=r, theta=0.0, delta_s=0.0, delta_e=0.0)
-    blocks = su11.build_joint_blocks(n_bar, params, trunc)
+    joint = su11.build_joint_blocks(n_bar, params, trunc)
     mult = analytic.Multiplicities.from_squeeze(n_bar, r)
 
-    dense_route = trunc.dense_dim <= dense_cap
-    if dense_route:
-        joint = blocks.to_dense(cap=dense_cap)
-        rho_s = partial_trace(joint, "system")
-        rho_e = partial_trace(joint, "environment")
-        pur = purity(joint)
-    else:
-        rho_s = blocks.reduced_system()
-        rho_e = blocks.reduced_environment()
-        pur = blocks.purity()
-
+    rho_s = joint.reduced_system()
+    rho_e = joint.reduced_environment()
     rho_s_in = vacuum_density(rho_s.dim)
     rho_e_in = thermal_density(n_bar, rho_e.dim)
 
@@ -427,9 +373,8 @@ def verify_point(n_bar: float, r: float, omega: float = 1.0,
         "delta_N_analytic": analytic.delta_N(mult),
         "delta_N_oracle": n_fin - n_in,
         "purity_formula": analytic.joint_purity(mult),
-        "purity_oracle": pur,
+        "purity_oracle": joint.purity(),
         "max_offdiag": max(max_offdiagonal(rho_s), max_offdiagonal(rho_e)),
-        "dense_route": dense_route,
     }
 
 
@@ -443,7 +388,8 @@ def verify_grid(points: Sequence[tuple[float, float]], tolerance: float = 1e-8,
     reduced matrices are diagonal to 1e-10.  The closed-form purity
     comparison is recorded on every point but never gates; it is known to
     disagree with the assembled state away from the no-amplification limit.
-    Infeasible truncations are recorded as errors, not raised.
+    A point with invalid input or an infeasible or failed truncation is
+    recorded with its error and fails; the sweep goes on to the next point.
     """
     records = []
     overall = True
@@ -451,7 +397,7 @@ def verify_grid(points: Sequence[tuple[float, float]], tolerance: float = 1e-8,
         try:
             rec = verify_point(n_bar, r, omega=omega,
                                tolerance=truncation_tolerance)
-        except TruncationInfeasibleError as exc:
+        except (ValueError, TruncationError) as exc:
             records.append({"n_bar": n_bar, "r": r, "error": str(exc)})
             overall = False
             continue

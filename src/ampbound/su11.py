@@ -31,7 +31,8 @@ leaves the single-ladder state with coefficients
 ``tanh(r)^l e^{i(alpha l - delta_e m_e)} / cosh(r)^{m_e+1} sqrt(C(m_e+l, l))``
 on ``|l, m_e + l>``, with ``alpha = theta + pi - delta_e - delta_s``.  Mixing
 those states over a Bose-Einstein distribution of ``m_e`` yields the evolved
-joint density operator used by :mod:`ampbound.fock_oracle`.
+joint state, the :class:`~ampbound.fock_oracle.KetEnsemble` that
+:mod:`ampbound.fock_oracle` reduces.
 
 The single-mode realization of the same algebra through ``a^2`` and
 ``a*^2`` (one oscillator, quadratic generators) exists because su(1,1) and
@@ -41,27 +42,26 @@ genuine two-mode structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .fock_oracle import (
-    DensityMatrix,
-    JointBlocks,
+    KetEnsemble,
     TruncationError,
     TruncationSpec,
     thermal_tail,
+    thermal_weights,
 )
 
 __all__ = [
     "SqueezeParams",
     "BCHFactors",
-    "TwoModeKet",
+    "LadderKet",
     "bch_factors",
     "evolve_basis_state",
     "build_joint_blocks",
-    "build_joint_density",
     "k_plus_matrix",
     "k_minus_matrix",
     "k_zero_matrix",
@@ -126,45 +126,25 @@ def bch_factors(p: SqueezeParams) -> BCHFactors:
 
 
 @dataclass(frozen=True)
-class TwoModeKet:
-    """Sparse two-mode state: amplitudes keyed by ``(n_s, n_e)``."""
+class LadderKet:
+    """Two-mode ket on one charge ladder.
 
-    amplitudes: dict
-    trunc: TruncationSpec
-    charge: int = field(init=False)
+    ``amplitudes[i]`` is the amplitude on ``|n_s, n_e>`` with
+    ``n_s = first + i`` and ``n_e = n_s + charge``; the interaction conserves
+    ``n_e - n_s``, so no other basis state can carry weight.
+    """
 
-    def __post_init__(self):
-        charges = {ne - ns for (ns, ne) in self.amplitudes}
-        if len(charges) != 1:
-            raise ValueError(f"state spans several charge sectors: {sorted(charges)}")
-        object.__setattr__(self, "charge", charges.pop())
+    charge: int
+    first: int
+    amplitudes: np.ndarray
 
     def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def ladder_vector(self, length: int) -> np.ndarray:
-        """Amplitudes ordered by ``n_s`` (one entry per ladder rung)."""
-        v = np.zeros(length, dtype=complex)
-        for (ns, _), a in self.amplitudes.items():
-            if ns < length:
-                v[ns] = a
-        return v
-
-    def to_dense(self, dim_s: int, dim_e: int) -> np.ndarray:
-        """Dense vector on the row-major (n_s, n_e) product basis."""
-        v = np.zeros(dim_s * dim_e, dtype=complex)
-        for (ns, ne), a in self.amplitudes.items():
-            if ns >= dim_s or ne >= dim_e:
-                raise ValueError(
-                    f"amplitude at ({ns}, {ne}) outside a {dim_s}x{dim_e} basis"
-                )
-            v[ns * dim_e + ne] = a
-        return v
+        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 def evolve_basis_state(m_s: int, m_e: int, p: SqueezeParams,
                        trunc: TruncationSpec,
-                       tail_tol: float | None = None) -> TwoModeKet:
+                       tail_tol: float | None = None) -> LadderKet:
     """Squeeze-and-rotate a number state ``|m_s, m_e>``.
 
     Evaluates the factorized-operator double sum with the ladder truncated at
@@ -173,25 +153,27 @@ def evolve_basis_state(m_s: int, m_e: int, p: SqueezeParams,
     mass; if it exceeds ``tail_tol`` (default ``trunc.tolerance``) a
     :class:`TruncationError` is raised.
 
-    Charge superselection is structural: amplitudes exist only on kets with
-    ``n_e - n_s = m_e - m_s``.
+    Charge superselection is structural: the result is a single ladder with
+    ``n_e - n_s = m_e - m_s``, starting at ``n_s = m_s - min(m_s, m_e)``.
     """
     if m_s < 0 or m_e < 0:
         raise ValueError("mode occupations must be nonnegative")
     if tail_tol is None:
         tail_tol = trunc.tolerance
     L = trunc.max_squeeze
+    charge = m_e - m_s
 
     if p.r == 0.0:
         amp = np.exp(-1j * (p.delta_s * m_s + p.delta_e * m_e))
-        return TwoModeKet({(m_s, m_e): amp}, trunc)
+        return LadderKet(charge, m_s, np.array([amp]))
 
     log_t = np.log(np.tanh(p.r))
     log_c = np.log(np.cosh(p.r))
     j_max = min(m_s, m_e)
     ell = np.arange(L + 1)
-    # amplitude per system level n_s = m_s - j + l, accumulated over j
-    acc = np.zeros(m_s + L + 1, dtype=complex)
+    # amplitude per system level n_s = m_s - j + l, accumulated over j and
+    # stored from n_s = m_s - j_max on
+    amps = np.zeros(j_max + L + 1, dtype=complex)
     for j in range(j_max + 1):
         log_mag = (
             (2 * j - (m_s + m_e + 1)) * log_c
@@ -206,15 +188,9 @@ def evolve_basis_state(m_s: int, m_e: int, p: SqueezeParams,
             + np.pi * ell
             - (p.delta_s * m_s + p.delta_e * m_e)
         )
-        acc[m_s - j: m_s - j + L + 1] += np.exp(log_mag + 1j * gamma)
+        amps[j_max - j: j_max - j + L + 1] += np.exp(log_mag + 1j * gamma)
 
-    charge = m_e - m_s
-    amplitudes = {
-        (ns, ns + charge): acc[ns]
-        for ns in range(max(0, m_s - j_max), m_s + L + 1)
-        if acc[ns] != 0.0
-    }
-    ket = TwoModeKet(amplitudes, trunc)
+    ket = LadderKet(charge, m_s - j_max, amps)
     deficit = 1.0 - ket.norm_sq()
     if deficit > tail_tol:
         raise TruncationError(
@@ -225,12 +201,14 @@ def evolve_basis_state(m_s: int, m_e: int, p: SqueezeParams,
 
 
 def build_joint_blocks(n_bar: float, p: SqueezeParams,
-                       trunc: TruncationSpec) -> JointBlocks:
-    """Evolved joint density operator, one dense block per charge sector.
+                       trunc: TruncationSpec) -> KetEnsemble:
+    """Evolved joint state, one rank-one block per charge sector.
 
-    Mixes the evolved ``m_s = 0`` states over the Bose-Einstein weights of
-    the environment's initial occupation.  The total dropped mass (thermal
-    tail plus weighted ladder tails) must stay within ``trunc.tolerance``.
+    Evolves ``|0, m>`` for every retained thermal occupation ``m``; the
+    block of sector ``m`` is ``pbar_m |psi_m><psi_m|`` with the Bose-Einstein
+    weight ``pbar_m``, and only the weights and kets are stored.  The total
+    dropped mass (thermal tail plus weighted ladder tails) must stay within
+    ``trunc.tolerance``.
     """
     if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
@@ -241,37 +219,19 @@ def build_joint_blocks(n_bar: float, p: SqueezeParams,
             f"thermal cutoff {M} leaves tail mass {t_tail:.3e} "
             f"above tolerance {trunc.tolerance:.3e} for n_bar={n_bar}"
         )
-    m = np.arange(M + 1)
-    if n_bar > 0:
-        pbar = np.exp(m * (np.log(n_bar) - np.log1p(n_bar)) - np.log1p(n_bar))
-    else:
-        pbar = np.zeros(M + 1)
-        pbar[0] = 1.0
-
-    blocks = []
-    ladder_deficit = 0.0
-    for mm in range(M + 1):
-        ket = evolve_basis_state(0, mm, p, trunc, tail_tol=1.0)
-        v = ket.ladder_vector(L + 1)
-        ladder_deficit += pbar[mm] * (1.0 - ket.norm_sq())
-        blocks.append(pbar[mm] * np.outer(v, v.conj()))
-    if t_tail + ladder_deficit > trunc.tolerance:
+    pbar = thermal_weights(n_bar, M + 1)
+    kets = np.zeros((M + 1, L + 1), dtype=complex)
+    for m in range(M + 1):
+        amps = evolve_basis_state(0, m, p, trunc, tail_tol=1.0).amplitudes
+        kets[m, :amps.size] = amps
+    ladder_deficit = float(np.sum(pbar * (1.0 - np.sum(np.abs(kets) ** 2, axis=1))))
+    dropped = t_tail + ladder_deficit
+    if dropped > trunc.tolerance:
         raise TruncationError(
-            f"total dropped mass {t_tail + ladder_deficit:.3e} above "
+            f"total dropped mass {dropped:.3e} above "
             f"tolerance {trunc.tolerance:.3e} (n_bar={n_bar}, r={p.r})"
         )
-    return JointBlocks(trunc=trunc, blocks=tuple(blocks))
-
-
-def build_joint_density(n_bar: float, p: SqueezeParams,
-                        trunc: TruncationSpec) -> DensityMatrix:
-    """Dense evolved joint density matrix on the full product basis.
-
-    Same construction as :func:`build_joint_blocks`, embedded into the
-    row-major ``(n_s, n_e)`` basis.  Fails if the dense dimension exceeds the
-    desk-scale cap; use the block form beyond that.
-    """
-    return build_joint_blocks(n_bar, p, trunc).to_dense()
+    return KetEnsemble(pbar=pbar, kets=kets, dropped_mass=dropped)
 
 
 def basis_index(n_s: int, n_e: int, dim_e: int) -> int:

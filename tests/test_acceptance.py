@@ -17,6 +17,7 @@ from ampbound import analytic, cli, dynamics, field_modes, fock_oracle, su11
 from ampbound.analytic import Multiplicities, ThermalSpec
 
 from conftest import ORACLE_GRID
+from dense_reference import ket_to_dense
 
 
 def report_line(number: int, text: str) -> None:
@@ -235,7 +236,7 @@ def test_criterion_12_su11_algebra():
     for (ms, me) in [(0, 2), (2, 5), (3, 3)]:
         ket = su11.evolve_basis_state(ms, me, su11.SqueezeParams(r=0.9, theta=0.4),
                                       trunc, tail_tol=1.0)
-        dense = ket.to_dense(40, 40)
+        dense = ket_to_dense(ket, 40, 40)
         for ns in range(40):
             for ne in range(40):
                 if ne - ns != me - ms:
@@ -268,3 +269,27 @@ def test_criterion_13_field_mode_consistency():
     report_line(13, f"forced-occupation mode bound equals the two-oscillator "
                     f"ratio (worst rel diff {worst:.1e} <= 1e-12); graviton "
                     f"run doubles scalar extensive sums exactly")
+
+
+def test_criterion_14_oracle_frontier():
+    # points whose charge blocks did not fit the storage budget, then a
+    # diagonal of the nbar_vs_r map plane, all at truncation tolerance 1e-12
+    t0 = time.time()
+    frontier = [(5.0, 1.5), (20.0, 1.0), (1.0, 2.5)]
+    diagonal = list(zip(np.logspace(-2.0, 1.0, 5), np.linspace(0.25, 1.75, 5)))
+    report = fock_oracle.verify_grid(frontier + diagonal, tolerance=1e-8,
+                                     truncation_tolerance=1e-12)
+    worst = 0.0
+    for rec in report["records"]:
+        assert "error" not in rec, rec
+        assert rec["pass"], rec
+        worst = max(worst, abs(rec["delta_S_analytic"] - rec["delta_S_oracle"]))
+    assert report["pass"]
+    largest = max(rec["L"] for rec in report["records"])
+    with pytest.raises(fock_oracle.TruncationInfeasibleError):
+        fock_oracle.choose_truncation(1.0, 2.5, 1e-12, budget=10_000)
+    runtime = time.time() - t0
+    report_line(14, f"oracle passes at (5,1.5), (20,1), (1,2.5) and along the "
+                    f"nbar_vs_r diagonal up to (10,1.75), worst |dS| = "
+                    f"{worst:.1e}, ladder cutoff up to {largest} "
+                    f"({runtime:.1f}s); a 1e4-entry budget stays infeasible")

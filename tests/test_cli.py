@@ -164,6 +164,26 @@ class TestVerify:
     def test_needs_points(self, capsys):
         assert run(capsys, "verify")[0] == 1
 
+    @pytest.mark.parametrize("point", ["nan,0.3", "1,inf", "-inf,0.3"])
+    def test_non_finite_point_exits_1(self, capsys, point):
+        assert main(["verify", f"--point={point}"]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_invalid_point_recorded_per_point(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--point", "0.5,0.3", "--point", "1,-0.5",
+                     "--out", str(out)])
+        assert code == 2
+        good, bad = json.loads(out.read_text())["records"]
+        assert good["pass"]
+        assert bad == {"n_bar": 1.0, "r": -0.5, "error": bad["error"]}
+        assert "nonnegative" in bad["error"]
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    def test_removed_flags_rejected(self, capsys, flag):
+        assert run(capsys, flag, "1", "verify", "--point", "0,0")[0] == 1
+        assert run(capsys, "verify", "--point", "0,0", flag, "1")[0] == 1
+
 
 @pytest.fixture
 def pump_file(tmp_path):

@@ -133,14 +133,6 @@ class TestSpectrum:
         assert results[1].error is None
         assert total_entropy(results) == 0.0
 
-    def test_threads_match_serial(self):
-        pump = dynamics.PumpProfile.de_sitter()
-        kgrid = [0.5, 1.0, 2.0, 4.0]
-        serial = spectrum(kgrid, pump, BATH, -20.0, -0.5, threads=1)
-        parallel = spectrum(kgrid, pump, BATH, -20.0, -0.5, threads=3)
-        for a, b in zip(serial, parallel):
-            assert a == b
-
 
 class TestTotals:
     def test_empty(self):

@@ -9,12 +9,12 @@ from ampbound import analytic, fock_oracle, su11
 from ampbound.fock_oracle import (
     DensityMatrix,
     DensityMatrixError,
+    KetEnsemble,
     TruncationInfeasibleError,
     TruncationSpec,
     choose_truncation,
     expectations,
     max_offdiagonal,
-    partial_trace,
     purity,
     squeeze_tail,
     thermal_density,
@@ -24,6 +24,8 @@ from ampbound.fock_oracle import (
     verify_point,
     von_neumann_entropy,
 )
+
+from dense_reference import dense_reductions, joint_to_dense, partial_trace
 
 
 def joint_blocks(n_bar, r, tol=1e-12, **params):
@@ -68,6 +70,31 @@ class TestChooseTruncation:
         with pytest.raises(ValueError):
             choose_truncation(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("n_bar, r", [(math.nan, 0.3), (1.0, math.inf),
+                                          (math.inf, 0.3), (1.0, math.nan)])
+    def test_rejects_non_finite_point(self, n_bar, r):
+        with pytest.raises(ValueError, match="finite"):
+            choose_truncation(n_bar, r, 1e-12)
+
+
+class TestKetEnsemble:
+    def test_rejects_mismatched_weights(self):
+        with pytest.raises(ValueError):
+            KetEnsemble(pbar=np.ones(3), kets=np.ones((2, 4), dtype=complex),
+                        dropped_mass=0.0)
+
+    def test_dropped_mass_is_missing_trace(self):
+        for (nb, r, tol) in [(0.5, 0.8, 1e-10), (2.0, 1.2, 1e-12), (0.0, 1.0, 1e-8)]:
+            joint = joint_blocks(nb, r, tol=tol)
+            assert 0.0 <= joint.dropped_mass <= tol
+            assert joint.trace() == pytest.approx(1.0 - joint.dropped_mass, abs=1e-14)
+
+    def test_dimensions_follow_labels(self):
+        joint = joint_blocks(1.0, 0.8, tol=1e-8)
+        rows, rungs = joint.kets.shape
+        assert joint.dim_s == rungs
+        assert joint.dim_e == rows + rungs - 1
+
 
 class TestDensityMatrixType:
     def test_rejects_non_hermitian(self):
@@ -86,12 +113,13 @@ class TestPartialTrace:
         ws = np.array([0.6, 0.3, 0.1])
         we = np.array([0.4, 0.3, 0.2, 0.1])
         joint = np.kron(np.diag(ws), np.diag(we)).astype(complex)
-        rho = DensityMatrix(dim_s * dim_e, joint,
-                            fock_oracle.product_basis(dim_s, dim_e))
+        rho = DensityMatrix(dim_s * dim_e, joint, tuple(range(dim_s * dim_e)))
+        dims = (dim_s, dim_e)
         np.testing.assert_allclose(
-            np.diag(partial_trace(rho, "system").entries).real, ws, atol=1e-15)
+            np.diag(partial_trace(rho, dims, "system").entries).real, ws, atol=1e-15)
         np.testing.assert_allclose(
-            np.diag(partial_trace(rho, "environment").entries).real, we, atol=1e-15)
+            np.diag(partial_trace(rho, dims, "environment").entries).real, we,
+            atol=1e-15)
 
     def test_system_reduction_matches_geometric_weights(self):
         blocks = joint_blocks(1.0, 0.8, tol=1e-12)
@@ -120,18 +148,16 @@ class TestPartialTrace:
 
     def test_trace_preserved(self):
         blocks = joint_blocks(0.7, 0.6, tol=1e-10)
-        dense = blocks.to_dense()
+        dense = joint_to_dense(blocks)
+        dims = (blocks.dim_s, blocks.dim_e)
         for keep in ("system", "environment"):
-            assert abs(partial_trace(dense, keep).trace() - dense.trace()) < 1e-12
-
-    def test_rejects_single_mode_input(self):
-        with pytest.raises(ValueError):
-            partial_trace(thermal_density(1.0, 5), "system")
+            assert abs(partial_trace(dense, dims, keep).trace() - dense.trace()) < 1e-12
+        assert dense.trace() == pytest.approx(blocks.trace(), abs=1e-14)
 
     def test_rejects_unknown_keep(self):
         blocks = joint_blocks(0.5, 0.3, tol=1e-8)
         with pytest.raises(ValueError):
-            partial_trace(blocks.to_dense(), "both")
+            partial_trace(joint_to_dense(blocks), (blocks.dim_s, blocks.dim_e), "both")
 
 
 class TestEntropy:
@@ -180,11 +206,6 @@ class TestExpectations:
         assert number == 0.0
         assert energy == 1.0
 
-    def test_rejects_two_mode(self):
-        blocks = joint_blocks(0.5, 0.3, tol=1e-8)
-        with pytest.raises(ValueError):
-            expectations(blocks.to_dense(), 1.0)
-
 
 class TestPurity:
     def test_rank_one(self):
@@ -217,10 +238,9 @@ class TestPurity:
 class TestDiagonality:
     def test_reduced_matrices_diagonal(self):
         for (nb, r) in [(0.5, 0.3), (1.0, 0.8)]:
-            blocks = joint_blocks(nb, r, tol=1e-8)
-            dense = blocks.to_dense()
-            assert max_offdiagonal(partial_trace(dense, "system")) < 1e-10
-            assert max_offdiagonal(partial_trace(dense, "environment")) < 1e-10
+            _, rho_s, rho_e = dense_reductions(joint_blocks(nb, r, tol=1e-8))
+            assert max_offdiagonal(rho_s) < 1e-10
+            assert max_offdiagonal(rho_e) < 1e-10
 
 
 class TestVerify:
@@ -250,6 +270,26 @@ class TestVerify:
         assert not report["pass"]
         assert "error" in report["records"][0]
 
+    def test_invalid_point_recorded_and_sweep_goes_on(self):
+        report = verify_grid([(1.0, -0.5), (math.nan, 0.3), (0.5, 0.3)],
+                             tolerance=1e-8)
+        bad_r, bad_nbar, good = report["records"]
+        assert not report["pass"]
+        assert "nonnegative" in bad_r["error"]
+        assert "finite" in bad_nbar["error"]
+        assert good["pass"]
+
+    def test_failed_truncation_recorded_and_sweep_goes_on(self, monkeypatch):
+        def short_ladder(n_bar, r, tolerance, budget=None):
+            return TruncationSpec(max_thermal=40, max_squeeze=2, tolerance=tolerance)
+
+        monkeypatch.setattr(fock_oracle, "choose_truncation", short_ladder)
+        report = verify_grid([(1.0, 1.0), (0.0, 0.0)], tolerance=1e-8)
+        short, trivial = report["records"]
+        assert not report["pass"]
+        assert "dropped mass" in short["error"]
+        assert trivial["pass"]
+
     @settings(max_examples=8, deadline=None)
     @given(
         n_bar=st.floats(min_value=0.0, max_value=2.5),
@@ -263,12 +303,22 @@ class TestVerify:
         assert rec["max_offdiag"] < 1e-10
 
     def test_dense_and_block_routes_agree(self):
-        # (1.0, 0.8) at 1e-10 sits just above the default dense cap; raising
-        # the cap flips the route and the numbers must not move
-        block_rec = verify_point(1.0, 0.8, tolerance=1e-10)
-        dense_rec = verify_point(1.0, 0.8, tolerance=1e-10, dense_cap=5000)
-        assert not block_rec["dense_route"]
-        assert dense_rec["dense_route"]
-        for key in ("delta_S_oracle", "delta_Q_oracle", "delta_N_oracle",
-                    "purity_oracle"):
-            assert block_rec[key] == pytest.approx(dense_rec[key], rel=1e-12)
+        # the ket ensemble's label-matched reductions against the dense
+        # product-basis matrix reduced by a label-blind einsum (dense side at
+        # most 1672 at these points and tolerance)
+        for (n_bar, r) in [(0.5, 0.3), (1.0, 0.3), (0.1, 0.5), (2.0, 0.3)]:
+            joint = joint_blocks(n_bar, r, tol=1e-12)
+            dense, rho_s, rho_e = dense_reductions(joint)
+            np.testing.assert_allclose(joint.reduced_system().entries,
+                                       rho_s.entries, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(joint.reduced_environment().entries,
+                                       rho_e.entries, rtol=0, atol=1e-15)
+            assert joint.purity() == pytest.approx(purity(dense), rel=1e-12)
+            for mine, ref in ((joint.reduced_system(), rho_s),
+                              (joint.reduced_environment(), rho_e)):
+                assert von_neumann_entropy(mine) == pytest.approx(
+                    von_neumann_entropy(ref), abs=1e-12)
+            rec = verify_point(n_bar, r, tolerance=1e-12)
+            assert rec["purity_oracle"] == joint.purity()
+            assert rec["delta_S_oracle"] == pytest.approx(
+                von_neumann_entropy(rho_s), abs=1e-12)

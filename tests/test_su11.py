@@ -11,7 +11,6 @@ from ampbound.su11 import (
     basis_index,
     bch_factors,
     build_joint_blocks,
-    build_joint_density,
     evolve_basis_state,
     k_minus_matrix,
     k_plus_matrix,
@@ -19,6 +18,15 @@ from ampbound.su11 import (
     rotation_phases,
     squeeze_generator,
 )
+
+from dense_reference import dense_reductions, joint_to_dense, ket_to_dense
+
+
+def labelled(ket):
+    """``((n_s, n_e), amplitude)`` for every rung of a ladder ket."""
+    for i, amp in enumerate(ket.amplitudes):
+        ns = ket.first + i
+        yield (ns, ns + ket.charge), amp
 
 
 def interior_mask(n: int, guard: int) -> np.ndarray:
@@ -111,7 +119,8 @@ class TestEvolveBasisState:
 
     def test_identity_at_zero_squeeze(self):
         ket = evolve_basis_state(0, 0, SqueezeParams(r=0.0), self.TRUNC)
-        assert ket.amplitudes == {(0, 0): pytest.approx(1.0)}
+        assert (ket.charge, ket.first) == (0, 0)
+        assert list(ket.amplitudes) == [pytest.approx(1.0)]
 
     def test_vacuum_ladder_moduli_and_norm(self):
         # |0,0> evolves onto the pair ladder with moduli tanh^l / cosh and
@@ -119,10 +128,11 @@ class TestEvolveBasisState:
         r = 1.0
         ket = evolve_basis_state(0, 0, SqueezeParams(r=r), self.TRUNC, tail_tol=1.0)
         t, c = math.tanh(r), math.cosh(r)
-        for (ns, ne), amp in ket.amplitudes.items():
+        L = self.TRUNC.max_squeeze
+        assert len(ket.amplitudes) == L + 1
+        for (ns, ne), amp in labelled(ket):
             assert ns == ne
             assert abs(amp) == pytest.approx(t ** ns / c, rel=1e-12)
-        L = self.TRUNC.max_squeeze
         assert ket.norm_sq() == pytest.approx(1.0 - t ** (2 * (L + 1)), rel=1e-12)
 
     def test_thermal_sector_reduces_to_single_ladder(self):
@@ -132,7 +142,8 @@ class TestEvolveBasisState:
         m_e = 3
         ket = evolve_basis_state(0, m_e, p, self.TRUNC, tail_tol=1.0)
         t, c = math.tanh(p.r), math.cosh(p.r)
-        for (ns, ne), amp in ket.amplitudes.items():
+        assert (ket.charge, ket.first) == (m_e, 0)
+        for (ns, ne), amp in labelled(ket):
             ell = ns
             assert ne == m_e + ell
             expected = (
@@ -147,8 +158,9 @@ class TestEvolveBasisState:
         for (ms, me) in [(0, 0), (0, 4), (2, 5), (3, 1)]:
             ket = evolve_basis_state(ms, me, SqueezeParams(r=0.9, theta=0.3),
                                      self.TRUNC, tail_tol=1.0)
-            assert all(ne - ns == me - ms for (ns, ne) in ket.amplitudes)
-            dense = ket.to_dense(40, 40)
+            assert ket.charge == me - ms
+            assert ket.first == ms - min(ms, me)
+            dense = ket_to_dense(ket, 40, 40)
             for ns in range(40):
                 for ne in range(40):
                     if ne - ns != me - ms:
@@ -169,7 +181,7 @@ class TestEvolveBasisState:
             reference = rot * (U @ basis_vec)
             ket = evolve_basis_state(ms, me, p, trunc, tail_tol=1.0)
             complete = ms + L - min(ms, me)  # rungs with every j-term summed
-            for (ns, ne), amp in ket.amplitudes.items():
+            for (ns, ne), amp in labelled(ket):
                 if ns <= min(complete - 2, dim - 10) and ne <= dim - 10:
                     assert amp == pytest.approx(
                         reference[basis_index(ns, ne, dim)], abs=5e-11)
@@ -188,17 +200,20 @@ class TestEvolveBasisState:
 class TestJointDensity:
     def test_no_squeeze_is_vacuum_times_thermal(self):
         trunc = fock_oracle.choose_truncation(1.0, 0.0, 1e-10)
-        rho = build_joint_density(1.0, SqueezeParams(r=0.0), trunc)
-        dim_e = trunc.max_thermal + trunc.max_squeeze + 1
+        joint = build_joint_blocks(1.0, SqueezeParams(r=0.0), trunc)
+        rho = joint_to_dense(joint)
+        dim_e = joint.dim_e
         thermal = fock_oracle.thermal_density(1.0, dim_e)
-        for (i, (ns, ne)) in enumerate(rho.basis):
-            for (j, (ms, me)) in enumerate(rho.basis):
+        for i in range(rho.dim):
+            ns, ne = divmod(i, dim_e)
+            for j in range(rho.dim):
+                ms, me = divmod(j, dim_e)
                 expected = thermal.entries[ne, me] if (ns == 0 and ms == 0) else 0.0
                 assert rho.entries[i, j] == pytest.approx(expected, abs=1e-14)
 
     def test_cold_environment_gives_rank_one(self):
         trunc = fock_oracle.choose_truncation(0.0, 0.9, 1e-12)
-        rho = build_joint_density(0.0, SqueezeParams(r=0.9, theta=0.4), trunc)
+        rho = joint_to_dense(build_joint_blocks(0.0, SqueezeParams(r=0.9, theta=0.4), trunc))
         vals = np.linalg.eigvalsh(rho.entries)
         assert vals[-1] == pytest.approx(1.0, abs=1e-10)
         assert np.abs(vals[:-1]).max() < 1e-10
@@ -209,7 +224,7 @@ class TestJointDensity:
         n_bar, r = 1.0, 0.8
         trunc = fock_oracle.choose_truncation(n_bar, r, 1e-8)
         p = SqueezeParams(r=r, theta=0.6, delta_s=0.2, delta_e=0.8)
-        rho = build_joint_density(n_bar, p, trunc)
+        rho = joint_to_dense(build_joint_blocks(n_bar, p, trunc))
         n_q = math.sinh(r) ** 2
         expected = (1.0 / (n_bar + 1.0)) / (n_q + 1.0) * (n_q / (n_q + 1.0))
         dim_e = trunc.max_thermal + trunc.max_squeeze + 1
@@ -226,7 +241,7 @@ class TestJointDensity:
         t, c = math.tanh(r), math.cosh(r)
         for m in (0, 1, 3):
             pbar = n_bar ** m / (n_bar + 1.0) ** (m + 1)
-            block = blocks.blocks[m]
+            block = blocks.pbar[m] * np.outer(blocks.kets[m], blocks.kets[m].conj())
             for ell in (0, 1, 2):
                 for ellp in (0, 1, 3):
                     expected = (
@@ -241,15 +256,11 @@ class TestJointDensity:
         trunc = fock_oracle.choose_truncation(n_bar, r, 1e-10)
         p = SqueezeParams(r=r, theta=0.9)
         blocks = build_joint_blocks(n_bar, p, trunc)
-        dense = blocks.to_dense()
-        np.testing.assert_allclose(
-            blocks.reduced_system().entries,
-            fock_oracle.partial_trace(dense, "system").entries,
-            atol=1e-14)
-        np.testing.assert_allclose(
-            blocks.reduced_environment().entries,
-            fock_oracle.partial_trace(dense, "environment").entries,
-            atol=1e-14)
+        dense, rho_s, rho_e = dense_reductions(blocks)
+        np.testing.assert_allclose(blocks.reduced_system().entries, rho_s.entries,
+                                   atol=1e-14)
+        np.testing.assert_allclose(blocks.reduced_environment().entries,
+                                   rho_e.entries, atol=1e-14)
         assert blocks.purity() == pytest.approx(fock_oracle.purity(dense), rel=1e-12)
         assert blocks.trace() == pytest.approx(dense.trace(), rel=1e-12)
 
