@@ -44,12 +44,10 @@ from .field_modes import (
     total_entropy,
 )
 from .fock_oracle import (
-    DensityMatrix,
     KetEnsemble,
     TruncationSpec,
     choose_truncation,
     expectations,
-    purity,
     verify_grid,
     verify_point,
     von_neumann_entropy,

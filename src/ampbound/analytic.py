@@ -71,13 +71,25 @@ class Multiplicities:
     N_bar: float = field(init=False)
 
     def __post_init__(self):
+        N_bar = self.n_q * (self.n_bar + 1.0)
+        # NaN or inf in either input, or an overflowing product, leaves
+        # N_bar non-finite
+        if not np.isfinite(N_bar):
+            raise ValueError(
+                f"occupation numbers and N_bar = n_q (n_bar + 1) must be "
+                f"finite, got n_bar={self.n_bar}, n_q={self.n_q}"
+            )
         if self.n_bar < 0 or self.n_q < 0:
             raise ValueError("occupation numbers must be nonnegative")
-        object.__setattr__(self, "N_bar", self.n_q * (self.n_bar + 1.0))
+        object.__setattr__(self, "N_bar", N_bar)
 
     @classmethod
     def from_squeeze(cls, n_bar: float, r: float) -> "Multiplicities":
-        """Build from a squeeze amplitude, ``n_q = sinh^2(r)``."""
+        """Build from a squeeze amplitude, ``n_q = sinh^2(r)``.
+
+        ``n_q`` overflows to infinity beyond ``|r|`` of about 355, which the
+        constructor rejects with :class:`ValueError`.
+        """
         return cls(n_bar, float(np.sinh(r) ** 2))
 
 
@@ -94,6 +106,12 @@ class ThermalSpec:
     mu: float = 0.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.T) and np.isfinite(self.omega)
+                and np.isfinite(self.mu)):
+            raise ValueError(
+                f"T, omega and mu must be finite, got T={self.T}, "
+                f"omega={self.omega}, mu={self.mu}"
+            )
         if self.T <= 0:
             raise ValueError(f"temperature must be positive, got {self.T}")
         if self.mu >= self.omega:

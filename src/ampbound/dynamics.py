@@ -229,8 +229,7 @@ def _solve(rhs, y0, t_in, t_fin, tol):
                     rtol=max(tol, 1e-13), atol=tol, dense_output=False)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}")
-    # accepted-step estimate from the function-evaluation count (12 stages)
-    return sol.y[:, -1], max(1, sol.nfev // 12)
+    return sol.y[:, -1], len(sol.t) - 1
 
 
 def _uv_rhs(pump, omega):
@@ -295,12 +294,13 @@ def uv_trajectory(pump, omega: float, t_in: float, t_fin: float,
     times = np.linspace(t_in, t_fin, samples)
     sol = solve_ivp(_uv_rhs(pump, omega), (t_in, t_fin),
                     [1.0, 0.0, 0.0, 0.0], method="DOP853",
-                    rtol=max(tol, 1e-13), atol=tol, t_eval=times)
+                    rtol=max(tol, 1e-13), atol=tol, t_eval=times,
+                    dense_output=True)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}")
     u = sol.y[0] + 1j * sol.y[1]
     v = sol.y[2] + 1j * sol.y[3]
-    _check_unitarity(u[-1], v[-1], tol, max(1, sol.nfev // 12))
+    _check_unitarity(u[-1], v[-1], tol, len(sol.sol.ts) - 1)
     return times, u, v
 
 

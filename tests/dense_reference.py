@@ -1,15 +1,17 @@
 """Dense product-basis reference for cross-checking the Fock oracle.
 
 The oracle keeps its joint state as a :class:`~ampbound.fock_oracle.KetEnsemble`
-and reduces it by matching basis labels.  This module rebuilds the same state
-as a full matrix on the row-major ``(n_s, n_e)`` product basis (``n_e``
-fastest) and reduces it with a label-blind ``einsum`` partial trace, so the
-two routes can be compared at points whose dense dimension stays small.
+and reduces it by matching basis labels to occupation distributions.  This
+module rebuilds the same state as a full matrix on the row-major ``(n_s, n_e)``
+product basis (``n_e`` fastest), reduces it with a label-blind ``einsum``
+partial trace and takes entropies from the eigenvalues of the reduced
+matrices, so the two routes can be compared at points whose dense dimension
+stays small.  Every function returns plain ndarrays or floats.
 """
 
 import numpy as np
 
-from ampbound.fock_oracle import DensityMatrix
+from ampbound.fock_oracle import von_neumann_entropy
 
 
 def ket_to_dense(ket, dim_s: int, dim_e: int) -> np.ndarray:
@@ -24,31 +26,27 @@ def ket_to_dense(ket, dim_s: int, dim_e: int) -> np.ndarray:
     return v
 
 
-def joint_to_dense(joint) -> DensityMatrix:
+def joint_to_dense(joint) -> np.ndarray:
     """``sum_m pbar_m |psi_m><psi_m|`` as one matrix over the flat product index."""
     rows, rungs = joint.kets.shape
     dim_e = joint.dim_e
-    dim = joint.dim_s * dim_e
-    vecs = np.zeros((rows, dim), dtype=complex)
+    vecs = np.zeros((rows, joint.dim_s * dim_e), dtype=complex)
     for m in range(rows):
         vecs[m, np.arange(rungs) * dim_e + m + np.arange(rungs)] = joint.kets[m]
-    rho = (vecs.T * joint.pbar) @ vecs.conj()
-    return DensityMatrix(dim, rho, tuple(range(dim)))
+    return (vecs.T * joint.pbar) @ vecs.conj()
 
 
-def partial_trace(rho: DensityMatrix, dims: tuple, keep: str) -> DensityMatrix:
+def partial_trace(rho: np.ndarray, dims: tuple, keep: str) -> np.ndarray:
     """Label-blind partial trace of a dense joint on a ``dims`` product basis."""
     if keep not in ("system", "environment"):
         raise ValueError(f"keep must be 'system' or 'environment', got {keep!r}")
     dim_s, dim_e = dims
-    if dim_s * dim_e != rho.dim:
+    if rho.shape != (dim_s * dim_e, dim_s * dim_e):
         raise ValueError("dims do not span the matrix")
-    four = rho.entries.reshape(dim_s, dim_e, dim_s, dim_e)
+    four = rho.reshape(dim_s, dim_e, dim_s, dim_e)
     if keep == "system":
-        red = np.einsum("aeue->au", four)
-        return DensityMatrix(dim_s, red, tuple(range(dim_s)))
-    red = np.einsum("sesf->ef", four)
-    return DensityMatrix(dim_e, red, tuple(range(dim_e)))
+        return np.einsum("aeue->au", four)
+    return np.einsum("sesf->ef", four)
 
 
 def dense_reductions(joint) -> tuple:
@@ -57,3 +55,19 @@ def dense_reductions(joint) -> tuple:
     dims = (joint.dim_s, joint.dim_e)
     return (dense, partial_trace(dense, dims, "system"),
             partial_trace(dense, dims, "environment"))
+
+
+def max_offdiagonal(rho: np.ndarray) -> float:
+    """Largest off-diagonal modulus, the diagonality figure of merit."""
+    off = rho - np.diag(np.diag(rho))
+    return float(np.max(np.abs(off))) if len(rho) > 1 else 0.0
+
+
+def purity(rho: np.ndarray) -> float:
+    """``Tr[rho^2]`` of a Hermitian matrix, as the squared Frobenius norm."""
+    return float(np.sum(np.abs(rho) ** 2))
+
+
+def eigvalsh_entropy(rho: np.ndarray) -> float:
+    """``-sum lambda ln lambda`` over the eigenvalues of a Hermitian matrix."""
+    return von_neumann_entropy(np.linalg.eigvalsh(rho))

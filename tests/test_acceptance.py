@@ -17,7 +17,7 @@ from ampbound import analytic, cli, dynamics, field_modes, fock_oracle, su11
 from ampbound.analytic import Multiplicities, ThermalSpec
 
 from conftest import ORACLE_GRID
-from dense_reference import ket_to_dense
+from dense_reference import dense_reductions, ket_to_dense, max_offdiagonal
 
 
 def report_line(number: int, text: str) -> None:
@@ -50,11 +50,20 @@ def test_criterion_02_heat_and_particle_equivalence(oracle_grid_report):
                    f"Q = {worst_q:.2e}, N = {worst_n:.2e} <= 1e-8")
 
 
-def test_criterion_03_reduced_matrices_diagonal(oracle_grid_report):
-    worst = max(rec["max_offdiag"] for rec in oracle_grid_report["records"])
+def test_criterion_03_reduced_matrices_diagonal():
+    # the oracle keeps reduced states as occupation distributions, so
+    # diagonality is checked on the label-blind dense reduction of the same
+    # joint state, at the grid points whose dense product basis stays small
+    points = [(0.5, 0.3), (1.0, 0.3), (2.0, 0.3)]
+    worst = 0.0
+    for n_bar, r in points:
+        trunc = fock_oracle.choose_truncation(n_bar, r, 1e-12)
+        joint = su11.build_joint_blocks(n_bar, su11.SqueezeParams(r=r), trunc)
+        _, rho_s, rho_e = dense_reductions(joint)
+        worst = max(worst, max_offdiagonal(rho_s), max_offdiagonal(rho_e))
     assert worst < 1e-10
-    report_line(3, f"reduced matrices diagonal, max off-diagonal modulus "
-                   f"{worst:.1e} < 1e-10")
+    report_line(3, f"dense reduced matrices diagonal at {len(points)} grid "
+                   f"points, max off-diagonal modulus {worst:.1e} < 1e-10")
 
 
 def test_criterion_04_purity():
@@ -272,10 +281,11 @@ def test_criterion_13_field_mode_consistency():
 
 
 def test_criterion_14_oracle_frontier():
-    # points whose charge blocks did not fit the storage budget, then a
-    # diagonal of the nbar_vs_r map plane, all at truncation tolerance 1e-12
+    # points whose charge blocks or dense reduced matrices did not fit the
+    # storage budget, then a diagonal of the nbar_vs_r map plane, all at
+    # truncation tolerance 1e-12
     t0 = time.time()
-    frontier = [(5.0, 1.5), (20.0, 1.0), (1.0, 2.5)]
+    frontier = [(5.0, 1.5), (20.0, 1.0), (1.0, 2.5), (1.0, 3.0), (10.0, 2.25)]
     diagonal = list(zip(np.logspace(-2.0, 1.0, 5), np.linspace(0.25, 1.75, 5)))
     report = fock_oracle.verify_grid(frontier + diagonal, tolerance=1e-8,
                                      truncation_tolerance=1e-12)
@@ -289,7 +299,8 @@ def test_criterion_14_oracle_frontier():
     with pytest.raises(fock_oracle.TruncationInfeasibleError):
         fock_oracle.choose_truncation(1.0, 2.5, 1e-12, budget=10_000)
     runtime = time.time() - t0
-    report_line(14, f"oracle passes at (5,1.5), (20,1), (1,2.5) and along the "
-                    f"nbar_vs_r diagonal up to (10,1.75), worst |dS| = "
+    report_line(14, f"oracle passes at (5,1.5), (20,1), (1,2.5), (1,3), "
+                    f"(10,2.25) and along the nbar_vs_r diagonal up to "
+                    f"(10,1.75), worst |dS| = "
                     f"{worst:.1e}, ladder cutoff up to {largest} "
                     f"({runtime:.1f}s); a 1e4-entry budget stays infeasible")

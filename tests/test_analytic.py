@@ -42,6 +42,19 @@ class TestMultiplicities:
         with pytest.raises(ValueError):
             Multiplicities(1.0, -0.1)
 
+    @pytest.mark.parametrize("n_bar, n_q", [(math.nan, 1.0), (1.0, math.nan),
+                                            (math.inf, 1.0), (1.0, math.inf),
+                                            (1.0, -math.inf), (math.inf, 0.0),
+                                            (1e300, 1e300)])
+    def test_non_finite_rejected(self, n_bar, n_q):
+        with pytest.raises(ValueError, match="finite"):
+            Multiplicities(n_bar, n_q)
+
+    def test_squeeze_overflow_rejected(self):
+        # sinh(r)**2 overflows to inf beyond r of about 355
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            Multiplicities.from_squeeze(1.0, 400.0)
+
 
 class TestThermalSpec:
     def test_nbar_half_log2(self):
@@ -72,6 +85,13 @@ class TestThermalSpec:
             ThermalSpec(T=1.0, omega=1.0, mu=1.0)
         with pytest.raises(ValueError):
             ThermalSpec(T=1.0, omega=1.0, mu=2.0)
+
+    @pytest.mark.parametrize("field", ["T", "omega", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"T": 1.0, "omega": 1.0, "mu": 0.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            ThermalSpec(**kwargs)
 
 
 class TestSystemWeights:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -57,6 +60,18 @@ class TestCheck:
     def test_bad_thermal_domain_exits_1(self, capsys):
         assert run(capsys, "check", "--nbar", "1", "--nq", "1",
                    "--omega", "1", "--T", "1", "--mu", "2")[0] == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--nbar", "nan"), ("--nq", "inf"), ("--T", "inf"), ("--T", "nan"),
+        ("--omega", "nan"), ("--mu", "-inf"), ("--nbar", "1e300")])
+    def test_non_finite_input_exits_1(self, capsys, flag, value):
+        # the last case overflows N_bar = n_q (n_bar + 1) with --nq 1e10
+        args = {"--nbar": "1", "--nq": "1e10", "--omega": "1", "--T": "1",
+                flag: value}
+        assert main(["check", *[f"{k}={v}" for k, v in args.items()]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
 
 
 class TestMap:
@@ -243,3 +258,15 @@ class TestSpectrum:
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert all(r[-1] != "" for r in rows)
+
+
+def test_import_leaves_scipy_stats_out():
+    # every subcommand pays the package import before it starts; scipy.stats
+    # alone would add about a third of a second to it
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, ampbound.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"

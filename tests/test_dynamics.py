@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from ampbound import dynamics as dyn
 from ampbound.dynamics import (
@@ -102,6 +103,24 @@ class TestIntegrateUv:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             integrate_uv(PumpProfile.constant(0.5), 1.0, 1.0, 0.0)
+
+    def test_guard_window_counts_accepted_steps(self, monkeypatch):
+        # the unitarity window scales with the steps the integrator accepted;
+        # the endpoint and the sampled solver both run the same DOP853 solve
+        pump = PumpProfile.gaussian_pulse(0.4, center=0.0, width=1.5)
+        ref = solve_ivp(dyn._uv_rhs(pump, 1.3), (-8.0, 8.0), [1.0, 0.0, 0.0, 0.0],
+                        method="DOP853", rtol=1e-12, atol=1e-12)
+        seen = []
+        guard = dyn._check_unitarity
+
+        def spy(u, v, tol, steps=1):
+            seen.append(steps)
+            guard(u, v, tol, steps)
+
+        monkeypatch.setattr(dyn, "_check_unitarity", spy)
+        integrate_uv(pump, 1.3, -8.0, 8.0, tol=1e-12)
+        uv_trajectory(pump, 1.3, -8.0, 8.0, tol=1e-12, samples=101)
+        assert seen == [len(ref.t) - 1] * 2
 
     def test_time_reversal_returns_to_vacuum(self):
         # reflect the trajectory: negated pump and frequency, run forward
