@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "Multiplicities",
@@ -147,17 +146,28 @@ def nbar_from_thermal(spec: ThermalSpec) -> float:
     return float(np.exp(-x) / -np.expm1(-x))
 
 
-def entropy_gain(N_bar: float) -> float:
+def _occupations(N_bar) -> np.ndarray:
+    N = np.asarray(N_bar, dtype=float)
+    if np.any(N < 0):
+        raise ValueError("N_bar must be nonnegative")
+    return N
+
+
+def _result(out: np.ndarray):
+    """A Python float for a scalar evaluation, the array otherwise."""
+    return float(out) if out.ndim == 0 else out
+
+
+def entropy_gain(N_bar):
     """``(N+1) ln(N+1) - N ln N`` in nats, continuously extended to 0 at N=0.
 
     Evaluated as ``N*log1p(1/N) + log1p(N)`` which is stable for both small
-    and large ``N``.
+    and large ``N``.  Takes a scalar (returns a float) or an array (returns
+    an array of its shape).
     """
-    if N_bar < 0:
-        raise ValueError("N_bar must be nonnegative")
-    if N_bar == 0:
-        return 0.0
-    return N_bar * np.log1p(1.0 / N_bar) + np.log1p(N_bar)
+    N = _occupations(N_bar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _result(np.where(N == 0, 0.0, N * np.log1p(1.0 / N) + np.log1p(N)))
 
 
 def delta_S(m: Multiplicities) -> float:
@@ -220,6 +230,8 @@ def environment_weights(m: Multiplicities, ell_max: int, m_max: int) -> np.ndarr
     -------
     ndarray of shape (ell_max+1, m_max+1)
     """
+    from scipy.special import gammaln
+
     if ell_max < 0 or m_max < 0:
         raise ValueError("ell_max and m_max must be nonnegative")
     nb, nq = m.n_bar, m.n_q
@@ -264,7 +276,7 @@ def joint_purity(m: Multiplicities) -> float:
     )
 
 
-def _shape_factor(N_bar: float) -> float:
+def _shape_factor(N_bar):
     # ln(N)/N + (1 + 1/N) ln(1 + 1/N), the omega/T-independent part of the
     # bound ratio; identical to entropy_gain(N)/N, but kept in this written
     # form so the two parametrizations stay independent evaluations.  The
@@ -273,31 +285,31 @@ def _shape_factor(N_bar: float) -> float:
     return np.log(N_bar) / N_bar + (1.0 + 1.0 / N_bar) * np.log1p(1.0 / N_bar)
 
 
-def ratio_from_temperature(T: float, omega: float, mu: float, N_bar: float) -> float:
+def ratio_from_temperature(T, omega, mu, N_bar):
     """Bound ratio in the ``(T/(omega-mu), N_bar)`` parametrization.
 
     ``(T/(omega-mu)) * (ln(N)/N + (1+1/N) ln(1+1/N))``; returns 0 at N=0.
+    The arguments are scalars or broadcastable arrays; the result is a float
+    when all of them are scalars.
     """
-    if N_bar < 0:
-        raise ValueError("N_bar must be nonnegative")
-    if N_bar == 0:
-        return 0.0
-    return (T / (omega - mu)) * _shape_factor(N_bar)
+    N = _occupations(N_bar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (T / (omega - mu)) * _shape_factor(N)
+        return _result(np.where(N == 0, 0.0, ratio))
 
 
-def ratio_from_occupation(n_bar: float, N_bar: float) -> float:
+def ratio_from_occupation(n_bar, N_bar):
     """Bound ratio in the ``(n_bar, N_bar)`` parametrization.
 
     ``((N+1)ln(N+1) - N ln N) / (N ln(1 + 1/n_bar))``; returns 0 at N=0 and
-    in the zero-temperature limit ``n_bar -> 0``.
+    in the zero-temperature limit ``n_bar -> 0``.  The arguments are scalars
+    or broadcastable arrays; the result is a float when both are scalars.
     """
-    if N_bar < 0:
-        raise ValueError("N_bar must be nonnegative")
-    if N_bar == 0:
-        return 0.0
-    if n_bar == 0:
-        return 0.0
-    return entropy_gain(N_bar) / (N_bar * np.log1p(1.0 / n_bar))
+    N = _occupations(N_bar)
+    n_bar = np.asarray(n_bar, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = entropy_gain(N) / (N * np.log1p(1.0 / n_bar))
+        return _result(np.where((N == 0) | (n_bar == 0), 0.0, ratio))
 
 
 def bound_ratio(spec: ThermalSpec, m: Multiplicities) -> BoundReport:

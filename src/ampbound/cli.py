@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analytic, dynamics, field_modes, fock_oracle
 
-__all__ = ["main", "ScanConfig", "build_parser", "scan_rows", "scan_csv"]
+__all__ = ["main", "ScanConfig", "build_parser", "ratio_grid", "scan_csv"]
 
 PLANES = ("N_vs_omegaT", "nbar_vs_nq", "omegaT_vs_nq", "nbar_vs_r", "omegaT_vs_r")
 
@@ -40,6 +40,8 @@ def _fmt(x: float) -> str:
 def _axis(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
     if points < 2:
         raise CliError("each axis needs at least 2 points")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"axis bounds must be finite, got [{lo}, {hi}]")
     if lo >= hi:
         raise CliError(f"axis range must have min < max, got [{lo}, {hi}]")
     if scale == "linear":
@@ -58,6 +60,8 @@ class ScanConfig:
                  output_path: str | None = None):
         if plane not in PLANES:
             raise CliError(f"unknown plane {plane!r}; choose from {PLANES}")
+        if not math.isfinite(mu):
+            raise CliError(f"mu must be finite, got {mu}")
         self.plane = plane
         self.x_range = tuple(x_range)
         self.y_range = tuple(y_range)
@@ -76,14 +80,26 @@ class ScanConfig:
         return (_axis(*self.x_range), _axis(*self.y_range))
 
 
-def _ratio_at(plane: str, x: float, y: float, mu: float) -> float:
-    """Bound ratio at one grid cell.
+def _pair_occupations(rs: np.ndarray) -> np.ndarray:
+    # n_q = sinh(r)**2 per axis value in the scalar form that
+    # Multiplicities.from_squeeze uses; the array form np.sinh(rs) ** 2 can
+    # round differently in the last place, which would move CSV bytes
+    return np.array([float(np.sinh(r) ** 2) for r in rs.tolist()])
+
+
+def ratio_grid(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarray:
+    """Bound ratio on every cell of a plane, shape ``(len(xs), len(ys))``.
 
     For the occupation planes the ratio depends only on the occupations
     themselves, so the chemical potential drops out identically (it only
     shifts how a given ``n_bar`` arises from bath parameters).  For the
     omega/T planes ``mu`` is in units of T and shifts the axis value.
     """
+    if plane == "N_vs_omegaT" and ys.min() - mu <= 0:
+        raise CliError("omega/T axis must stay above mu/T")
+    if plane in ("omegaT_vs_nq", "omegaT_vs_r") and xs.min() - mu <= 0:
+        raise CliError("omega/T axis must stay above mu/T")
+    x, y = xs[:, None], ys[None, :]
     if plane == "N_vs_omegaT":
         return analytic.ratio_from_temperature(1.0, y, mu, x)
     if plane == "nbar_vs_nq":
@@ -91,37 +107,33 @@ def _ratio_at(plane: str, x: float, y: float, mu: float) -> float:
     if plane == "omegaT_vs_nq":
         return analytic.ratio_from_temperature(1.0, x, mu, y * (1.0 / np.expm1(x - mu) + 1.0))
     if plane == "nbar_vs_r":
-        return analytic.ratio_from_occupation(x, float(np.sinh(y) ** 2) * (x + 1.0))
+        return analytic.ratio_from_occupation(x, _pair_occupations(ys)[None, :] * (x + 1.0))
     if plane == "omegaT_vs_r":
-        n_q = float(np.sinh(y) ** 2)
+        n_q = _pair_occupations(ys)[None, :]
         return analytic.ratio_from_temperature(1.0, x, mu, n_q * (1.0 / np.expm1(x - mu) + 1.0))
     raise CliError(f"unknown plane {plane!r}")
 
 
-def scan_rows(config: ScanConfig):
-    """Grid cells in row-major order, y fastest: (x, y, ratio)."""
-    xs, ys = config.axes()
-    if config.plane in ("N_vs_omegaT",):
-        if min(ys) - config.mu <= 0:
-            raise CliError("omega/T axis must stay above mu/T")
-    if config.plane in ("omegaT_vs_nq", "omegaT_vs_r"):
-        if min(xs) - config.mu <= 0:
-            raise CliError("omega/T axis must stay above mu/T")
-    for x in xs:
-        for y in ys:
-            yield float(x), float(y), _ratio_at(config.plane, float(x), float(y), config.mu)
-
-
 def scan_csv(config: ScanConfig) -> str:
-    """CSV with columns x, y, log10_ratio, satisfied.
+    """CSV with columns x, y, log10_ratio, satisfied, in row-major order
+    with y fastest.
 
     A vanishing ratio (no amplification) writes an empty log10 field and
     counts as satisfied.
     """
+    xs, ys = config.axes()
+    ratios = ratio_grid(config.plane, xs, ys, config.mu)
+    y_fields = [_fmt(y) for y in ys.tolist()]
     lines = ["x,y,log10_ratio,satisfied"]
-    for x, y, ratio in scan_rows(config):
-        log10 = "" if ratio == 0.0 else _fmt(math.log10(ratio))
-        lines.append(f"{_fmt(x)},{_fmt(y)},{log10},{'true' if ratio <= 1.0 else 'false'}")
+    for x, row in zip(xs.tolist(), ratios.tolist()):
+        x_field = _fmt(x)
+        # math.log10, not np.log10: the vectorised log10 differs from it in
+        # the last digit on a sizeable share of cells
+        lines += [
+            f"{x_field},{y_field},{'' if ratio == 0.0 else _fmt(math.log10(ratio))},"
+            f"{'true' if ratio <= 1.0 else 'false'}"
+            for y_field, ratio in zip(y_fields, row)
+        ]
     return "\n".join(lines) + "\n"
 
 

@@ -42,7 +42,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "PumpError",
@@ -221,6 +220,8 @@ class SqueezeTriple:
 
 
 def _solve(rhs, y0, t_in, t_fin, tol):
+    from scipy.integrate import solve_ivp
+
     if t_fin < t_in:
         raise ValueError("t_fin must not precede t_in")
     if t_fin == t_in:
@@ -289,6 +290,8 @@ def uv_trajectory(pump, omega: float, t_in: float, t_fin: float,
     Returns ``(times, u_array, v_array)``; used for residual checks of the
     squeeze-variable flow along the trajectory.
     """
+    from scipy.integrate import solve_ivp
+
     if isinstance(pump, PumpProfile):
         pump.validate_interval(t_in, t_fin)
     times = np.linspace(t_in, t_fin, samples)

@@ -54,6 +54,11 @@ class ModeSpec:
     polarizations: int = 1
 
     def __post_init__(self):
+        if not (np.isfinite(self.k) and np.isfinite(self.omega_k)):
+            raise ValueError(
+                f"k and omega_k must be finite, got k={self.k}, "
+                f"omega_k={self.omega_k}"
+            )
         if self.k <= 0:
             raise ValueError("k must be positive")
         if self.omega_k <= 0:

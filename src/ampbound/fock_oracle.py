@@ -21,10 +21,10 @@ indexed by number label, whose entries are its eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 __all__ = [
     "ENTRY_BUDGET",
@@ -117,17 +117,24 @@ class KetEnsemble:
     def dim_e(self) -> int:
         return self.kets.shape[0] + self.kets.shape[1] - 1
 
+    @cached_property
     def _weights(self) -> np.ndarray:
-        """``pbar_m |<l, m+l|psi_m>|**2``, the diagonal of every sector."""
-        return self.pbar[:, None] * np.abs(self.kets) ** 2
+        """``pbar_m |<l, m+l|psi_m>|**2``, the diagonal of every sector.
+
+        Computed once, in place, and shared by the trace, the purity and
+        both reductions."""
+        w = np.abs(self.kets)
+        w *= w
+        w *= self.pbar[:, None]
+        return w
 
     def trace(self) -> float:
-        return float(np.sum(self._weights()))
+        return float(np.sum(self._weights))
 
     def purity(self) -> float:
         """``Tr[rho^2]``; sectors never mix and each is rank one, so sector
         ``m`` contributes ``(pbar_m <psi_m|psi_m>)**2``."""
-        return float(np.sum(np.sum(self._weights(), axis=1) ** 2))
+        return float(np.sum(np.sum(self._weights, axis=1) ** 2))
 
     def reduced_system(self) -> np.ndarray:
         """Trace out the environment by matching its basis labels.
@@ -137,7 +144,7 @@ class KetEnsemble:
         lands on system label ``l``.  Returns the occupation distribution
         indexed by system label.
         """
-        return self._weights().sum(axis=0)
+        return self._weights.sum(axis=0)
 
     def reduced_environment(self) -> np.ndarray:
         """Trace out the system; entry ``(l, l')`` of sector ``m`` survives
@@ -145,7 +152,7 @@ class KetEnsemble:
         the occupation distribution indexed by environment label."""
         rows, rungs = self.kets.shape
         labels = np.arange(rows)[:, None] + np.arange(rungs)
-        return np.bincount(labels.ravel(), weights=self._weights().ravel(),
+        return np.bincount(labels.ravel(), weights=self._weights.ravel(),
                            minlength=self.dim_e)
 
 
@@ -175,6 +182,8 @@ def squeeze_tail(n_bar: float, r: float, max_thermal: int, max_squeeze: int) -> 
     ``L``, the regularized incomplete beta ``I_{tanh(r)**2}(L+1, m+1)``, is
     weighted by the thermal probability of the sector.
     """
+    from scipy.special import betainc
+
     if r == 0:
         return 0.0
     t2 = np.tanh(r) ** 2

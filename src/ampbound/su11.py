@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock_oracle import (
     KetEnsemble,
@@ -156,6 +155,8 @@ def evolve_basis_state(m_s: int, m_e: int, p: SqueezeParams,
     Charge superselection is structural: the result is a single ladder with
     ``n_e - n_s = m_e - m_s``, starting at ``n_s = m_s - min(m_s, m_e)``.
     """
+    from scipy.special import gammaln
+
     if m_s < 0 or m_e < 0:
         raise ValueError("mode occupations must be nonnegative")
     if tail_tol is None:

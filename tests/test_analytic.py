@@ -276,6 +276,53 @@ class TestBoundRatio:
         assert np.all(np.diff(vals) < 0.0)
 
 
+class TestArrayForms:
+    """The closed forms behind ``map`` take arrays; each cell must equal the
+    scalar call bit for bit, since ``map`` output is fixed to 17 digits."""
+
+    OCCUPATION = st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(
+        st.tuples(OCCUPATION, OCCUPATION,
+                  st.floats(min_value=1e-3, max_value=1e3),
+                  st.floats(min_value=-10.0, max_value=0.0)),
+        min_size=1, max_size=16))
+    def test_array_call_matches_scalar_calls(self, cells):
+        n_bar, N, omega, mu = (np.array(col) for col in zip(*cells))
+        calls = [
+            (entropy_gain, (N,)),
+            (ratio_from_occupation, (n_bar, N)),
+            (ratio_from_temperature, (1.0, omega, mu, N)),
+        ]
+        for fn, args in calls:
+            scalar = [fn(*(a if np.isscalar(a) else float(a[i]) for a in args))
+                      for i in range(len(cells))]
+            assert all(type(v) is float for v in scalar)
+            with np.errstate(all="ignore"):
+                array = fn(*args)
+            assert array.shape == (len(cells),)
+            assert array.tobytes() == np.array(scalar).tobytes(), fn.__name__
+
+    def test_broadcasts_to_a_grid(self):
+        xs, ys = np.array([0.0, 0.5, 2.0]), np.array([0.0, 1.0, 10.0, 1e6])
+        grid = ratio_from_occupation(xs[:, None], ys[None, :] * (xs[:, None] + 1.0))
+        assert grid.shape == (3, 4)
+        assert np.all(grid[0] == 0.0) and np.all(grid[:, 0] == 0.0)
+        grid = ratio_from_temperature(1.0, ys[None, 1:], 0.5, xs[:, None])
+        assert grid.shape == (3, 3)
+        assert np.all(grid[0] == 0.0)
+
+    @pytest.mark.parametrize("fn", [
+        entropy_gain,
+        lambda N: ratio_from_occupation(1.0, N),
+        lambda N: ratio_from_temperature(1.0, 2.0, 0.0, N),
+    ])
+    def test_any_negative_occupation_rejected(self, fn):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(np.array([[1.0, 0.0], [2.0, -1e-300]]))
+
+
 class TestAsymptotics:
     def test_frozen_values(self):
         spec = ThermalSpec(T=1.0, omega=10.0)

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ampbound import cli
 from ampbound.cli import ScanConfig, main, scan_csv
+from map_reference import reference_csv
 
 
 def run(capsys, *argv):
@@ -104,14 +106,56 @@ class TestMap:
             assert r[2] == ""
             assert r[3] == "true"
 
+    @staticmethod
+    def cell_ratio(plane, x, y, mu=0.0):
+        return cli.ratio_grid(plane, np.array([x]), np.array([y]), mu)[0, 0]
+
     def test_boundary_cell_near_log10_zero(self):
         # the satisfied/violated boundary at n_bar = 100 sits near n_q = 7.6
-        ratio = cli._ratio_at("nbar_vs_nq", 100.0, 7.606921069403123, 0.0)
+        ratio = self.cell_ratio("nbar_vs_nq", 100.0, 7.606921069403123)
         assert math.log10(ratio) == pytest.approx(0.0, abs=1e-10)
 
     def test_deep_amplification_satisfied(self):
-        ratio = cli._ratio_at("nbar_vs_nq", 0.01, 100.0, 0.0)
+        ratio = self.cell_ratio("nbar_vs_nq", 0.01, 100.0)
         assert ratio < 1.0
+
+    def test_grid_shape(self):
+        ratios = cli.ratio_grid("omegaT_vs_r", np.linspace(1.0, 2.0, 3),
+                                np.linspace(0.0, 1.0, 4), 0.5)
+        assert ratios.shape == (3, 4)
+        assert np.all(ratios[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("plane, x_range, y_range, mu", [
+        # N_bar = 0 rows, mu < 0
+        ("N_vs_omegaT", (0.0, 1e3, 21, "linear"), (0.1, 30.0, 15, "log10"), -0.5),
+        ("N_vs_omegaT", (1e-9, 1e9, 37, "log10"), (0.51, 30.0, 15, "log10"), 0.5),
+        # n_bar = 0 rows and N_bar = 0 cells
+        ("nbar_vs_nq", (0.0, 2.0, 21, "linear"), (0.0, 3.0, 21, "linear"), 0.0),
+        # the cell whose log10 ratio is about 0
+        ("nbar_vs_nq", (100.0, 200.0, 2, "linear"),
+         (7.606921069403123, 8.0, 2, "linear"), 0.0),
+        ("omegaT_vs_nq", (0.6, 20.0, 31, "log10"), (1e-3, 1e3, 31, "log10"), 0.5),
+        # negative r and r = 0
+        ("nbar_vs_r", (0.0, 50.0, 11, "linear"), (-5.0, 5.0, 41, "linear"), 0.0),
+        # r = -1.11, where np.sinh(r) ** 2 of an array rounds differently
+        ("omegaT_vs_r", (0.6, 20.0, 11, "log10"), (-3.0, 3.0, 201, "linear"), 0.5),
+    ])
+    def test_matches_cell_by_cell_reference(self, plane, x_range, y_range, mu):
+        config = ScanConfig(plane=plane, x_range=x_range, y_range=y_range, mu=mu)
+        assert scan_csv(config) == reference_csv(config)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--x-min", "nan"), ("--x-max", "inf"), ("--y-min", "-inf"),
+        ("--y-max", "nan"), ("--mu", "nan"), ("--mu", "inf")])
+    def test_non_finite_input_exits_1(self, capsys, flag, value):
+        args = {"--plane": "nbar_vs_nq", "--x-min": "0", "--x-max": "1",
+                "--x-points": "2", "--x-scale": "linear", "--y-min": "0.1",
+                "--y-max": "1", "--y-points": "2", "--y-scale": "linear",
+                flag: value}
+        assert main(["map", *[f"{k}={v}" for k, v in args.items()]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
 
     def test_planes_cover_negative_r(self):
         config = ScanConfig(plane="omegaT_vs_r",
@@ -250,6 +294,17 @@ class TestSpectrum:
         payload = json.loads(out2)
         assert payload["ratio"] == pytest.approx(float(fields["ratio_k"]), rel=1e-10)
 
+    @pytest.mark.parametrize("flag, value", [("--k-min", "nan"), ("--k-max", "inf")])
+    def test_non_finite_k_exits_1(self, pump_file, capsys, flag, value):
+        path = pump_file({"kind": "constant", "q0": 0.0})
+        args = {"--pump": path, "--T": "1", "--k-min": "0.5", "--k-max": "2",
+                "--k-points": "2", "--k-scale": "linear", "--tau-in": "0",
+                "--tau-fin": "1", flag: value}
+        assert main(["spectrum", *[f"{k}={v}" for k, v in args.items()]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_singular_pump_isolated_per_mode(self, pump_file, capsys):
         path = pump_file({"kind": "de_sitter"})
         code, out = run(capsys, "spectrum", "--pump", path, "--T", "1",
@@ -260,13 +315,31 @@ class TestSpectrum:
         assert all(r[-1] != "" for r in rows)
 
 
-def test_import_leaves_scipy_stats_out():
-    # every subcommand pays the package import before it starts; scipy.stats
-    # alone would add about a third of a second to it
+def test_import_leaves_scipy_stats_out(tmp_path):
+    # every subcommand pays the package import before it starts, and check
+    # and map need only numpy: no scipy module may load for them, neither
+    # on import nor while they run
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, ampbound.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "False"
+    out = str(tmp_path / "out.txt")
+    code = f"""
+import json, sys
+import ampbound.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = [scipy_modules()]
+cli.main(["map", "--plane", "nbar_vs_r", "--x-min", "0.1", "--x-max", "1",
+          "--x-points", "3", "--y-min", "0", "--y-max", "1", "--y-points", "3",
+          "--y-scale", "linear", "--out", {out!r}])
+loaded.append(scipy_modules())
+cli.main(["check", "--from-thermal", "--r", "1", "--omega", "1", "--T", "1",
+          "--out", {out!r}])
+loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=60).stdout
+    assert json.loads(result) == [[], [], []]

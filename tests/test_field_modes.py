@@ -34,6 +34,13 @@ class TestModeSpec:
         with pytest.raises(ValueError):
             ModeSpec(k=1.0, omega_k=1.0, polarizations=3)
 
+    @pytest.mark.parametrize("k, omega_k", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+        (math.nan, math.nan)])
+    def test_rejects_non_finite(self, k, omega_k):
+        with pytest.raises(ValueError, match="must be finite"):
+            ModeSpec(k=k, omega_k=omega_k)
+
 
 class TestForcedMultiplicities:
     def test_matches_two_oscillator_bound(self):

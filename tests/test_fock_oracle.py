@@ -98,6 +98,16 @@ class TestKetEnsemble:
         assert joint.dim_s == rungs
         assert joint.dim_e == rows + rungs - 1
 
+    def test_weights_computed_once(self):
+        # the trace, the purity and both reductions share one weight array,
+        # equal bit for bit to pbar_m |ket_m[l]|**2
+        joint = joint_blocks(1.0, 0.8, tol=1e-10)
+        w = joint.pbar[:, None] * np.abs(joint.kets) ** 2
+        assert joint._weights is joint._weights
+        assert joint._weights.tobytes() == w.tobytes()
+        assert joint.reduced_system().tobytes() == w.sum(axis=0).tobytes()
+        assert joint.purity() == float(np.sum(np.sum(w, axis=1) ** 2))
+
 
 class TestPartialTrace:
     def test_product_state_factors(self):
