@@ -44,21 +44,12 @@ from .field_modes import (
     total_entropy,
 )
 from .fock_oracle import (
-    KetEnsemble,
     TruncationSpec,
     choose_truncation,
     expectations,
     verify_grid,
     verify_point,
     von_neumann_entropy,
-)
-from .su11 import (
-    BCHFactors,
-    LadderKet,
-    SqueezeParams,
-    bch_factors,
-    build_joint_blocks,
-    evolve_basis_state,
 )
 
 __version__ = "0.1.0"

@@ -304,9 +304,12 @@ def ratio_from_occupation(n_bar, N_bar):
     ``((N+1)ln(N+1) - N ln N) / (N ln(1 + 1/n_bar))``; returns 0 at N=0 and
     in the zero-temperature limit ``n_bar -> 0``.  The arguments are scalars
     or broadcastable arrays; the result is a float when both are scalars.
+    A negative entry in either raises ``ValueError``.
     """
     N = _occupations(N_bar)
     n_bar = np.asarray(n_bar, dtype=float)
+    if np.any(n_bar < 0):
+        raise ValueError("n_bar must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = entropy_gain(N) / (N * np.log1p(1.0 / n_bar))
         return _result(np.where((N == 0) | (n_bar == 0), 0.0, ratio))

@@ -1,49 +1,53 @@
 """Brute-force truncated-Fock-space engine.
 
 Everything the closed forms in :mod:`ampbound.analytic` claim is re-derived
-here by assembling the evolved joint state of the two oscillators on a
-truncated number basis and reducing it by plain sums: partial traces,
-entropies, occupation and energy expectations, purities.  No closed-form
-shortcut enters any of these operations, which is what makes the module
-usable as ground truth.
+here from the evolved joint state of the two oscillators on a truncated
+number basis, reduced by plain sums: partial traces, entropies, occupation
+and energy expectations, purities.  No closed-form shortcut enters any of
+these operations, which is what makes the module usable as ground truth.
 
 The system starts in the vacuum and the environment in a Bose-Einstein
 mixture, and the pair-creating interaction conserves ``n_e - n_s``.  The
 evolved joint state is therefore the mixture ``sum_m pbar_m |psi_m><psi_m|``
-of one pure pair ladder per charge sector ``m``.  :class:`KetEnsemble`
-stores exactly that, the thermal weights and one ladder ket per sector, and
-its reductions sum ``|amplitude|**2`` over the entries whose traced-out basis
-labels agree.  Every entry that survives such a trace lies on the diagonal,
-so each reduced state is an occupation distribution: a probability vector
-indexed by number label, whose entries are its eigenvalues.
+of one pure pair ladder per charge sector ``m``, whose rung ``l`` is the
+basis state ``(n_s, n_e) = (l, m + l)``.  A partial trace keeps only the
+entries whose traced-out labels agree, and those lie on the diagonal, so
+each reduced state is an occupation distribution: a probability vector
+indexed by number label, whose entries are its eigenvalues.  Only the
+weights ``pbar_m |<l, m+l|psi_m>|**2`` reach the reductions, and
+:func:`reduce_joint_state` streams them block by block from
+:func:`ampbound.su11.ladder_weights` into both distributions and the purity
+without storing the joint state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from . import analytic, su11
 
 __all__ = [
     "ENTRY_BUDGET",
     "TruncationError",
     "TruncationInfeasibleError",
-    "DensityMatrixError",
     "TruncationSpec",
-    "KetEnsemble",
+    "JointReduction",
     "thermal_weights",
     "thermal_tail",
     "squeeze_tail",
     "choose_truncation",
+    "reduce_joint_state",
     "von_neumann_entropy",
     "expectations",
     "verify_point",
     "verify_grid",
 ]
 
-ENTRY_BUDGET = 2 * 10**7      # max entries of the kets plus both reduced states
+ENTRY_BUDGET = 2 * 10**7      # max ladder weights one reduction evaluates
+BLOCK_ENTRIES = 4 * 10**6     # ladder weights held at once while reducing
 
 EIGENVALUE_FLOOR = -1e-10     # below this a probability is a bug, not noise
 
@@ -53,11 +57,7 @@ class TruncationError(RuntimeError):
 
 
 class TruncationInfeasibleError(TruncationError):
-    """The requested tolerance needs more storage than the configured budget."""
-
-
-class DensityMatrixError(RuntimeError):
-    """A reduced state violated a density-matrix invariant beyond tolerance."""
+    """The requested tolerance needs more work than the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -88,72 +88,20 @@ class TruncationSpec:
 
 
 @dataclass(frozen=True)
-class KetEnsemble:
-    """Joint state ``sum_m pbar[m] |psi_m><psi_m|`` stored as ladder kets.
+class JointReduction:
+    """What the oracle keeps of the evolved joint state.
 
-    Row ``m`` of ``kets`` is the ket of the charge sector ``n_e - n_s = m``;
-    its rung ``l`` carries the basis label ``(n_s, n_e) = (l, m + l)``.
-    ``dropped_mass`` is the probability the truncation left out: the thermal
-    tail beyond the last row plus the weighted ladder tails beyond the last
-    rung.
+    ``p_s`` and ``p_e`` are the occupation distributions of the system and
+    the environment, indexed by number label; ``purity`` is ``Tr[rho^2]``;
+    ``dropped_mass`` is the probability the truncation left out, the thermal
+    tail beyond the last sector plus the weighted ladder tails beyond the
+    last rung.
     """
 
-    pbar: np.ndarray
-    kets: np.ndarray
+    p_s: np.ndarray
+    p_e: np.ndarray
+    purity: float
     dropped_mass: float
-
-    def __post_init__(self):
-        if self.kets.ndim != 2 or self.pbar.shape != self.kets.shape[:1]:
-            raise ValueError(
-                f"weights of shape {self.pbar.shape} do not match kets of "
-                f"shape {self.kets.shape}"
-            )
-
-    @property
-    def dim_s(self) -> int:
-        return self.kets.shape[1]
-
-    @property
-    def dim_e(self) -> int:
-        return self.kets.shape[0] + self.kets.shape[1] - 1
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        """``pbar_m |<l, m+l|psi_m>|**2``, the diagonal of every sector.
-
-        Computed once, in place, and shared by the trace, the purity and
-        both reductions."""
-        w = np.abs(self.kets)
-        w *= w
-        w *= self.pbar[:, None]
-        return w
-
-    def trace(self) -> float:
-        return float(np.sum(self._weights))
-
-    def purity(self) -> float:
-        """``Tr[rho^2]``; sectors never mix and each is rank one, so sector
-        ``m`` contributes ``(pbar_m <psi_m|psi_m>)**2``."""
-        return float(np.sum(np.sum(self._weights, axis=1) ** 2))
-
-    def reduced_system(self) -> np.ndarray:
-        """Trace out the environment by matching its basis labels.
-
-        The entry ``(l, l')`` of sector ``m`` carries environment labels
-        ``(m+l, m+l')``; it survives the trace only when those agree, and
-        lands on system label ``l``.  Returns the occupation distribution
-        indexed by system label.
-        """
-        return self._weights.sum(axis=0)
-
-    def reduced_environment(self) -> np.ndarray:
-        """Trace out the system; entry ``(l, l')`` of sector ``m`` survives
-        only at ``l = l'`` and lands on environment label ``m + l``.  Returns
-        the occupation distribution indexed by environment label."""
-        rows, rungs = self.kets.shape
-        labels = np.arange(rows)[:, None] + np.arange(rungs)
-        return np.bincount(labels.ravel(), weights=self._weights.ravel(),
-                           minlength=self.dim_e)
 
 
 def thermal_weights(n_bar: float, count: int) -> np.ndarray:
@@ -192,10 +140,9 @@ def squeeze_tail(n_bar: float, r: float, max_thermal: int, max_squeeze: int) -> 
     return float(np.sum(thermal_weights(n_bar, max_thermal + 1) * tails))
 
 
-def _stored_entries(max_thermal: int, max_squeeze: int) -> int:
-    """Entries held at these cutoffs: the kets and both reduced states."""
-    rungs = max_squeeze + 1
-    return (max_thermal + 1) * rungs + rungs + (max_thermal + rungs)
+def _weight_count(max_thermal: int, max_squeeze: int) -> int:
+    """Ladder weights a reduction at these cutoffs evaluates."""
+    return (max_thermal + 1) * (max_squeeze + 1)
 
 
 def choose_truncation(n_bar: float, r: float, tolerance: float,
@@ -213,7 +160,7 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
         If ``n_bar`` or ``r`` is negative or not finite, or the tolerance is
         outside ``(0, 1)``.
     TruncationInfeasibleError
-        If the kets and reduced states would exceed ``budget`` entries.
+        If the reduction would evaluate more than ``budget`` ladder weights.
     """
     if not 0 < tolerance < 1:
         raise ValueError("tolerance must be in (0, 1)")
@@ -235,7 +182,7 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
         L = 1
         while squeeze_tail(n_bar, r, M, L) > half:
             # the cutoff is at least L + 1 from here on
-            if _stored_entries(M, L + 1) > budget:
+            if _weight_count(M, L + 1) > budget:
                 raise TruncationInfeasibleError(
                     f"no feasible ladder cutoff for n_bar={n_bar}, r={r}, "
                     f"tolerance={tolerance} within {budget} entries"
@@ -249,13 +196,58 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
             else:
                 lo = mid + 1
         L = lo
-    entries = _stored_entries(M, L)
+    entries = _weight_count(M, L)
     if entries > budget:
         raise TruncationInfeasibleError(
             f"truncation (M={M}, L={L}) needs {entries} entries, "
             f"budget is {budget}"
         )
     return TruncationSpec(max_thermal=M, max_squeeze=L, tolerance=tolerance)
+
+
+def reduce_joint_state(n_bar: float, r: float, trunc: TruncationSpec) -> JointReduction:
+    """Reduce the evolved joint state without storing it.
+
+    The weights ``pbar_m C(m+l, l) tanh(r)^(2l) / cosh(r)^(2(m+1))`` are
+    evaluated ``BLOCK_ENTRIES`` at a time, a block of whole sectors each.
+    Every block adds its column sums to the system distribution (label
+    ``l``), its sums over ``m + l`` to the environment distribution and its
+    row sums to the sector masses, then is dropped.  Sectors never mix and
+    each is rank one, so the purity is the sum of the squared sector masses.
+    The total dropped mass must stay within ``trunc.tolerance``.
+    """
+    if n_bar < 0:
+        raise ValueError("n_bar must be nonnegative")
+    M, L = trunc.max_thermal, trunc.max_squeeze
+    t_tail = thermal_tail(n_bar, M)
+    if t_tail > trunc.tolerance:
+        raise TruncationError(
+            f"thermal cutoff {M} leaves tail mass {t_tail:.3e} "
+            f"above tolerance {trunc.tolerance:.3e} for n_bar={n_bar}"
+        )
+    pbar = thermal_weights(n_bar, M + 1)
+    norms = np.empty(M + 1)
+    p_s = np.zeros(L + 1)
+    p_e = np.zeros(M + L + 1)
+    rows = max(1, BLOCK_ENTRIES // (L + 1))
+    for first in range(0, M + 1, rows):
+        stop = min(first + rows, M + 1)
+        w = su11.ladder_weights(r, np.arange(first, stop), L)
+        norms[first:stop] = w.sum(axis=1)
+        w *= pbar[first:stop, None]
+        p_s += w.sum(axis=0)
+        # environment label m + l, counted from the block's first sector
+        labels = np.arange(stop - first)[:, None] + np.arange(L + 1)
+        p_e[first:stop + L] += np.bincount(labels.ravel(), weights=w.ravel())
+    dropped = t_tail + float(np.sum(pbar * (1.0 - norms)))
+    if dropped > trunc.tolerance:
+        raise TruncationError(
+            f"total dropped mass {dropped:.3e} above "
+            f"tolerance {trunc.tolerance:.3e} (n_bar={n_bar}, r={r})"
+        )
+    return JointReduction(p_s=p_s, p_e=p_e,
+                          purity=float(np.sum((pbar * norms) ** 2)),
+                          dropped_mass=dropped)
 
 
 def von_neumann_entropy(p: np.ndarray) -> float:
@@ -271,7 +263,7 @@ def von_neumann_entropy(p: np.ndarray) -> float:
     """
     vals = np.sort(p)
     if vals[0] < EIGENVALUE_FLOOR:
-        raise DensityMatrixError(
+        raise ValueError(
             f"probability {vals[0]:.3e} below validity floor {EIGENVALUE_FLOOR}"
         )
     vals = np.clip(vals, 0.0, 1.0)
@@ -296,24 +288,20 @@ def verify_point(n_bar: float, r: float, omega: float = 1.0,
                  tolerance: float = 1e-12) -> dict:
     """Run the full oracle at one ``(n_bar, r)`` point.
 
-    Assembles the evolved joint state as a :class:`KetEnsemble`, reduces it
-    both ways to occupation distributions, compares them with the initial
-    vacuum system and Bose-Einstein environment on the same labels, and
-    returns a record comparing every oracle number against its closed form.
+    Reduces the evolved joint state both ways to occupation distributions,
+    compares them with the initial vacuum system and Bose-Einstein
+    environment on the same labels, and returns a record comparing every
+    oracle number against its closed form.
 
     Record fields: ``n_bar, r, M, L, delta_S_analytic, delta_S_oracle,
     delta_Q_analytic, delta_Q_oracle, delta_N_analytic, delta_N_oracle,
     purity_formula, purity_oracle``.
     """
-    from . import analytic, su11
-
     trunc = choose_truncation(n_bar, r, tolerance)
-    params = su11.SqueezeParams(r=r, theta=0.0, delta_s=0.0, delta_e=0.0)
-    joint = su11.build_joint_blocks(n_bar, params, trunc)
+    joint = reduce_joint_state(n_bar, r, trunc)
     mult = analytic.Multiplicities.from_squeeze(n_bar, r)
 
-    p_s = joint.reduced_system()
-    p_e = joint.reduced_environment()
+    p_s, p_e = joint.p_s, joint.p_e
     p_s_in = np.zeros(p_s.size)
     p_s_in[0] = 1.0
     p_e_in = thermal_weights(n_bar, p_e.size)
@@ -334,7 +322,7 @@ def verify_point(n_bar: float, r: float, omega: float = 1.0,
         "delta_N_analytic": analytic.delta_N(mult),
         "delta_N_oracle": n_fin - n_in,
         "purity_formula": analytic.joint_purity(mult),
-        "purity_oracle": joint.purity(),
+        "purity_oracle": joint.purity,
     }
 
 

@@ -4,6 +4,10 @@ import pytest
 from ampbound import fock_oracle
 
 ORACLE_GRID = [(nb, r) for nb in (0.5, 1.0, 2.0) for r in (0.3, 0.8, 1.2)]
+# points far into amplification, then a diagonal of the nbar_vs_r map plane
+FRONTIER_GRID = [(5.0, 1.5), (20.0, 1.0), (1.0, 2.5), (1.0, 3.0), (10.0, 2.25)] + [
+    (float(nb), float(r))
+    for nb, r in zip(np.logspace(-2.0, 1.0, 5), np.linspace(0.25, 1.75, 5))]
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,13 @@
 """Dense product-basis reference for cross-checking the Fock oracle.
 
-The oracle keeps its joint state as a :class:`~ampbound.fock_oracle.KetEnsemble`
-and reduces it by matching basis labels to occupation distributions.  This
-module rebuilds the same state as a full matrix on the row-major ``(n_s, n_e)``
-product basis (``n_e`` fastest), reduces it with a label-blind ``einsum``
-partial trace and takes entropies from the eigenvalues of the reduced
-matrices, so the two routes can be compared at points whose dense dimension
-stays small.  Every function returns plain ndarrays or floats.
+The oracle streams the real ladder weights of the evolved joint state into
+occupation distributions by matching basis labels.  This module builds the
+same state from the phased ket ensemble of ``su11_reference.joint_kets`` as
+a full matrix on the row-major ``(n_s, n_e)`` product basis (``n_e``
+fastest), reduces it with a label-blind ``einsum`` partial trace and takes
+entropies from the eigenvalues of the reduced matrices, so the two routes
+can be compared at points whose dense dimension stays small.  Every function
+returns plain ndarrays or floats.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from ampbound.fock_oracle import von_neumann_entropy
 
 
 def ket_to_dense(ket, dim_s: int, dim_e: int) -> np.ndarray:
-    """Dense vector of a :class:`~ampbound.su11.LadderKet` on the product basis."""
+    """Dense vector of a ``su11_reference.LadderKet`` on the product basis."""
     v = np.zeros(dim_s * dim_e, dtype=complex)
     for i, amp in enumerate(ket.amplitudes):
         ns = ket.first + i
@@ -26,14 +27,21 @@ def ket_to_dense(ket, dim_s: int, dim_e: int) -> np.ndarray:
     return v
 
 
-def joint_to_dense(joint) -> np.ndarray:
+def ket_dims(kets: np.ndarray) -> tuple:
+    """``(dim_s, dim_e)`` spanned by the ladder kets: rung ``l`` of row ``m``
+    is ``(n_s, n_e) = (l, m + l)``."""
+    rows, rungs = kets.shape
+    return rungs, rows + rungs - 1
+
+
+def joint_to_dense(pbar: np.ndarray, kets: np.ndarray) -> np.ndarray:
     """``sum_m pbar_m |psi_m><psi_m|`` as one matrix over the flat product index."""
-    rows, rungs = joint.kets.shape
-    dim_e = joint.dim_e
-    vecs = np.zeros((rows, joint.dim_s * dim_e), dtype=complex)
+    rows, rungs = kets.shape
+    dim_s, dim_e = ket_dims(kets)
+    vecs = np.zeros((rows, dim_s * dim_e), dtype=complex)
     for m in range(rows):
-        vecs[m, np.arange(rungs) * dim_e + m + np.arange(rungs)] = joint.kets[m]
-    return (vecs.T * joint.pbar) @ vecs.conj()
+        vecs[m, np.arange(rungs) * dim_e + m + np.arange(rungs)] = kets[m]
+    return (vecs.T * pbar) @ vecs.conj()
 
 
 def partial_trace(rho: np.ndarray, dims: tuple, keep: str) -> np.ndarray:
@@ -49,12 +57,11 @@ def partial_trace(rho: np.ndarray, dims: tuple, keep: str) -> np.ndarray:
     return np.einsum("sesf->ef", four)
 
 
-def dense_reductions(joint) -> tuple:
+def dense_reductions(pbar: np.ndarray, kets: np.ndarray) -> tuple:
     """``(joint, rho_s, rho_e)`` of the dense route for a ket ensemble."""
-    dense = joint_to_dense(joint)
-    dims = (joint.dim_s, joint.dim_e)
-    return (dense, partial_trace(dense, dims, "system"),
-            partial_trace(dense, dims, "environment"))
+    dense = joint_to_dense(pbar, kets)
+    return (dense, partial_trace(dense, ket_dims(kets), "system"),
+            partial_trace(dense, ket_dims(kets), "environment"))
 
 
 def max_offdiagonal(rho: np.ndarray) -> float:

@@ -13,11 +13,12 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from ampbound import analytic, cli, dynamics, field_modes, fock_oracle, su11
+from ampbound import analytic, cli, dynamics, field_modes, fock_oracle
 from ampbound.analytic import Multiplicities, ThermalSpec
 
-from conftest import ORACLE_GRID
+from conftest import FRONTIER_GRID, ORACLE_GRID
 from dense_reference import dense_reductions, ket_to_dense, max_offdiagonal
+import su11_reference as su11_ref
 
 
 def report_line(number: int, text: str) -> None:
@@ -53,13 +54,14 @@ def test_criterion_02_heat_and_particle_equivalence(oracle_grid_report):
 def test_criterion_03_reduced_matrices_diagonal():
     # the oracle keeps reduced states as occupation distributions, so
     # diagonality is checked on the label-blind dense reduction of the same
-    # joint state, at the grid points whose dense product basis stays small
+    # joint state, built with phases from the reference double sum, at the
+    # grid points whose dense product basis stays small
     points = [(0.5, 0.3), (1.0, 0.3), (2.0, 0.3)]
     worst = 0.0
     for n_bar, r in points:
         trunc = fock_oracle.choose_truncation(n_bar, r, 1e-12)
-        joint = su11.build_joint_blocks(n_bar, su11.SqueezeParams(r=r), trunc)
-        _, rho_s, rho_e = dense_reductions(joint)
+        _, rho_s, rho_e = dense_reductions(
+            *su11_ref.joint_kets(n_bar, su11_ref.SqueezeParams(r=r, theta=0.9), trunc))
         worst = max(worst, max_offdiagonal(rho_s), max_offdiagonal(rho_e))
     assert worst < 1e-10
     report_line(3, f"dense reduced matrices diagonal at {len(points)} grid "
@@ -218,32 +220,32 @@ def test_criterion_11_squeeze_flow_residuals():
 
 def test_criterion_12_su11_algebra():
     n = 30
-    kp = su11.k_plus_matrix(n, n)
-    km = su11.k_minus_matrix(n, n)
-    k0 = su11.k_zero_matrix(n, n)
+    kp = su11_ref.k_plus_matrix(n, n)
+    km = su11_ref.k_minus_matrix(n, n)
+    k0 = su11_ref.k_zero_matrix(n, n)
     inner = np.zeros(n * n, dtype=bool)
     for ns in range(n - 2):
         for ne in range(n - 2):
-            inner[su11.basis_index(ns, ne, n)] = True
+            inner[su11_ref.basis_index(ns, ne, n)] = True
     assert np.abs((k0 @ kp - kp @ k0 - kp)[:, inner]).max() <= 1e-9
     assert np.abs((kp @ km - km @ kp + 2 * k0)[:, inner]).max() <= 1e-9
 
-    p = su11.SqueezeParams(r=0.5, theta=0.9)
-    f = su11.bch_factors(p)
-    direct = expm(su11.squeeze_generator(p.r * np.exp(1j * p.theta), n, n))
+    p = su11_ref.SqueezeParams(r=0.5, theta=0.9)
+    f = su11_ref.bch_factors(p)
+    direct = expm(su11_ref.squeeze_generator(p.r * np.exp(1j * p.theta), n, n))
     product = (expm(f.plus_coeff * kp)
                @ np.diag(np.exp(f.zero_coeff * np.diag(k0)))
                @ expm(f.minus_coeff * km))
     deep = np.zeros(n * n, dtype=bool)
     for ns in range(n - 20):
         for ne in range(n - 20):
-            deep[su11.basis_index(ns, ne, n)] = True
+            deep[su11_ref.basis_index(ns, ne, n)] = True
     bch_err = np.abs(direct - product)[np.ix_(deep, deep)].max()
     assert bch_err <= 1e-9
 
     trunc = fock_oracle.TruncationSpec(max_thermal=0, max_squeeze=20, tolerance=1e-6)
     for (ms, me) in [(0, 2), (2, 5), (3, 3)]:
-        ket = su11.evolve_basis_state(ms, me, su11.SqueezeParams(r=0.9, theta=0.4),
+        ket = su11_ref.evolve_basis_state(ms, me, su11_ref.SqueezeParams(r=0.9, theta=0.4),
                                       trunc, tail_tol=1.0)
         dense = ket_to_dense(ket, 40, 40)
         for ns in range(40):
@@ -281,13 +283,11 @@ def test_criterion_13_field_mode_consistency():
 
 
 def test_criterion_14_oracle_frontier():
-    # points whose charge blocks or dense reduced matrices did not fit the
-    # storage budget, then a diagonal of the nbar_vs_r map plane, all at
-    # truncation tolerance 1e-12
+    # points deep into amplification, with ladder cutoffs in the thousands,
+    # then a diagonal of the nbar_vs_r map plane, all at truncation
+    # tolerance 1e-12
     t0 = time.time()
-    frontier = [(5.0, 1.5), (20.0, 1.0), (1.0, 2.5), (1.0, 3.0), (10.0, 2.25)]
-    diagonal = list(zip(np.logspace(-2.0, 1.0, 5), np.linspace(0.25, 1.75, 5)))
-    report = fock_oracle.verify_grid(frontier + diagonal, tolerance=1e-8,
+    report = fock_oracle.verify_grid(FRONTIER_GRID, tolerance=1e-8,
                                      truncation_tolerance=1e-12)
     worst = 0.0
     for rec in report["records"]:

@@ -316,6 +316,7 @@ class TestArrayForms:
     @pytest.mark.parametrize("fn", [
         entropy_gain,
         lambda N: ratio_from_occupation(1.0, N),
+        lambda n_bar: ratio_from_occupation(n_bar, 1.0),
         lambda N: ratio_from_temperature(1.0, 2.0, 0.0, N),
     ])
     def test_any_negative_occupation_rejected(self, fn):

@@ -157,6 +157,17 @@ class TestMap:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
+    @pytest.mark.parametrize("plane, y_min", [("nbar_vs_nq", "0.1"), ("nbar_vs_r", "0")])
+    def test_negative_nbar_exits_1(self, tmp_path, capsys, plane, y_min):
+        out = tmp_path / "grid.csv"
+        code = main(["map", "--plane", plane, "--x-min", "-0.5", "--x-max", "1",
+                     "--x-points", "2", "--x-scale", "linear", "--y-min", y_min,
+                     "--y-max", "1", "--y-points", "2", "--y-scale", "linear",
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "n_bar must be nonnegative" in capsys.readouterr().err
+
     def test_planes_cover_negative_r(self):
         config = ScanConfig(plane="omegaT_vs_r",
                             x_range=(0.5, 2.0, 2, "log10"),
@@ -318,7 +329,8 @@ class TestSpectrum:
 def test_import_leaves_scipy_stats_out(tmp_path):
     # every subcommand pays the package import before it starts, and check
     # and map need only numpy: no scipy module may load for them, neither
-    # on import nor while they run
+    # on import nor while they run; verify needs scipy.special alone, so the
+    # expm-checked reference evolution stays out of the package
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -338,8 +350,15 @@ loaded.append(scipy_modules())
 cli.main(["check", "--from-thermal", "--r", "1", "--omega", "1", "--T", "1",
           "--out", {out!r}])
 loaded.append(scipy_modules())
+cli.main(["verify", "--point", "1,0.8", "--out", {out!r}])
+loaded.append(scipy_modules())
 print(json.dumps(loaded))
 """
     result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True, timeout=60).stdout
-    assert json.loads(result) == [[], [], []]
+    *numpy_only, after_verify = json.loads(result)
+    assert numpy_only == [[], [], []]
+    assert "scipy.special" in after_verify
+    assert not [m for m in after_verify
+                if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "integrate"],
+                                        ["scipy", "stats"])]

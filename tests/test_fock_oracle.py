@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from ampbound import analytic, fock_oracle, su11
 from ampbound.fock_oracle import (
-    DensityMatrixError,
-    KetEnsemble,
     TruncationInfeasibleError,
     TruncationSpec,
     choose_truncation,
     expectations,
+    reduce_joint_state,
     squeeze_tail,
     thermal_tail,
     thermal_weights,
@@ -21,19 +20,27 @@ from ampbound.fock_oracle import (
     von_neumann_entropy,
 )
 
+from conftest import FRONTIER_GRID, ORACLE_GRID
 from dense_reference import (
     dense_reductions,
     eigvalsh_entropy,
     joint_to_dense,
+    ket_dims,
     max_offdiagonal,
     partial_trace,
     purity,
 )
+from su11_reference import SqueezeParams, joint_kets
 
 
-def joint_blocks(n_bar, r, tol=1e-12, **params):
+def reduction(n_bar, r, tol=1e-12):
+    return reduce_joint_state(n_bar, r, choose_truncation(n_bar, r, tol))
+
+
+def reference_kets(n_bar, r, tol=1e-12, **params):
+    """``(pbar, kets)`` of the phased double-sum reference."""
     trunc = choose_truncation(n_bar, r, tol)
-    return su11.build_joint_blocks(n_bar, su11.SqueezeParams(r=r, **params), trunc)
+    return joint_kets(n_bar, SqueezeParams(r=r, **params), trunc)
 
 
 class TestChooseTruncation:
@@ -80,33 +87,57 @@ class TestChooseTruncation:
             choose_truncation(n_bar, r, 1e-12)
 
 
-class TestKetEnsemble:
-    def test_rejects_mismatched_weights(self):
-        with pytest.raises(ValueError):
-            KetEnsemble(pbar=np.ones(3), kets=np.ones((2, 4), dtype=complex),
-                        dropped_mass=0.0)
-
+class TestJointReduction:
     def test_dropped_mass_is_missing_trace(self):
         for (nb, r, tol) in [(0.5, 0.8, 1e-10), (2.0, 1.2, 1e-12), (0.0, 1.0, 1e-8)]:
-            joint = joint_blocks(nb, r, tol=tol)
+            joint = reduction(nb, r, tol=tol)
             assert 0.0 <= joint.dropped_mass <= tol
-            assert joint.trace() == pytest.approx(1.0 - joint.dropped_mass, abs=1e-14)
+            for p in (joint.p_s, joint.p_e):
+                assert p.sum() == pytest.approx(1.0 - joint.dropped_mass, abs=1e-14)
 
     def test_dimensions_follow_labels(self):
-        joint = joint_blocks(1.0, 0.8, tol=1e-8)
-        rows, rungs = joint.kets.shape
-        assert joint.dim_s == rungs
-        assert joint.dim_e == rows + rungs - 1
+        trunc = choose_truncation(1.0, 0.8, 1e-8)
+        joint = reduce_joint_state(1.0, 0.8, trunc)
+        assert joint.p_s.size == trunc.max_squeeze + 1
+        assert joint.p_e.size == trunc.max_thermal + trunc.max_squeeze + 1
 
-    def test_weights_computed_once(self):
-        # the trace, the purity and both reductions share one weight array,
-        # equal bit for bit to pbar_m |ket_m[l]|**2
-        joint = joint_blocks(1.0, 0.8, tol=1e-10)
-        w = joint.pbar[:, None] * np.abs(joint.kets) ** 2
-        assert joint._weights is joint._weights
-        assert joint._weights.tobytes() == w.tobytes()
-        assert joint.reduced_system().tobytes() == w.sum(axis=0).tobytes()
-        assert joint.purity() == float(np.sum(np.sum(w, axis=1) ** 2))
+    def test_matches_one_shot_weights(self):
+        # one block covers this point: the streamed sums equal those of the
+        # whole weight array pbar_m w[m, l] bit for bit
+        trunc = choose_truncation(1.0, 0.8, 1e-10)
+        M, L = trunc.max_thermal, trunc.max_squeeze
+        pbar = thermal_weights(1.0, M + 1)
+        w = su11.ladder_weights(0.8, np.arange(M + 1), L)
+        norms = w.sum(axis=1)
+        w *= pbar[:, None]
+        labels = np.arange(M + 1)[:, None] + np.arange(L + 1)
+        joint = reduce_joint_state(1.0, 0.8, trunc)
+        assert joint.p_s.tobytes() == w.sum(axis=0).tobytes()
+        assert joint.p_e.tobytes() == np.bincount(labels.ravel(), w.ravel()).tobytes()
+        assert joint.purity == float(np.sum((pbar * norms) ** 2))
+
+    @pytest.mark.parametrize("n_bar, r", [(1.0, 0.8), (2.0, 1.2)])
+    def test_block_size_does_not_change_reductions(self, monkeypatch, n_bar, r):
+        trunc = choose_truncation(n_bar, r, 1e-12)
+        sectors, rungs = trunc.max_thermal + 1, trunc.max_squeeze + 1
+        whole = reduce_joint_state(n_bar, r, trunc)
+        # one sector per block, then a block height that leaves a short block
+        heights = [1, next(k for k in range(2, sectors) if sectors % k)]
+        calls = []
+        kernel = su11.ladder_weights
+        monkeypatch.setattr(su11, "ladder_weights",
+                            lambda *a: calls.append(a[1].size) or kernel(*a))
+        for height in heights:
+            calls.clear()
+            monkeypatch.setattr(fock_oracle, "BLOCK_ENTRIES", height * rungs)
+            blocked = reduce_joint_state(n_bar, r, trunc)
+            short = [sectors % height] if sectors % height else []
+            assert calls == [height] * (sectors // height) + short
+            np.testing.assert_allclose(blocked.p_s, whole.p_s, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(blocked.p_e, whole.p_e, rtol=0, atol=1e-15)
+            assert blocked.purity == pytest.approx(whole.purity, rel=0, abs=1e-15)
+            assert blocked.dropped_mass == pytest.approx(whole.dropped_mass,
+                                                         rel=0, abs=1e-15)
 
 
 class TestPartialTrace:
@@ -122,8 +153,7 @@ class TestPartialTrace:
             np.diag(partial_trace(rho, dims, "environment")).real, we, atol=1e-15)
 
     def test_system_reduction_matches_geometric_weights(self):
-        blocks = joint_blocks(1.0, 0.8, tol=1e-12)
-        p_s = blocks.reduced_system()
+        p_s = reduction(1.0, 0.8).p_s
         mult = analytic.Multiplicities.from_squeeze(1.0, 0.8)
         expected = analytic.system_weights(mult, p_s.size - 1)
         np.testing.assert_allclose(p_s, expected, atol=1e-10)
@@ -131,13 +161,11 @@ class TestPartialTrace:
     def test_unit_point_weight_from_trace(self):
         # n_bar = n_q = 1: tracing the assembled joint state puts 2/9 of the
         # system weight on the single-pair rung
-        blocks = joint_blocks(1.0, math.asinh(1.0), tol=1e-12)
-        p1 = float(blocks.reduced_system()[1])
+        p1 = float(reduction(1.0, math.asinh(1.0)).p_s[1])
         assert p1 == pytest.approx(2.0 / 9.0, abs=1e-10)
 
     def test_environment_reduction_matches_marginal_sums(self):
-        blocks = joint_blocks(1.0, 0.8, tol=1e-12)
-        p_e = blocks.reduced_environment()
+        p_e = reduction(1.0, 0.8).p_e
         mult = analytic.Multiplicities.from_squeeze(1.0, 0.8)
         table = analytic.environment_weights(mult, p_e.size - 1, p_e.size - 1)
         marginal = np.array([
@@ -147,18 +175,19 @@ class TestPartialTrace:
         np.testing.assert_allclose(p_e, marginal, atol=1e-10)
 
     def test_trace_preserved(self):
-        blocks = joint_blocks(0.7, 0.6, tol=1e-10)
-        dense = joint_to_dense(blocks)
-        dims = (blocks.dim_s, blocks.dim_e)
+        pbar, kets = reference_kets(0.7, 0.6, tol=1e-10)
+        dense = joint_to_dense(pbar, kets)
         total = np.trace(dense).real
         for keep in ("system", "environment"):
-            assert abs(np.trace(partial_trace(dense, dims, keep)).real - total) < 1e-12
-        assert total == pytest.approx(blocks.trace(), abs=1e-14)
+            assert abs(np.trace(partial_trace(dense, ket_dims(kets), keep)).real
+                       - total) < 1e-12
+        assert total == pytest.approx(reduction(0.7, 0.6, tol=1e-10).p_s.sum(),
+                                      abs=1e-14)
 
     def test_rejects_unknown_keep(self):
-        blocks = joint_blocks(0.5, 0.3, tol=1e-8)
+        pbar, kets = reference_kets(0.5, 0.3, tol=1e-8)
         with pytest.raises(ValueError):
-            partial_trace(joint_to_dense(blocks), (blocks.dim_s, blocks.dim_e), "both")
+            partial_trace(joint_to_dense(pbar, kets), ket_dims(kets), "both")
 
 
 class TestEntropy:
@@ -169,8 +198,7 @@ class TestEntropy:
         # N_bar = 1 needs sinh^2(r) (n_bar + 1) = 1
         n_bar = 1.0
         r = math.asinh(math.sqrt(1.0 / (n_bar + 1.0)))
-        blocks = joint_blocks(n_bar, r, tol=1e-12)
-        s = von_neumann_entropy(blocks.reduced_system())
+        s = von_neumann_entropy(reduction(n_bar, r).p_s)
         assert s == pytest.approx(2 * math.log(2.0), abs=1e-10)
 
     def test_bose_einstein_mode(self):
@@ -178,13 +206,13 @@ class TestEntropy:
         assert s == pytest.approx(2 * math.log(2.0), abs=1e-12)
 
     def test_validity_floor(self):
-        with pytest.raises(DensityMatrixError):
+        with pytest.raises(ValueError, match="validity floor"):
             von_neumann_entropy(np.array([1.0, -1e-8]))
 
     def test_schmidt_symmetry_for_pure_joint(self):
-        blocks = joint_blocks(0.0, 1.0, tol=1e-12)
-        s_sys = von_neumann_entropy(blocks.reduced_system())
-        s_env = von_neumann_entropy(blocks.reduced_environment())
+        joint = reduction(0.0, 1.0)
+        s_sys = von_neumann_entropy(joint.p_s)
+        s_env = von_neumann_entropy(joint.p_e)
         assert abs(s_sys - s_env) < 1e-9
 
 
@@ -195,8 +223,7 @@ class TestExpectations:
         assert energy == pytest.approx(1.5, abs=1e-12)
 
     def test_amplified_environment(self):
-        blocks = joint_blocks(1.0, 1.0, tol=1e-12)
-        number, energy = expectations(blocks.reduced_environment(), 1.0)
+        number, energy = expectations(reduction(1.0, 1.0).p_e, 1.0)
         assert number == pytest.approx(1.0 + 2.0 * math.sinh(1.0) ** 2, rel=1e-10)
         # mean-energy identity: omega (1/2 + n_bar + n_q (n_bar + 1))
         assert energy == pytest.approx(0.5 + 1.0 + 2.0 * math.sinh(1.0) ** 2, rel=1e-10)
@@ -211,29 +238,39 @@ class TestPurity:
     def test_rank_one(self):
         # a cold environment leaves one pure ladder ket, short of unit norm
         # only by the truncated tail
-        joint = joint_blocks(0.0, 0.9, tol=1e-12)
-        assert joint.purity() == pytest.approx(1.0, abs=1e-11)
+        assert reduction(0.0, 0.9).purity == pytest.approx(1.0, abs=1e-11)
 
     def test_thermal_joint(self):
-        blocks = joint_blocks(1.0, 0.0, tol=1e-12)
-        assert blocks.purity() == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert reduction(1.0, 0.0).purity == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_unitary_invariance_vs_formula(self):
         # the assembled state keeps its initial purity 1/(2 n_bar + 1) at
         # every squeeze; the closed-form expression drifts away from it
-        blocks = joint_blocks(1.0, 0.5, tol=1e-12)
+        joint = reduction(1.0, 0.5)
         mult = analytic.Multiplicities.from_squeeze(1.0, 0.5)
-        assert blocks.purity() == pytest.approx(1.0 / 3.0, abs=1e-10)
-        assert abs(blocks.purity() - analytic.joint_purity(mult)) > 0.05
+        assert joint.purity == pytest.approx(1.0 / 3.0, abs=1e-10)
+        assert abs(joint.purity - analytic.joint_purity(mult)) > 0.05
+
+    def test_unitary_invariant_at_every_point(self):
+        # the joint evolution is unitary, so the assembled purity stays at
+        # its initial 1/(2 n_bar + 1); truncation drops at most the
+        # tolerance, which bounds the relative defect by 2.5x of it
+        tol = 1e-12
+        points = ORACLE_GRID + FRONTIER_GRID + [(0.0, 0.9)]
+        report = verify_grid(points, tolerance=1e-8, truncation_tolerance=tol)
+        for rec in report["records"]:
+            assert "error" not in rec, rec
+            exact = 1.0 / (2.0 * rec["n_bar"] + 1.0)
+            assert abs(rec["purity_oracle"] - exact) <= 3 * tol * exact, rec
 
     def test_formula_validity_domain_is_zero_squeeze(self):
         # empirical domain of the closed-form purity: it matches the oracle
         # at r = 0 and departs monotonically as the squeeze grows
         diffs = []
         for r in (0.0, 0.3, 0.6, 0.9):
-            blocks = joint_blocks(0.8, r, tol=1e-10)
+            joint = reduction(0.8, r, tol=1e-10)
             mult = analytic.Multiplicities.from_squeeze(0.8, r)
-            diffs.append(abs(blocks.purity() - analytic.joint_purity(mult)))
+            diffs.append(abs(joint.purity - analytic.joint_purity(mult)))
         assert diffs[0] < 1e-10
         assert all(b > a for a, b in zip(diffs, diffs[1:]))
 
@@ -241,7 +278,7 @@ class TestPurity:
 class TestDiagonality:
     def test_reduced_matrices_diagonal(self):
         for (nb, r) in [(0.5, 0.3), (1.0, 0.8)]:
-            _, rho_s, rho_e = dense_reductions(joint_blocks(nb, r, tol=1e-8))
+            _, rho_s, rho_e = dense_reductions(*reference_kets(nb, r, tol=1e-8))
             assert max_offdiagonal(rho_s) < 1e-10
             assert max_offdiagonal(rho_e) < 1e-10
 
@@ -305,24 +342,22 @@ class TestVerify:
         assert abs(rec["delta_Q_analytic"] - rec["delta_Q_oracle"]) < 1e-8 * q_scale
 
     def test_dense_and_block_routes_agree(self):
-        # the ket ensemble's label-matched occupation distributions against
-        # the dense product-basis matrix reduced by a label-blind einsum, off
-        # diagonals included, and their entropies against the eigenvalues of
-        # the dense reductions (dense side at most 1672 at these points and
-        # tolerance)
+        # the streamed label-matched occupation distributions against the
+        # dense product-basis matrix of the phased double-sum kets, reduced
+        # by a label-blind einsum, off diagonals included, and their
+        # entropies against the eigenvalues of the dense reductions (dense
+        # side at most 1672 at these points and tolerance)
         for (n_bar, r) in [(0.5, 0.3), (1.0, 0.3), (0.1, 0.5), (2.0, 0.3)]:
-            joint = joint_blocks(n_bar, r, tol=1e-12)
-            dense, rho_s, rho_e = dense_reductions(joint)
-            np.testing.assert_allclose(np.diag(joint.reduced_system()),
-                                       rho_s, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(np.diag(joint.reduced_environment()),
-                                       rho_e, rtol=0, atol=1e-15)
-            assert joint.purity() == pytest.approx(purity(dense), rel=1e-12)
-            for mine, ref in ((joint.reduced_system(), rho_s),
-                              (joint.reduced_environment(), rho_e)):
+            joint = reduction(n_bar, r)
+            dense, rho_s, rho_e = dense_reductions(
+                *reference_kets(n_bar, r, theta=0.9, delta_s=0.3, delta_e=1.1))
+            np.testing.assert_allclose(np.diag(joint.p_s), rho_s, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(np.diag(joint.p_e), rho_e, rtol=0, atol=1e-15)
+            assert joint.purity == pytest.approx(purity(dense), rel=1e-12)
+            for mine, ref in ((joint.p_s, rho_s), (joint.p_e, rho_e)):
                 assert von_neumann_entropy(mine) == pytest.approx(
                     eigvalsh_entropy(ref), abs=1e-12)
             rec = verify_point(n_bar, r, tolerance=1e-12)
-            assert rec["purity_oracle"] == joint.purity()
+            assert rec["purity_oracle"] == joint.purity
             assert rec["delta_S_oracle"] == pytest.approx(
                 eigvalsh_entropy(rho_s), abs=1e-12)

@@ -3,23 +3,24 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import betainc
 
 from ampbound import fock_oracle, su11
 from ampbound.fock_oracle import TruncationError, TruncationSpec
-from ampbound.su11 import (
+
+from dense_reference import dense_reductions, joint_to_dense, ket_to_dense, purity
+from su11_reference import (
     SqueezeParams,
     basis_index,
     bch_factors,
-    build_joint_blocks,
     evolve_basis_state,
+    joint_kets,
     k_minus_matrix,
     k_plus_matrix,
     k_zero_matrix,
     rotation_phases,
     squeeze_generator,
 )
-
-from dense_reference import dense_reductions, joint_to_dense, ket_to_dense, purity
 
 
 def labelled(ket):
@@ -197,12 +198,37 @@ class TestEvolveBasisState:
         assert ket.norm_sq() >= 1.0 - trunc.tolerance
 
 
+class TestLadderWeights:
+    def test_squared_moduli_of_reference_kets(self):
+        # the production weights are |amplitude|**2 of the general double sum
+        # for a vacuum system, whatever the phases
+        p = SqueezeParams(r=0.8, theta=1.1, delta_s=0.4, delta_e=0.9)
+        trunc = TruncationSpec(max_thermal=6, max_squeeze=30, tolerance=1e-6)
+        _, kets = joint_kets(0.5, p, trunc)
+        w = su11.ladder_weights(p.r, np.arange(7), 30)
+        np.testing.assert_allclose(w, np.abs(kets) ** 2, rtol=1e-12, atol=0)
+
+    def test_zero_squeeze_keeps_first_rung(self):
+        w = su11.ladder_weights(0.0, np.arange(3, 6), 4)
+        assert w.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0]] * 3
+
+    def test_row_tails_are_negative_binomial(self):
+        # deep sectors of the (100, 1.0) truncation: cosh(r)**(-2(m+1))
+        # alone underflows there, the log-space product does not; log-gamma
+        # values near 1e4 leave a few 1e-12 of roundoff in each row sum
+        r, L = 1.0, 3874
+        sectors = np.array([0, 10, 500, 2000, 2846])
+        tails = 1.0 - su11.ladder_weights(r, sectors, L).sum(axis=1)
+        exact = betainc(L + 1, sectors + 1, math.tanh(r) ** 2)
+        np.testing.assert_allclose(tails, exact, rtol=0, atol=1e-11)
+        assert exact[-1] > 0.5
+
+
 class TestJointDensity:
     def test_no_squeeze_is_vacuum_times_thermal(self):
         trunc = fock_oracle.choose_truncation(1.0, 0.0, 1e-10)
-        joint = build_joint_blocks(1.0, SqueezeParams(r=0.0), trunc)
-        rho = joint_to_dense(joint)
-        dim_e = joint.dim_e
+        rho = joint_to_dense(*joint_kets(1.0, SqueezeParams(r=0.0), trunc))
+        dim_e = trunc.max_thermal + trunc.max_squeeze + 1
         thermal = np.diag(fock_oracle.thermal_weights(1.0, dim_e))
         for i in range(len(rho)):
             ns, ne = divmod(i, dim_e)
@@ -210,26 +236,32 @@ class TestJointDensity:
                 ms, me = divmod(j, dim_e)
                 expected = thermal[ne, me] if (ns == 0 and ms == 0) else 0.0
                 assert rho[i, j] == pytest.approx(expected, abs=1e-14)
+        joint = fock_oracle.reduce_joint_state(1.0, 0.0, trunc)
+        assert joint.p_s.tolist() == [pytest.approx(1.0, abs=1e-10)]
+        assert joint.p_e.tobytes() == fock_oracle.thermal_weights(1.0, dim_e).tobytes()
 
     def test_cold_environment_gives_rank_one(self):
         trunc = fock_oracle.choose_truncation(0.0, 0.9, 1e-12)
-        rho = joint_to_dense(build_joint_blocks(0.0, SqueezeParams(r=0.9, theta=0.4), trunc))
+        rho = joint_to_dense(*joint_kets(0.0, SqueezeParams(r=0.9, theta=0.4), trunc))
         vals = np.linalg.eigvalsh(rho)
         assert vals[-1] == pytest.approx(1.0, abs=1e-10)
         assert np.abs(vals[:-1]).max() < 1e-10
 
     def test_entry_matches_coefficient_formula(self):
         # <1,1| rho |1,1> for n_bar=1, r=0.8 equals the m=0, l=l'=1
-        # coefficient: pbar_0/(n_q+1) * (n_q/(n_q+1))
+        # coefficient: pbar_0/(n_q+1) * (n_q/(n_q+1)); so does the weight
+        # the oracle streams for that rung
         n_bar, r = 1.0, 0.8
         trunc = fock_oracle.choose_truncation(n_bar, r, 1e-8)
         p = SqueezeParams(r=r, theta=0.6, delta_s=0.2, delta_e=0.8)
-        rho = joint_to_dense(build_joint_blocks(n_bar, p, trunc))
+        rho = joint_to_dense(*joint_kets(n_bar, p, trunc))
         n_q = math.sinh(r) ** 2
         expected = (1.0 / (n_bar + 1.0)) / (n_q + 1.0) * (n_q / (n_q + 1.0))
         dim_e = trunc.max_thermal + trunc.max_squeeze + 1
         got = rho[basis_index(1, 1, dim_e), basis_index(1, 1, dim_e)]
         assert got == pytest.approx(expected, rel=1e-12)
+        weight = su11.ladder_weights(r, np.arange(1), trunc.max_squeeze)[0, 1]
+        assert weight / (n_bar + 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_general_coefficients_with_phases(self):
         # every stored entry equals pbar_m e^{i alpha (l-l')} tanh^(l+l')
@@ -237,49 +269,53 @@ class TestJointDensity:
         n_bar, r = 0.7, 0.6
         p = SqueezeParams(r=r, theta=1.3, delta_s=0.5, delta_e=0.2)
         trunc = fock_oracle.choose_truncation(n_bar, r, 1e-10)
-        blocks = build_joint_blocks(n_bar, p, trunc)
+        pbar, kets = joint_kets(n_bar, p, trunc)
         t, c = math.tanh(r), math.cosh(r)
         for m in (0, 1, 3):
-            pbar = n_bar ** m / (n_bar + 1.0) ** (m + 1)
-            block = blocks.pbar[m] * np.outer(blocks.kets[m], blocks.kets[m].conj())
+            expected_pbar = n_bar ** m / (n_bar + 1.0) ** (m + 1)
+            block = pbar[m] * np.outer(kets[m], kets[m].conj())
             for ell in (0, 1, 2):
                 for ellp in (0, 1, 3):
                     expected = (
-                        pbar * np.exp(1j * p.alpha * (ell - ellp))
+                        expected_pbar * np.exp(1j * p.alpha * (ell - ellp))
                         * t ** (ell + ellp) / c ** (2 * (m + 1))
                         * math.sqrt(math.comb(m + ell, m) * math.comb(m + ellp, m))
                     )
                     assert block[ell, ellp] == pytest.approx(expected, rel=1e-11)
 
     def test_dense_and_block_forms_agree(self):
+        # streamed reductions against the dense matrix of the phased kets
         n_bar, r = 0.8, 0.7
         trunc = fock_oracle.choose_truncation(n_bar, r, 1e-10)
-        p = SqueezeParams(r=r, theta=0.9)
-        blocks = build_joint_blocks(n_bar, p, trunc)
-        dense, rho_s, rho_e = dense_reductions(blocks)
-        np.testing.assert_allclose(np.diag(blocks.reduced_system()), rho_s,
-                                   atol=1e-14)
-        np.testing.assert_allclose(np.diag(blocks.reduced_environment()),
-                                   rho_e, atol=1e-14)
-        assert blocks.purity() == pytest.approx(purity(dense), rel=1e-12)
-        assert blocks.trace() == pytest.approx(np.trace(dense).real, rel=1e-12)
+        joint = fock_oracle.reduce_joint_state(n_bar, r, trunc)
+        dense, rho_s, rho_e = dense_reductions(
+            *joint_kets(n_bar, SqueezeParams(r=r, theta=0.9), trunc))
+        np.testing.assert_allclose(np.diag(joint.p_s), rho_s, atol=1e-14)
+        np.testing.assert_allclose(np.diag(joint.p_e), rho_e, atol=1e-14)
+        assert joint.purity == pytest.approx(purity(dense), rel=1e-12)
+        assert joint.p_s.sum() == pytest.approx(np.trace(dense).real, rel=1e-12)
 
     def test_rotation_never_changes_weights_or_entropy(self):
+        # phases never reach |amplitude|**2, which is why the oracle streams
+        # real weights: rotated and plain reference kets give the same
+        # weights as the production kernel
         n_bar, r = 0.6, 0.8
         trunc = fock_oracle.choose_truncation(n_bar, r, 1e-10)
-        plain = build_joint_blocks(n_bar, SqueezeParams(r=r), trunc)
-        rotated = build_joint_blocks(
+        _, plain = joint_kets(n_bar, SqueezeParams(r=r), trunc)
+        _, rotated = joint_kets(
             n_bar, SqueezeParams(r=r, theta=0.0, delta_s=1.2, delta_e=0.7), trunc)
-        np.testing.assert_allclose(
-            plain.reduced_system(), rotated.reduced_system(), rtol=1e-12)
-        s_plain = fock_oracle.von_neumann_entropy(plain.reduced_system())
-        s_rot = fock_oracle.von_neumann_entropy(rotated.reduced_system())
-        assert s_plain == pytest.approx(s_rot, abs=1e-12)
-        n_plain, _ = fock_oracle.expectations(plain.reduced_environment(), 1.0)
-        n_rot, _ = fock_oracle.expectations(rotated.reduced_environment(), 1.0)
-        assert n_plain == pytest.approx(n_rot, abs=1e-12)
+        weights = su11.ladder_weights(r, np.arange(trunc.max_thermal + 1),
+                                      trunc.max_squeeze)
+        np.testing.assert_allclose(np.abs(plain) ** 2, np.abs(rotated) ** 2,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.abs(rotated) ** 2, weights, rtol=1e-12, atol=0)
+        pbar = fock_oracle.thermal_weights(n_bar, trunc.max_thermal + 1)
+        p_s_rot = (pbar[:, None] * np.abs(rotated) ** 2).sum(axis=0)
+        joint = fock_oracle.reduce_joint_state(n_bar, r, trunc)
+        assert fock_oracle.von_neumann_entropy(joint.p_s) == pytest.approx(
+            fock_oracle.von_neumann_entropy(p_s_rot), abs=1e-12)
 
     def test_thermal_tail_guard(self):
         trunc = TruncationSpec(max_thermal=2, max_squeeze=10, tolerance=1e-10)
         with pytest.raises(TruncationError):
-            build_joint_blocks(1.0, SqueezeParams(r=0.1), trunc)
+            fock_oracle.reduce_joint_state(1.0, 0.1, trunc)
