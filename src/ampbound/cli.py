@@ -24,7 +24,8 @@ import numpy as np
 
 from . import analytic, dynamics, field_modes, fock_oracle
 
-__all__ = ["main", "ScanConfig", "build_parser", "ratio_grid", "scan_csv"]
+__all__ = ["main", "ScanConfig", "build_parser", "ratio_grid", "scan_csv",
+           "spectrum_csv"]
 
 PLANES = ("N_vs_omegaT", "nbar_vs_nq", "omegaT_vs_nq", "nbar_vs_r", "omegaT_vs_r")
 
@@ -137,6 +138,32 @@ def scan_csv(config: ScanConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def spectrum_csv(results, polarizations: int = 1) -> str:
+    """CSV of per-polarization ``field_modes`` results, one row per mode.
+
+    The extensive columns (delta_S_k, delta_Q_k, delta_N_k) take the
+    polarization count, the ratio stays per polarization; with two
+    polarizations a ``polarizations`` column precedes ``error``.
+    """
+    if polarizations not in (1, 2):
+        raise ValueError("polarizations must be 1 (scalar) or 2 (tensor)")
+    tensor = ["2"] if polarizations == 2 else []
+    lines = [",".join(["k", "r_k", "n_bar_k", "n_q_k", "N_bar_k", "delta_S_k", "delta_Q_k",
+                       "delta_N_k", "ratio_k", "satisfied"]
+                      + (["polarizations"] if tensor else []) + ["error"])]
+    for res in results:
+        if res.error is not None:
+            fields = [_fmt(res.k)] + [""] * 9 + tensor + [res.error.replace(",", ";")]
+        else:
+            fields = [_fmt(x) for x in (
+                res.k, res.r_k, res.n_bar_k, res.n_q_k, res.N_bar_k,
+                polarizations * res.delta_S_k, polarizations * res.delta_Q_k,
+                polarizations * res.delta_N_k, res.ratio_k)]
+            fields += ["true" if res.satisfied else "false"] + tensor + [""]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -223,17 +250,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.tau_fin < args.tau_in:
-        raise CliError("--tau-fin must not precede --tau-in")
     pump = dynamics.PumpProfile.from_config(args.pump)
-    thermal = analytic.ThermalSpec(T=args.T, omega=args.thermal_omega, mu=args.mu)
     kgrid = _axis(args.k_min, args.k_max, args.k_points, args.k_scale)
-    polarizations = 2 if args.graviton else 1
     results = field_modes.spectrum(
-        kgrid, pump, thermal, args.tau_in, args.tau_fin, tol=args.tol,
-        polarizations=polarizations, convention=args.omega_convention,
+        kgrid, pump, args.T, args.mu, args.tau_in, args.tau_fin, tol=args.tol,
+        convention=args.omega_convention,
     )
-    _emit(field_modes.spectrum_csv(results, polarizations), args.out)
+    _emit(spectrum_csv(results, 2 if args.graviton else 1), args.out)
     return 0
 
 
@@ -303,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     spect.add_argument("--pump", required=True, help="pump profile JSON path")
     spect.add_argument("--T", type=float, required=True)
     spect.add_argument("--mu", type=float, default=0.0)
-    spect.add_argument("--thermal-omega", type=float, default=1.0,
-                       help="placeholder frequency of the bath spec; per-mode "
-                            "occupations use each mode's own frequency")
     spect.add_argument("--omega-convention", choices=sorted(field_modes.OMEGA_CONVENTIONS),
                        default="k")
     spect.add_argument("--k-min", type=float, required=True)

@@ -50,6 +50,7 @@ __all__ = [
     "PumpProfile",
     "BogoliubovPair",
     "SqueezeTriple",
+    "check_span",
     "integrate_uv",
     "uv_trajectory",
     "integrate_qm",
@@ -219,11 +220,26 @@ class SqueezeTriple:
         object.__setattr__(self, "theta", self.theta % TWO_PI)
 
 
+def check_span(t_in: float, t_fin: float, tol: float) -> None:
+    """Reject a span or tolerance the adaptive integrator cannot finish.
+
+    The bounds must be finite with ``t_fin >= t_in`` and the tolerance finite
+    and positive.  A NaN bound or tolerance, an infinite one or a zero
+    tolerance leaves DOP853's step-size control without an end, so the
+    solve would never return.
+    """
+    if not (np.isfinite(t_in) and np.isfinite(t_fin)):
+        raise ValueError(f"integration bounds must be finite, got [{t_in}, {t_fin}]")
+    if t_fin < t_in:
+        raise ValueError(f"t_fin must not precede t_in, got [{t_in}, {t_fin}]")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
 def _solve(rhs, y0, t_in, t_fin, tol):
     from scipy.integrate import solve_ivp
 
-    if t_fin < t_in:
-        raise ValueError("t_fin must not precede t_in")
+    check_span(t_in, t_fin, tol)
     if t_fin == t_in:
         return np.asarray(y0, dtype=float), 1
     sol = solve_ivp(rhs, (t_in, t_fin), y0, method="DOP853",
@@ -292,6 +308,7 @@ def uv_trajectory(pump, omega: float, t_in: float, t_fin: float,
     """
     from scipy.integrate import solve_ivp
 
+    check_span(t_in, t_fin, tol)
     if isinstance(pump, PumpProfile):
         pump.validate_interval(t_in, t_fin)
     times = np.linspace(t_in, t_fin, samples)

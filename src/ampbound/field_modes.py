@@ -3,10 +3,12 @@
 Each comoving wavenumber ``k`` carries an independent two-mode amplifier:
 the pump is integrated for that mode, the squeeze amplitude extracted, and
 the closed-form thermodynamics evaluated with the mode's own thermal
-occupation ``n_bar_k = 1/(exp((omega_k - mu)/T) - 1)``.  Extensive
-quantities (entropy, heat, particle flow) add over modes and over
-polarizations; the bound ratio is intensive and identical for every
-polarization of the same ``k``.
+occupation ``n_bar_k = 1/(exp((omega_k - mu)/T) - 1)``.  The bath is just
+``(T, mu)``; a mode with ``mu >= omega_k`` is recorded as failed.  Every
+number here is per polarization: extensive quantities (entropy, heat,
+particle flow) add over modes and polarizations, and the polarization count
+multiplies them only at output (the ``total_*`` helpers and
+``cli.spectrum_csv``); the bound ratio is intensive.
 
 Two frequency conventions are supported for massless modes: the default
 ``omega_k = k`` (consistent with the ``1/sqrt(2k)`` ladder normalization)
@@ -18,7 +20,6 @@ density-of-states factors.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "total_entropy",
     "total_heat",
     "total_particles",
-    "spectrum_csv",
 ]
 
 OMEGA_CONVENTIONS = {
@@ -47,11 +47,10 @@ OMEGA_CONVENTIONS = {
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """One comoving mode: wavenumber, frequency, polarization count."""
+    """One comoving mode: wavenumber and frequency."""
 
     k: float
     omega_k: float
-    polarizations: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.k) and np.isfinite(self.omega_k)):
@@ -63,28 +62,26 @@ class ModeSpec:
             raise ValueError("k must be positive")
         if self.omega_k <= 0:
             raise ValueError("omega_k must be positive")
-        if self.polarizations not in (1, 2):
-            raise ValueError("polarizations must be 1 (scalar) or 2 (tensor)")
 
 
-def make_mode(k: float, convention: str = "k", polarizations: int = 1) -> ModeSpec:
+def make_mode(k: float, convention: str = "k") -> ModeSpec:
     """Mode with its frequency fixed by the chosen dispersion convention."""
     if convention not in OMEGA_CONVENTIONS:
         raise ValueError(
             f"unknown omega convention {convention!r}; "
             f"choose from {sorted(OMEGA_CONVENTIONS)}"
         )
-    return ModeSpec(k=k, omega_k=OMEGA_CONVENTIONS[convention](k),
-                    polarizations=polarizations)
+    return ModeSpec(k=k, omega_k=OMEGA_CONVENTIONS[convention](k))
 
 
 @dataclass(frozen=True)
 class ModeResult:
-    """Per-mode record; delta quantities are per polarization.
+    """Per-mode record; every number is per polarization.
 
     ``delta_N_k == N_bar_k`` and ``delta_Q_k == omega_k * delta_N_k`` hold by
-    construction; aggregate helpers apply the polarization multiplicity.
-    A failed mode carries its message in ``error`` and NaN numerics.
+    construction.  The record carries no polarization count: the aggregate
+    helpers and ``cli.spectrum_csv`` apply it.  A failed mode carries its
+    message in ``error`` and NaN numerics.
     """
 
     k: float
@@ -98,7 +95,6 @@ class ModeResult:
     delta_N_k: float
     ratio_k: float
     satisfied: bool
-    polarizations: int = 1
     error: str | None = None
 
     @classmethod
@@ -106,11 +102,10 @@ class ModeResult:
         nan = float("nan")
         return cls(k=mode.k, omega_k=mode.omega_k, r_k=nan, n_bar_k=nan,
                    n_q_k=nan, N_bar_k=nan, delta_S_k=nan, delta_Q_k=nan,
-                   delta_N_k=nan, ratio_k=nan, satisfied=False,
-                   polarizations=mode.polarizations, error=message)
+                   delta_N_k=nan, ratio_k=nan, satisfied=False, error=message)
 
 
-def mode_result_from_multiplicities(mode: ModeSpec, thermal: analytic.ThermalSpec,
+def mode_result_from_multiplicities(mode: ModeSpec, T: float, mu: float,
                                     n_bar_k: float, r_k: float) -> ModeResult:
     """Closed-form bound record for given occupations, no dynamics.
 
@@ -118,8 +113,7 @@ def mode_result_from_multiplicities(mode: ModeSpec, thermal: analytic.ThermalSpe
     matching occupations it coincides with the plain two-oscillator bound.
     """
     mult = analytic.Multiplicities.from_squeeze(n_bar_k, r_k)
-    spec_k = analytic.ThermalSpec(T=thermal.T, omega=mode.omega_k, mu=thermal.mu)
-    report = analytic.bound_ratio(spec_k, mult)
+    report = analytic.bound_ratio(analytic.ThermalSpec(T, mode.omega_k, mu), mult)
     return ModeResult(
         k=mode.k,
         omega_k=mode.omega_k,
@@ -128,46 +122,48 @@ def mode_result_from_multiplicities(mode: ModeSpec, thermal: analytic.ThermalSpe
         n_q_k=mult.n_q,
         N_bar_k=mult.N_bar,
         delta_S_k=report.delta_S,
-        delta_Q_k=mode.omega_k * report.delta_N,
+        delta_Q_k=report.delta_Q,
         delta_N_k=report.delta_N,
         ratio_k=report.ratio,
         satisfied=report.satisfied,
-        polarizations=mode.polarizations,
     )
 
 
-def mode_bound(mode: ModeSpec, pump, thermal: analytic.ThermalSpec,
-               tau_in: float, tau_fin: float, tol: float = 1e-10) -> ModeResult:
+def mode_bound(mode: ModeSpec, pump, T: float, mu: float, tau_in: float,
+               tau_fin: float, tol: float = 1e-10) -> ModeResult:
     """Integrate one mode and evaluate its bound.
 
-    ``thermal`` supplies temperature and chemical potential; the occupation
-    is evaluated at the mode's own frequency (``thermal.omega`` is not
-    used).  Integrator and pump errors propagate.
+    The occupation is that of the bath ``(T, mu)`` at the mode's own
+    frequency.  Thermal-domain, integrator and pump errors propagate.
     """
-    spec_k = analytic.ThermalSpec(T=thermal.T, omega=mode.omega_k, mu=thermal.mu)
-    n_bar_k = analytic.nbar_from_thermal(spec_k)
+    n_bar_k = analytic.nbar_from_thermal(analytic.ThermalSpec(T, mode.omega_k, mu))
     pair = dynamics.integrate_uv(pump, mode.omega_k, tau_in, tau_fin, tol)
     triple = dynamics.extract_squeeze(pair)
-    return mode_result_from_multiplicities(mode, thermal, n_bar_k, triple.r)
+    return mode_result_from_multiplicities(mode, T, mu, n_bar_k, triple.r)
 
 
-def spectrum(kgrid, pump, thermal: analytic.ThermalSpec, tau_in: float,
-             tau_fin: float, tol: float = 1e-10, polarizations: int = 1,
-             convention: str = "k") -> list[ModeResult]:
+def spectrum(kgrid, pump, T: float, mu: float, tau_in: float, tau_fin: float,
+             tol: float = 1e-10, convention: str = "k") -> list[ModeResult]:
     """Evaluate the bound on every mode of a sorted wavenumber grid.
 
-    Results come back in grid order.  A failure on one mode is recorded in
-    its result and does not abort the scan.
+    Results come back in grid order.  The bath, the integration span and
+    the tolerance are checked once, before any mode runs, and raise
+    ``ValueError``; a failure on one mode is recorded in its result and does
+    not abort the scan.
     """
+    if not (np.isfinite(T) and T > 0 and np.isfinite(mu)):
+        raise ValueError(
+            f"T must be finite and positive and mu finite, got T={T}, mu={mu}"
+        )
+    dynamics.check_span(tau_in, tau_fin, tol)
     kgrid = [float(k) for k in kgrid]
     if any(k2 <= k1 for k1, k2 in zip(kgrid, kgrid[1:])):
         raise ValueError("kgrid must be sorted ascending with distinct entries")
-    modes = [make_mode(k, convention=convention, polarizations=polarizations)
-             for k in kgrid]
+    modes = [make_mode(k, convention=convention) for k in kgrid]
 
     def run(mode: ModeSpec) -> ModeResult:
         try:
-            return mode_bound(mode, pump, thermal, tau_in, tau_fin, tol)
+            return mode_bound(mode, pump, T, mu, tau_in, tau_fin, tol)
         except (dynamics.PumpError, dynamics.IntegrationError, ValueError) as exc:
             return ModeResult.failed(mode, str(exc))
 
@@ -191,45 +187,3 @@ def total_heat(results, polarizations: int = 1) -> float:
 def total_particles(results, polarizations: int = 1) -> float:
     """Mode-summed particle flow, ``polarizations * sum_k delta_N_k``."""
     return polarizations * sum(res.delta_N_k for res in _clean(results))
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def spectrum_csv(results, polarizations: int = 1) -> str:
-    """Render results as CSV, 17 significant digits, deterministic.
-
-    Extensive columns (delta_S_k, delta_Q_k, delta_N_k) carry the
-    polarization multiplicity; the ratio stays per polarization.  With two
-    polarizations an explicit ``polarizations`` column is inserted.
-    """
-    cols = ["k", "r_k", "n_bar_k", "n_q_k", "N_bar_k",
-            "delta_S_k", "delta_Q_k", "delta_N_k", "ratio_k", "satisfied"]
-    if polarizations == 2:
-        cols.append("polarizations")
-    cols.append("error")
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for res in results:
-        if res.error is not None:
-            row = [_fmt(res.k)] + [""] * 9
-            if polarizations == 2:
-                row.append(str(polarizations))
-            row.append(res.error.replace(",", ";"))
-        else:
-            row = [
-                _fmt(res.k), _fmt(res.r_k), _fmt(res.n_bar_k), _fmt(res.n_q_k),
-                _fmt(res.N_bar_k),
-                _fmt(polarizations * res.delta_S_k),
-                _fmt(polarizations * res.delta_Q_k),
-                _fmt(polarizations * res.delta_N_k),
-                _fmt(res.ratio_k),
-                "true" if res.satisfied else "false",
-            ]
-            if polarizations == 2:
-                row.append(str(polarizations))
-            row.append("")
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-

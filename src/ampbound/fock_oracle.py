@@ -340,7 +340,16 @@ def verify_grid(points: Sequence[tuple[float, float]], tolerance: float = 1e-8,
     no-amplification limit.
     A point with invalid input or an infeasible or failed truncation is
     recorded with its error and fails; the sweep goes on to the next point.
+    Invalid sweep options raise ``ValueError`` before any point runs: the
+    gate needs a finite ``tolerance >= 0``, the truncation a tolerance in
+    ``(0, 1)`` and the flows a finite ``omega > 0``.
     """
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    if not 0 < truncation_tolerance < 1:
+        raise ValueError(f"truncation tolerance must be in (0, 1), got {truncation_tolerance}")
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
     records = []
     overall = True
     for n_bar, r in points:

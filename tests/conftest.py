@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ampbound import fock_oracle
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_TIMEOUT_S = 30
 
 ORACLE_GRID = [(nb, r) for nb in (0.5, 1.0, 2.0) for r in (0.3, 0.8, 1.2)]
 # points far into amplification, then a diagonal of the nbar_vs_r map plane
@@ -24,3 +32,22 @@ def oracle_grid_report():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def run_python(*args, timeout=CHILD_TIMEOUT_S):
+    """Run ``python *args`` in a child that imports ``ampbound`` from ``src``.
+
+    Returns the ``CompletedProcess`` with text output captured.  A child
+    still running after ``timeout`` seconds is killed and the call raises
+    ``subprocess.TimeoutExpired``, so a hang fails its test instead of
+    stalling the suite.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def run_cli(*argv, timeout=CHILD_TIMEOUT_S):
+    """``ampbound *argv`` in a child process; see :func:`run_python`."""
+    return run_python("-m", "ampbound.cli", *argv, timeout=timeout)

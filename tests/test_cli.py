@@ -1,14 +1,12 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from ampbound import cli
+from ampbound import analytic, cli
 from ampbound.cli import ScanConfig, main, scan_csv
+from conftest import run_cli, run_python
 from map_reference import reference_csv
 
 
@@ -249,6 +247,17 @@ class TestVerify:
         assert bad == {"n_bar": 1.0, "r": -0.5, "error": bad["error"]}
         assert "nonnegative" in bad["error"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tolerance", "nan"), ("--tolerance", "-1"), ("--omega", "nan"),
+        ("--omega", "inf"), ("--omega", "-1"), ("--trunc-tolerance", "nan"),
+        ("--trunc-tolerance", "1")])
+    def test_bad_global_option_exits_1(self, capsys, flag, value):
+        # a usage error, not a failing verification
+        assert main(["verify", "--point", "0.5,0.3", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be" in captured.err
+
     @pytest.mark.parametrize("flag", ["--seed", "--threads"])
     def test_removed_flags_rejected(self, capsys, flag):
         assert run(capsys, flag, "1", "verify", "--point", "0,0")[0] == 1
@@ -316,6 +325,66 @@ class TestSpectrum:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
+    def test_bath_is_t_and_mu_only(self, pump_file, capsys):
+        # every omega_k lies above mu, so no mode is rejected
+        path = pump_file({"kind": "constant", "q0": 0.0})
+        code, out = run(capsys, "spectrum", "--pump", path, "--T", "1", "--mu", "1.5",
+                        "--k-min", "2", "--k-max", "4", "--k-points", "3",
+                        "--tau-in", "0", "--tau-fin", "1")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 3
+        assert all(r[-1] == "" for r in rows)
+
+    def test_removed_thermal_omega_rejected(self, pump_file, capsys):
+        path = pump_file({"kind": "constant", "q0": 0.0})
+        assert run(capsys, "spectrum", "--pump", path, "--T", "1", "--thermal-omega", "5",
+                   "--k-min", "1", "--k-max", "2", "--tau-in", "0", "--tau-fin", "1")[0] == 1
+
+    def test_sqrt_k_over_2_convention(self, pump_file, capsys):
+        path = pump_file({"kind": "constant", "q0": 0.0})
+        code, out = run(capsys, "spectrum", "--pump", path, "--T", "2", "--mu", "0.3",
+                        "--omega-convention", "sqrt_k_over_2", "--k-min", "1",
+                        "--k-max", "8", "--k-points", "4", "--tau-in", "0",
+                        "--tau-fin", "1")
+        assert code == 0
+        header, *rows = out.strip().split("\n")
+        for row in rows:
+            fields = dict(zip(header.split(","), row.split(",")))
+            omega_k = math.sqrt(float(fields["k"]) / 2.0)
+            spec = analytic.ThermalSpec(T=2.0, omega=omega_k, mu=0.3)
+            assert float(fields["n_bar_k"]) == analytic.nbar_from_thermal(spec)
+            assert float(fields["n_bar_k"]) == pytest.approx(
+                1.0 / math.expm1((omega_k - 0.3) / 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "-1"), ("--T", "nan"), ("--T", "0"), ("--mu", "inf"),
+        ("--tau-fin", "-1")])
+    def test_bad_bath_or_span_exits_1(self, pump_file, capsys, flag, value):
+        path = pump_file({"kind": "constant", "q0": 0.5})
+        args = {"--pump": path, "--T": "1", "--k-min": "0.5", "--k-max": "2",
+                "--k-points": "2", "--tau-in": "0", "--tau-fin": "1", flag: value}
+        assert main(["spectrum", *[f"{k}={v}" for k, v in args.items()]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must" in captured.err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf"), ("--tau-in", "nan"),
+        ("--tau-fin", "nan"), ("--tau-fin", "inf")])
+    def test_unsolvable_span_exits_1_without_solving(self, pump_file, tmp_path, flag, value):
+        # each of these would keep DOP853 stepping forever, so it must be
+        # rejected before any mode is solved
+        path = pump_file({"kind": "constant", "q0": 0.5})
+        out = tmp_path / "spectrum.csv"
+        args = {"--pump": path, "--T": "1", "--k-min": "0.5", "--k-max": "2",
+                "--k-points": "2", "--tau-in": "0", "--tau-fin": "1",
+                "--out": str(out), flag: value}
+        result = run_cli("spectrum", *[f"{k}={v}" for k, v in args.items()])
+        assert result.returncode == 1
+        assert "must be" in result.stderr
+        assert not out.exists()
+
     def test_singular_pump_isolated_per_mode(self, pump_file, capsys):
         path = pump_file({"kind": "de_sitter"})
         code, out = run(capsys, "spectrum", "--pump", path, "--T", "1",
@@ -331,9 +400,6 @@ def test_import_leaves_scipy_stats_out(tmp_path):
     # and map need only numpy: no scipy module may load for them, neither
     # on import nor while they run; verify needs scipy.special alone, so the
     # expm-checked reference evolution stays out of the package
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = str(tmp_path / "out.txt")
     code = f"""
 import json, sys
@@ -354,9 +420,9 @@ cli.main(["verify", "--point", "1,0.8", "--out", {out!r}])
 loaded.append(scipy_modules())
 print(json.dumps(loaded))
 """
-    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True, timeout=60).stdout
-    *numpy_only, after_verify = json.loads(result)
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    *numpy_only, after_verify = json.loads(result.stdout)
     assert numpy_only == [[], [], []]
     assert "scipy.special" in after_verify
     assert not [m for m in after_verify

@@ -24,6 +24,12 @@ from ampbound.dynamics import (
     squeeze_flow_rhs,
     uv_trajectory,
 )
+from conftest import run_python
+
+BAD_SPANS = [  # (t_in, t_fin, tol)
+    (0.0, 1.0, math.nan), (0.0, 1.0, 0.0), (0.0, 1.0, math.inf), (0.0, 1.0, -1.0),
+    (math.nan, 1.0, 1e-10), (0.0, math.nan, 1e-10), (0.0, math.inf, 1e-10),
+    (-math.inf, 1.0, 1e-10), (1.0, 0.0, 1e-10)]
 
 
 def pulse_area(amplitude, center, width, t0, t1):
@@ -103,6 +109,37 @@ class TestIntegrateUv:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             integrate_uv(PumpProfile.constant(0.5), 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("t_in, t_fin, tol", BAD_SPANS)
+    def test_span_check_rejects(self, t_in, t_fin, tol):
+        with pytest.raises(ValueError, match="must"):
+            dyn.check_span(t_in, t_fin, tol)
+
+    def test_unsolvable_spans_raise_instead_of_hanging(self):
+        # NaN, zero and infinite tolerances and non-finite bounds keep DOP853
+        # stepping forever, so every solver entry point must raise first
+        code = f"""
+import json
+from ampbound import dynamics as dyn
+pump = dyn.PumpProfile.constant(0.5)
+solvers = [lambda a, b, tol: dyn.integrate_uv(pump, 1.0, a, b, tol),
+           lambda a, b, tol: dyn.uv_trajectory(pump, 1.0, a, b, tol, samples=3),
+           lambda a, b, tol: dyn.integrate_qm(pump, 1.0, 1.0, a, b, tol)]
+raised = []
+for span in json.loads({json.dumps(BAD_SPANS)!r}):
+    for solve in solvers:
+        try:
+            solve(*span)
+            raised.append(None)
+        except ValueError as exc:
+            raised.append(str(exc))
+print(json.dumps(raised))
+"""
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        raised = json.loads(result.stdout)
+        assert len(raised) == 3 * len(BAD_SPANS)
+        assert all(msg and "must" in msg for msg in raised), raised
 
     def test_guard_window_counts_accepted_steps(self, monkeypatch):
         # the unitarity window scales with the steps the integrator accepted;

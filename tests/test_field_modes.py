@@ -5,6 +5,7 @@ import pytest
 
 from ampbound import analytic, dynamics, field_modes
 from ampbound.analytic import Multiplicities, ThermalSpec
+from ampbound.cli import spectrum_csv
 from ampbound.field_modes import (
     ModeResult,
     ModeSpec,
@@ -12,13 +13,18 @@ from ampbound.field_modes import (
     mode_bound,
     mode_result_from_multiplicities,
     spectrum,
-    spectrum_csv,
     total_entropy,
     total_heat,
     total_particles,
 )
 
-BATH = ThermalSpec(T=1.0, omega=1.0)
+T, MU = 1.0, 0.0  # the bath
+EXTENSIVE = ("delta_S_k", "delta_Q_k", "delta_N_k")
+
+
+def csv_columns(text):
+    header, *rows = text.strip().split("\n")
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
 class TestModeSpec:
@@ -32,7 +38,7 @@ class TestModeSpec:
         with pytest.raises(ValueError):
             ModeSpec(k=0.0, omega_k=1.0)
         with pytest.raises(ValueError):
-            ModeSpec(k=1.0, omega_k=1.0, polarizations=3)
+            ModeSpec(k=1.0, omega_k=0.0)
 
     @pytest.mark.parametrize("k, omega_k", [
         (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
@@ -46,7 +52,7 @@ class TestForcedMultiplicities:
     def test_matches_two_oscillator_bound(self):
         # identical occupations must give the identical ratio
         mode = make_mode(math.log(2.0))
-        res = mode_result_from_multiplicities(mode, BATH, 1.0, math.asinh(1.0))
+        res = mode_result_from_multiplicities(mode, T, MU, 1.0, math.asinh(1.0))
         spec = ThermalSpec(T=1.0, omega=math.log(2.0))
         report = analytic.bound_ratio(spec, Multiplicities(1.0, 1.0))
         assert res.ratio_k == pytest.approx(report.ratio, rel=1e-12)
@@ -54,7 +60,7 @@ class TestForcedMultiplicities:
 
     def test_record_invariants(self):
         mode = make_mode(0.7)
-        res = mode_result_from_multiplicities(mode, BATH, 0.4, 0.9)
+        res = mode_result_from_multiplicities(mode, T, MU, 0.4, 0.9)
         assert res.N_bar_k == pytest.approx(res.n_q_k * (res.n_bar_k + 1.0), rel=1e-14)
         assert res.delta_N_k == res.N_bar_k
         assert res.delta_Q_k == pytest.approx(res.omega_k * res.delta_N_k, rel=1e-14)
@@ -67,7 +73,7 @@ class TestForcedMultiplicities:
             mode = make_mode(1.3)
             spec_k = ThermalSpec(T=1.0, omega=mode.omega_k)
             n_k = analytic.nbar_from_thermal(spec_k)
-            res = mode_result_from_multiplicities(mode, BATH, n_k, r)
+            res = mode_result_from_multiplicities(mode, T, MU, n_k, r)
             occupation = analytic.ratio_from_occupation(n_k, res.N_bar_k)
             assert res.satisfied == (occupation <= 1.0)
             if res.N_bar_k > 0:
@@ -77,7 +83,7 @@ class TestForcedMultiplicities:
 class TestModeBound:
     def test_silent_pump(self):
         res = mode_bound(make_mode(1.0), dynamics.PumpProfile.constant(0.0),
-                         BATH, 0.0, 2.0)
+                         T, MU, 0.0, 2.0)
         assert res.r_k == 0.0
         assert res.delta_S_k == 0.0
         assert res.delta_Q_k == 0.0
@@ -87,7 +93,7 @@ class TestModeBound:
     def test_sub_horizon_mode(self):
         # k |tau_fin| >> 1: negligible amplification, matching the exact modes
         mode = make_mode(50.0)
-        res = mode_bound(mode, dynamics.PumpProfile.de_sitter(), BATH,
+        res = mode_bound(mode, dynamics.PumpProfile.de_sitter(), T, MU,
                          -10.0, -2.0, tol=1e-12)
         exact = dynamics.desitter_exact_pair(50.0, -10.0, -2.0)
         assert res.n_q_k < 1e-3
@@ -98,7 +104,7 @@ class TestModeBound:
         # pair number grows monotonically with the integration length
         pump = dynamics.PumpProfile.constant(0.5, theta_in=-math.pi / 2.0)
         lengths = (0.5, 1.0, 2.0, 4.0)
-        n_bars = [mode_bound(make_mode(0.01), pump, BATH, 0.0, t, tol=1e-11).N_bar_k
+        n_bars = [mode_bound(make_mode(0.01), pump, T, MU, 0.0, t, tol=1e-11).N_bar_k
                   for t in lengths]
         assert all(b >= a for a, b in zip(n_bars, n_bars[1:]))
 
@@ -106,37 +112,51 @@ class TestModeBound:
 class TestSpectrum:
     def test_single_mode_consistency(self):
         pump = dynamics.PumpProfile.de_sitter()
-        results = spectrum([1.0], pump, BATH, -20.0, -0.5, tol=1e-11)
-        direct = mode_bound(make_mode(1.0), pump, BATH, -20.0, -0.5, tol=1e-11)
+        results = spectrum([1.0], pump, T, MU, -20.0, -0.5, tol=1e-11)
+        direct = mode_bound(make_mode(1.0), pump, T, MU, -20.0, -0.5, tol=1e-11)
         assert results[0].ratio_k == pytest.approx(direct.ratio_k, rel=1e-12)
 
     def test_silent_pump_totals(self):
         results = spectrum([0.5, 1.0, 2.0], dynamics.PumpProfile.constant(0.0),
-                           BATH, 0.0, 1.0)
+                           T, MU, 0.0, 1.0)
         assert total_entropy(results) == 0.0
         assert all(res.satisfied for res in results)
 
     def test_requires_sorted_grid(self):
         with pytest.raises(ValueError):
-            spectrum([1.0, 1.0], dynamics.PumpProfile.constant(0.0), BATH, 0.0, 1.0)
+            spectrum([1.0, 1.0], dynamics.PumpProfile.constant(0.0), T, MU, 0.0, 1.0)
 
     def test_graviton_doubles_extensive_sums_exactly(self):
-        pump = dynamics.PumpProfile.de_sitter()
-        kgrid = [0.5, 1.0, 2.0]
-        scalar = spectrum(kgrid, pump, BATH, -20.0, -0.5, polarizations=1)
-        tensor = spectrum(kgrid, pump, BATH, -20.0, -0.5, polarizations=2)
-        assert total_entropy(tensor, 2) == 2.0 * total_entropy(scalar, 1)
-        assert total_heat(tensor, 2) == 2.0 * total_heat(scalar, 1)
-        assert total_particles(tensor, 2) == 2.0 * total_particles(scalar, 1)
+        # one per-polarization result list; the count enters only at output
+        results = spectrum([0.5, 1.0, 2.0], dynamics.PumpProfile.de_sitter(),
+                           T, MU, -20.0, -0.5)
+        assert total_entropy(results, 2) == 2.0 * total_entropy(results, 1)
+        assert total_heat(results, 2) == 2.0 * total_heat(results, 1)
+        assert total_particles(results, 2) == 2.0 * total_particles(results, 1)
+        scalar = csv_columns(spectrum_csv(results, 1))
+        tensor = csv_columns(spectrum_csv(results, 2))
         for s, t in zip(scalar, tensor):
-            assert s.ratio_k == t.ratio_k
+            for name in EXTENSIVE:
+                assert float(t[name]) == 2.0 * float(s[name])
+            assert t["ratio_k"] == s["ratio_k"]
+
+    @pytest.mark.parametrize("T, mu, tau_fin, tol", [
+        (math.nan, 0.0, 1.0, 1e-10), (0.0, 0.0, 1.0, 1e-10), (-1.0, 0.0, 1.0, 1e-10),
+        (1.0, math.inf, 1.0, 1e-10), (1.0, 0.0, -1.0, 1e-10), (1.0, 0.0, 1.0, -1.0)])
+    def test_bad_bath_or_span_raises_before_any_mode(self, monkeypatch, T, mu, tau_fin, tol):
+        def never(*args, **kwargs):
+            raise AssertionError("a mode ran")
+
+        monkeypatch.setattr(field_modes, "mode_bound", never)
+        with pytest.raises(ValueError, match="must"):
+            spectrum([0.5, 2.0], dynamics.PumpProfile.constant(0.5), T, mu, 0.0,
+                     tau_fin, tol=tol)
 
     def test_mode_errors_are_isolated(self):
         # with mu > 0 the low-k mode has omega_k below the chemical potential
-        bath = ThermalSpec(T=1.0, omega=5.0, mu=1.0)
         results = spectrum([0.5, 2.0], dynamics.PumpProfile.constant(0.0),
-                           bath, 0.0, 1.0)
-        assert results[0].error is not None
+                           1.0, 1.0, 0.0, 1.0)
+        assert "chemical potential" in results[0].error
         assert results[1].error is None
         assert total_entropy(results) == 0.0
 
@@ -147,7 +167,7 @@ class TestTotals:
 
     def test_two_unit_modes(self):
         mode = make_mode(1.0)
-        res = mode_result_from_multiplicities(mode, BATH, 0.0, math.asinh(1.0))
+        res = mode_result_from_multiplicities(mode, T, MU, 0.0, math.asinh(1.0))
         assert total_entropy([res, res]) == pytest.approx(4 * math.log(2.0), rel=1e-12)
         assert total_entropy([res, res], polarizations=2) == pytest.approx(
             8 * math.log(2.0), rel=1e-12)
@@ -156,7 +176,7 @@ class TestTotals:
 class TestCsv:
     def test_layout_and_precision(self):
         mode = make_mode(1.0)
-        res = mode_result_from_multiplicities(mode, BATH, 0.3, 0.7)
+        res = mode_result_from_multiplicities(mode, T, MU, 0.3, 0.7)
         text = spectrum_csv([res])
         header, row = text.strip().split("\n")
         assert header == ("k,r_k,n_bar_k,n_q_k,N_bar_k,delta_S_k,delta_Q_k,"
@@ -167,14 +187,20 @@ class TestCsv:
         assert fields[-1] == ""
 
     def test_graviton_column_and_doubling(self):
-        mode = make_mode(1.0, polarizations=2)
-        res = mode_result_from_multiplicities(mode, BATH, 0.3, 0.7)
+        mode = make_mode(1.0)
+        res = mode_result_from_multiplicities(mode, T, MU, 0.3, 0.7)
         text = spectrum_csv([res], polarizations=2)
         header, row = text.strip().split("\n")
         assert "polarizations" in header.split(",")
         fields = dict(zip(header.split(","), row.split(",")))
         assert float(fields["delta_S_k"]) == pytest.approx(2 * res.delta_S_k, rel=1e-15)
         assert fields["polarizations"] == "2"
+
+    @pytest.mark.parametrize("polarizations", [0, 3])
+    def test_rejects_polarization_count(self, polarizations):
+        res = mode_result_from_multiplicities(make_mode(1.0), T, MU, 0.3, 0.7)
+        with pytest.raises(ValueError, match="1 \\(scalar\\) or 2 \\(tensor\\)"):
+            spectrum_csv([res], polarizations)
 
     def test_error_row(self):
         res = ModeResult.failed(make_mode(1.0), "boom, with comma")
@@ -184,5 +210,5 @@ class TestCsv:
 
     def test_deterministic(self):
         mode = make_mode(2.0)
-        res = mode_result_from_multiplicities(mode, BATH, 0.3, 0.7)
+        res = mode_result_from_multiplicities(mode, T, MU, 0.3, 0.7)
         assert spectrum_csv([res]) == spectrum_csv([res])

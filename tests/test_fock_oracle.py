@@ -319,6 +319,19 @@ class TestVerify:
         assert "finite" in bad_nbar["error"]
         assert good["pass"]
 
+    @pytest.mark.parametrize("option", [
+        {"tolerance": math.nan}, {"tolerance": -1.0}, {"tolerance": math.inf},
+        {"truncation_tolerance": math.nan}, {"truncation_tolerance": 0.0},
+        {"truncation_tolerance": 1.0}, {"omega": math.nan}, {"omega": math.inf},
+        {"omega": -1.0}, {"omega": 0.0}])
+    def test_bad_sweep_option_raises_before_any_point(self, monkeypatch, option):
+        def never(*args, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(fock_oracle, "verify_point", never)
+        with pytest.raises(ValueError, match="must be"):
+            verify_grid([(0.5, 0.3)], **option)
+
     def test_failed_truncation_recorded_and_sweep_goes_on(self, monkeypatch):
         def short_ladder(n_bar, r, tolerance, budget=None):
             return TruncationSpec(max_thermal=40, max_squeeze=2, tolerance=tolerance)
