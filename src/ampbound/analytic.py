@@ -135,6 +135,9 @@ class BoundReport:
     satisfied: bool
 
 
+_TINY = np.finfo(float).tiny
+
+
 def nbar_from_thermal(spec: ThermalSpec) -> float:
     """Bose-Einstein occupation ``1/(exp((omega - mu)/T) - 1)``.
 
@@ -146,11 +149,14 @@ def nbar_from_thermal(spec: ThermalSpec) -> float:
     return float(np.exp(-x) / -np.expm1(-x))
 
 
-def _occupations(N_bar) -> np.ndarray:
-    N = np.asarray(N_bar, dtype=float)
-    if np.any(N < 0):
-        raise ValueError("N_bar must be nonnegative")
-    return N
+def _occupations(values, name: str = "N_bar") -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if np.any(v < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    # 1/v overflows below the smallest normal double
+    if np.any((v > 0) & (v < _TINY)):
+        raise ValueError(f"a nonzero {name} must be at least {_TINY}")
+    return v
 
 
 def _result(out: np.ndarray):
@@ -175,11 +181,21 @@ def delta_S(m: Multiplicities) -> float:
     return entropy_gain(m.N_bar)
 
 
+def _heat(omega: float, N_bar: float) -> float:
+    dQ = omega * N_bar
+    if not np.isfinite(dQ):
+        raise ValueError(f"delta_Q = omega * N_bar overflows (omega={omega}, N_bar={N_bar})")
+    return dQ
+
+
 def delta_Q(omega: float, m: Multiplicities) -> float:
-    """Heat transferred to the environment, ``omega * n_q * (n_bar + 1)``."""
+    """Heat transferred to the environment, ``omega * n_q * (n_bar + 1)``.
+
+    Raises ``ValueError`` if the product overflows.
+    """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    return omega * m.N_bar
+    return _heat(omega, m.N_bar)
 
 
 def delta_N(m: Multiplicities) -> float:
@@ -276,26 +292,27 @@ def joint_purity(m: Multiplicities) -> float:
     )
 
 
-def _shape_factor(N_bar):
-    # ln(N)/N + (1 + 1/N) ln(1 + 1/N), the omega/T-independent part of the
-    # bound ratio; identical to entropy_gain(N)/N, but kept in this written
-    # form so the two parametrizations stay independent evaluations.  The
-    # two terms cancel increasingly below N ~ 1e-6; the occupation form is
-    # the stable one there.
-    return np.log(N_bar) / N_bar + (1.0 + 1.0 / N_bar) * np.log1p(1.0 / N_bar)
+def _ratio(N: np.ndarray, beta):
+    # T*delta_S/((omega - mu)*N) = (delta_S/N)/beta with beta = (omega-mu)/T.
+    # delta_S/N = log1p(1/N) + log1p(N)/N adds two nonnegative terms, so it
+    # cancels at no N, and N*beta, which overflows, is never formed.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(N == 0, 0.0, (np.log1p(1.0 / N) + np.log1p(N) / N) / beta)
+    if not np.all(np.isfinite(ratio)):
+        raise ValueError("bound ratio is not finite: N_bar or T/(omega - mu) out of range")
+    return _result(ratio)
 
 
 def ratio_from_temperature(T, omega, mu, N_bar):
     """Bound ratio in the ``(T/(omega-mu), N_bar)`` parametrization.
 
-    ``(T/(omega-mu)) * (ln(N)/N + (1+1/N) ln(1+1/N))``; returns 0 at N=0.
-    The arguments are scalars or broadcastable arrays; the result is a float
-    when all of them are scalars.
+    ``(T/(omega-mu)) * ((N+1)ln(N+1) - N ln N) / N``; returns 0 at N=0 and
+    at ``T = 0``.  The arguments are scalars or broadcastable arrays; the
+    result is a float when all of them are scalars.  A negative or subnormal
+    ``N_bar``, or a ratio that overflows, raises ``ValueError``.
     """
-    N = _occupations(N_bar)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (T / (omega - mu)) * _shape_factor(N)
-        return _result(np.where(N == 0, 0.0, ratio))
+    with np.errstate(divide="ignore"):
+        return _ratio(_occupations(N_bar), np.subtract(omega, mu) / T)
 
 
 def ratio_from_occupation(n_bar, N_bar):
@@ -304,41 +321,37 @@ def ratio_from_occupation(n_bar, N_bar):
     ``((N+1)ln(N+1) - N ln N) / (N ln(1 + 1/n_bar))``; returns 0 at N=0 and
     in the zero-temperature limit ``n_bar -> 0``.  The arguments are scalars
     or broadcastable arrays; the result is a float when both are scalars.
-    A negative entry in either raises ``ValueError``.
+    A negative or subnormal entry in either, or a ratio that overflows,
+    raises ``ValueError``.
     """
     N = _occupations(N_bar)
-    n_bar = np.asarray(n_bar, dtype=float)
-    if np.any(n_bar < 0):
-        raise ValueError("n_bar must be nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = entropy_gain(N) / (N * np.log1p(1.0 / n_bar))
-        return _result(np.where((N == 0) | (n_bar == 0), 0.0, ratio))
+    with np.errstate(divide="ignore"):
+        return _ratio(N, np.log1p(1.0 / _occupations(n_bar, "n_bar")))
 
 
 def bound_ratio(spec: ThermalSpec, m: Multiplicities) -> BoundReport:
     """Evaluate the entropy bound ``T*delta_S <= delta_Q - mu*delta_N``.
 
-    The temperature form of the ratio is the defining expression and is what
-    gets evaluated.  When ``m.n_bar`` equals the occupation implied by
-    ``spec`` it coincides identically with the occupation form
-    (:func:`ratio_from_occupation`); supplying multiplicities independent of
-    the bath spec is allowed and simply means the temperature form is used
-    verbatim with the supplied ``N_bar``.
+    The ratio is :func:`ratio_from_temperature` at ``spec``: both
+    parametrizations evaluate one kernel, so for ``m.n_bar`` equal to the
+    occupation implied by ``spec`` it agrees with
+    :func:`ratio_from_occupation` to rounding.  ``m.n_bar`` does not enter
+    the ratio, so multiplicities independent of the bath spec are allowed
+    and simply supply ``N_bar``.
 
     Returns
     -------
     BoundReport
         With ``delta_S`` (nats), ``delta_Q = omega*N_bar``, ``delta_N = N_bar``
         and ``satisfied = (ratio <= 1)``.  ``N_bar = 0`` yields ratio 0 with
-        zero flows, satisfied.
+        zero flows, satisfied.  An overflowing ``delta_Q`` or ratio raises
+        ``ValueError``.
     """
-    if m.N_bar < 0:
-        raise ValueError("N_bar must be nonnegative")
+    dQ = _heat(spec.omega, m.N_bar)
     ratio = ratio_from_temperature(spec.T, spec.omega, spec.mu, m.N_bar)
-    dS = entropy_gain(m.N_bar)
     return BoundReport(
-        delta_S=dS,
-        delta_Q=spec.omega * m.N_bar,
+        delta_S=entropy_gain(m.N_bar),
+        delta_Q=dQ,
         delta_N=m.N_bar,
         ratio=ratio,
         satisfied=bool(ratio <= 1.0),

@@ -109,8 +109,10 @@ def mode_result_from_multiplicities(mode: ModeSpec, T: float, mu: float,
                                     n_bar_k: float, r_k: float) -> ModeResult:
     """Closed-form bound record for given occupations, no dynamics.
 
-    The ratio uses the mode's own frequency in the temperature form, so for
-    matching occupations it coincides with the plain two-oscillator bound.
+    The record is :func:`ampbound.analytic.bound_ratio` for the bath
+    ``(T, mu)`` at the mode's own frequency, the plain two-oscillator bound.
+    An overflowing ``delta_Q`` or ratio raises ``ValueError``, which
+    :func:`spectrum` records as the mode's error row.
     """
     mult = analytic.Multiplicities.from_squeeze(n_bar_k, r_k)
     report = analytic.bound_ratio(analytic.ThermalSpec(T, mode.omega_k, mu), mult)

@@ -1,9 +1,10 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ampbound import analytic
@@ -25,6 +26,9 @@ from ampbound.analytic import (
     ratio_from_temperature,
     system_weights,
 )
+
+import analytic_reference as ref
+from analytic_reference import written_ratio
 
 
 class TestMultiplicities:
@@ -222,6 +226,14 @@ class TestFlows:
         with pytest.raises(ValueError):
             entropy_gain(-0.5)
 
+    def test_overflowing_heat_rejected(self):
+        m = Multiplicities(1.0, 1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            delta_Q(1e308, m)
+        with pytest.raises(ValueError, match="overflows"):
+            bound_ratio(ThermalSpec(T=1.0, omega=1e308), m)
+        assert bound_ratio(ThermalSpec(T=1.0, omega=5e307), m).delta_Q == 1e308
+
 
 class TestBoundRatio:
     def test_violated_point(self):
@@ -255,12 +267,12 @@ class TestBoundRatio:
         N_bar=st.floats(min_value=1e-3, max_value=1e4),
     )
     def test_form_equivalence(self, n_bar, N_bar):
-        # temperature form with T/(omega-mu) = 1/ln(1+1/n_bar) equals the
-        # occupation form identically
+        # with T/(omega-mu) = 1/ln(1+1/n_bar) both forms equal the written
+        # temperature form, which is accurate at these N_bar
         omega = math.log1p(1.0 / n_bar)
-        a = ratio_from_temperature(1.0, omega, 0.0, N_bar)
-        b = ratio_from_occupation(n_bar, N_bar)
-        assert a == pytest.approx(b, rel=1e-12)
+        written = written_ratio(1.0, omega, 0.0, N_bar)
+        assert ratio_from_temperature(1.0, omega, 0.0, N_bar) == pytest.approx(written, rel=1e-12)
+        assert ratio_from_occupation(n_bar, N_bar) == pytest.approx(written, rel=1e-12)
 
     def test_mu_invariance_is_exact(self):
         for (T, omega, mu) in [(1.0, 2.0, 0.7), (0.5, 1.0, -3.0), (2.0, 5.0, 4.0)]:
@@ -313,15 +325,67 @@ class TestArrayForms:
         assert grid.shape == (3, 3)
         assert np.all(grid[0] == 0.0)
 
-    @pytest.mark.parametrize("fn", [
+    FORMS = [
         entropy_gain,
         lambda N: ratio_from_occupation(1.0, N),
         lambda n_bar: ratio_from_occupation(n_bar, 1.0),
         lambda N: ratio_from_temperature(1.0, 2.0, 0.0, N),
-    ])
+    ]
+
+    @pytest.mark.parametrize("fn", FORMS)
     def test_any_negative_occupation_rejected(self, fn):
         with pytest.raises(ValueError, match="nonnegative"):
             fn(np.array([[1.0, 0.0], [2.0, -1e-300]]))
+
+    @pytest.mark.parametrize("fn", FORMS)
+    def test_any_subnormal_occupation_rejected(self, fn):
+        # 1/x overflows for a nonzero x below the smallest normal double
+        with pytest.raises(ValueError, match="at least"):
+            fn(np.array([[1.0, 0.0], [2.0, 1e-310]]))
+
+    def test_zero_temperature_gives_zero(self):
+        assert ratio_from_temperature(0.0, 1.0, 0.0, 2.0) == 0.0
+        grid = ratio_from_temperature(np.array([0.0, 1.0]), 1.0, 0.0, 2.0)
+        assert grid[0] == 0.0 and grid[1] > 0.0
+
+    def test_overflowing_ratio_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            ratio_from_temperature(1e300, 1e-10, 0.0, np.array([1.0, 1e-3]))
+        with pytest.raises(ValueError, match="not finite"):
+            ratio_from_occupation(1.7e308, 1e-300)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            ratio_from_occupation(1e200, np.array([1e200]) * 1e200)
+
+
+class TestAgainstMpmath:
+    """The production closed forms against 50-digit references, with the
+    occupations drawn log-uniform over the normal doubles."""
+
+    OCCUPATION = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+    SCALE = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(N=OCCUPATION, n_bar=OCCUPATION, T=SCALE, omega=SCALE,
+           mu=st.floats(min_value=-10.0, max_value=0.0))
+    @example(N=sys.float_info.max, n_bar=1.0, T=1.0, omega=1.0, mu=0.0)
+    @example(N=sys.float_info.max, n_bar=1e300, T=1e3, omega=1e-3, mu=0.0)
+    def test_relative_error_below_1e_14(self, N, n_bar, T, omega, mu):
+        # at the largest N_bar the ratio is about 710/(N beta), so a beta
+        # above about 100 makes it subnormal, with fewer digits to compare
+        assert ref.rel_err(entropy_gain(N), ref.mp_entropy_gain(N)) <= 1e-14
+        assert ref.rel_err(ratio_from_temperature(T, omega, mu, N),
+                           ref.mp_ratio_from_temperature(T, omega, mu, N)) <= 1e-14
+        assert ref.rel_err(ratio_from_occupation(n_bar, N),
+                           ref.mp_ratio_from_occupation(n_bar, N)) <= 1e-14
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_bar=OCCUPATION)
+    def test_nbar_from_thermal(self, n_bar):
+        # omega/T is exact here: any rounding of (omega - mu)/T is input
+        # error, which the exponential amplifies by up to omega/T
+        x = math.log1p(1.0 / n_bar)
+        got = nbar_from_thermal(ThermalSpec(T=1.0, omega=x))
+        assert ref.rel_err(got, ref.mp_nbar_from_thermal(1.0, x, 0.0)) <= 1e-14
 
 
 class TestAsymptotics:

@@ -10,6 +10,13 @@ from conftest import run_cli, run_python
 from map_reference import reference_csv
 
 
+def strict_json(text):
+    """Parse JSON that must not hold the non-standard NaN or Infinity."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -72,6 +79,30 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+
+    def test_small_total_reports_violation(self, capsys):
+        # N_bar = 2e-20, where the written temperature form cancels to -262144
+        code, out = run(capsys, "check", "--nbar", "1", "--nq", "1e-20",
+                        "--omega", "1", "--T", "1")
+        assert code == 2
+        values = dict(line.split(" = ") for line in out.strip().split("\n"))
+        assert float(values["ratio"]) == pytest.approx(46.358554679320974, rel=1e-14)
+        assert values["satisfied"] == "false"
+
+    @pytest.mark.parametrize("args, message", [
+        # delta_Q = omega * N_bar overflows
+        (["--nbar", "1", "--nq", "1", "--omega", "1e308"], "overflows"),
+        # the ratio overflows: T/(omega - mu) = 1e310
+        (["--nbar", "1", "--nq", "1", "--omega", "1e-300", "--T", "1e10"], "not finite"),
+        # a subnormal N_bar, where 1/N_bar overflows
+        (["--nbar", "0", "--nq", "1e-310", "--omega", "1"], "at least"),
+    ])
+    def test_overflow_and_subnormal_exit_1(self, capsys, args, message):
+        assert main(["check", "--T", "1", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestMap:
@@ -166,6 +197,35 @@ class TestMap:
         assert not out.exists()
         assert "n_bar must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("plane, x_range, y_range, message", [
+        ("N_vs_omegaT", ("1e-320", "1e-300"), ("1", "2"), "N_bar must be at least"),
+        ("nbar_vs_nq", ("1", "2"), ("1e-320", "1e-310"), "N_bar must be at least"),
+        ("nbar_vs_nq", ("1e-320", "1e-310"), ("1", "2"), "n_bar must be at least"),
+        # N_bar = n_q (n_bar + 1) overflows
+        ("nbar_vs_nq", ("1e200", "1e201"), ("1e200", "1e201"), "not finite"),
+    ])
+    def test_subnormal_or_overflowing_cells_exit_1(self, tmp_path, capsys, plane,
+                                                   x_range, y_range, message):
+        out = tmp_path / "grid.csv"
+        with np.errstate(over="ignore"):
+            code = main(["map", "--plane", plane, "--x-min", x_range[0],
+                         "--x-max", x_range[1], "--x-points", "2", "--y-min", y_range[0],
+                         "--y-max", y_range[1], "--y-points", "2", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    def test_temperature_and_occupation_planes_agree(self):
+        # omegaT_vs_nq and nbar_vs_nq at n_bar = 1/expm1(omega/T) evaluate
+        # the same cells, down to N_bar = 1e-20
+        xs = np.logspace(math.log10(0.05), math.log10(20.0), 201)
+        nqs = np.logspace(-20.0, 2.0, 221)
+        by_temperature = cli.ratio_grid("omegaT_vs_nq", xs, nqs, 0.0)
+        by_occupation = cli.ratio_grid("nbar_vs_nq", 1.0 / np.expm1(xs), nqs, 0.0)
+        rel = np.abs(by_temperature - by_occupation) / by_occupation
+        assert rel.max() <= 1e-14
+        assert np.array_equal(by_temperature <= 1.0, by_occupation <= 1.0)
+
     def test_planes_cover_negative_r(self):
         config = ScanConfig(plane="omegaT_vs_r",
                             x_range=(0.5, 2.0, 2, "log10"),
@@ -257,6 +317,24 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be" in captured.err
+
+    def test_large_omega_heat_from_particle_flow(self, capsys):
+        # omega (n + 1/2) of the final state would overflow; omega * delta_N
+        # does not
+        code, out = run(capsys, "verify", "--point", "1,0.8", "--omega", "1e308")
+        assert code == 0
+        rec = strict_json(out)["records"][0]
+        assert rec["pass"]
+        assert rec["delta_Q_oracle"] == 1e308 * rec["delta_N_oracle"]
+
+    def test_overflowing_heat_recorded_per_point(self, capsys):
+        code, out = run(capsys, "verify", "--point", "1,2", "--point", "1,0.8",
+                        "--omega", "1e308")
+        assert code == 2
+        bad, good = strict_json(out)["records"]
+        assert bad == {"n_bar": 1.0, "r": 2.0, "error": bad["error"]}
+        assert "overflows" in bad["error"]
+        assert good["pass"]
 
     @pytest.mark.parametrize("flag", ["--seed", "--threads"])
     def test_removed_flags_rejected(self, capsys, flag):

@@ -65,6 +65,11 @@ class TestForcedMultiplicities:
         assert res.delta_N_k == res.N_bar_k
         assert res.delta_Q_k == pytest.approx(res.omega_k * res.delta_N_k, rel=1e-14)
 
+    def test_overflowing_heat_raises(self):
+        # spectrum turns this ValueError into the mode's error row
+        with pytest.raises(ValueError, match="overflows"):
+            mode_result_from_multiplicities(make_mode(1e308), T, MU, 1.0, 2.0)
+
     def test_satisfied_flag_equivalent_to_occupation_form(self):
         # the per-mode verdict coincides with the occupation-form condition,
         # straddling the boundary from both sides

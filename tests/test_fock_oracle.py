@@ -218,20 +218,19 @@ class TestEntropy:
 
 class TestExpectations:
     def test_thermal_mode(self):
-        number, energy = expectations(thermal_weights(1.0, 80), 1.0)
-        assert number == pytest.approx(1.0, abs=1e-12)
-        assert energy == pytest.approx(1.5, abs=1e-12)
+        assert expectations(thermal_weights(1.0, 80)) == pytest.approx(1.0, abs=1e-12)
 
     def test_amplified_environment(self):
-        number, energy = expectations(reduction(1.0, 1.0).p_e, 1.0)
-        assert number == pytest.approx(1.0 + 2.0 * math.sinh(1.0) ** 2, rel=1e-10)
-        # mean-energy identity: omega (1/2 + n_bar + n_q (n_bar + 1))
-        assert energy == pytest.approx(0.5 + 1.0 + 2.0 * math.sinh(1.0) ** 2, rel=1e-10)
+        # mean-occupation identity: n_bar + n_q (n_bar + 1)
+        assert expectations(reduction(1.0, 1.0).p_e) == pytest.approx(
+            1.0 + 2.0 * math.sinh(1.0) ** 2, rel=1e-10)
 
-    def test_vacuum_zero_point(self):
-        number, energy = expectations(np.eye(4)[0], 2.0)
-        assert number == 0.0
-        assert energy == 1.0
+    def test_vacuum_is_empty(self):
+        assert expectations(np.eye(4)[0]) == 0.0
+
+    def test_heat_is_omega_times_particle_flow(self):
+        rec = verify_point(1.0, 0.8, omega=2.5)
+        assert rec["delta_Q_oracle"] == 2.5 * rec["delta_N_oracle"]
 
 
 class TestPurity:
