@@ -100,19 +100,22 @@ def ratio_grid(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndar
         raise CliError("omega/T axis must stay above mu/T")
     if plane in ("omegaT_vs_nq", "omegaT_vs_r") and xs.min() - mu <= 0:
         raise CliError("omega/T axis must stay above mu/T")
+    if plane not in PLANES:
+        raise CliError(f"unknown plane {plane!r}")
     x, y = xs[:, None], ys[None, :]
     if plane == "N_vs_omegaT":
         return analytic.ratio_from_temperature(1.0, y, mu, x)
-    if plane == "nbar_vs_nq":
-        return analytic.ratio_from_occupation(x, y * (x + 1.0))
-    if plane == "omegaT_vs_nq":
-        return analytic.ratio_from_temperature(1.0, x, mu, y * (1.0 / np.expm1(x - mu) + 1.0))
-    if plane == "nbar_vs_r":
-        return analytic.ratio_from_occupation(x, _pair_occupations(ys)[None, :] * (x + 1.0))
-    if plane == "omegaT_vs_r":
-        n_q = _pair_occupations(ys)[None, :]
-        return analytic.ratio_from_temperature(1.0, x, mu, n_q * (1.0 / np.expm1(x - mu) + 1.0))
-    raise CliError(f"unknown plane {plane!r}")
+    # N_bar = n_q (n_bar + 1) overflows for large axis values; numpy's
+    # warning would name no input, so the product is checked here instead
+    with np.errstate(over="ignore"):
+        n_q = _pair_occupations(ys)[None, :] if plane.endswith("_r") else y
+        n_bar = x if plane.startswith("nbar") else 1.0 / np.expm1(x - mu)
+        N_bar = n_q * (n_bar + 1.0)
+    if not np.all(np.isfinite(N_bar)):
+        raise CliError("N_bar = n_q (n_bar + 1) is not finite: it overflows on this grid")
+    if plane.startswith("nbar"):
+        return analytic.ratio_from_occupation(x, N_bar)
+    return analytic.ratio_from_temperature(1.0, x, mu, N_bar)
 
 
 def scan_csv(config: ScanConfig) -> str:

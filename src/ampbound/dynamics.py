@@ -1,20 +1,21 @@
 """Time evolution of the Bogoliubov functions for arbitrary pump profiles.
 
-Two linear systems are integrated, both with initial condition ``(u, v) =
-(1, 0)`` at ``t_in``:
+Both linear systems are one mirror-coupled equation for the complex
+amplitudes ``z``, each pair ``(u, v)`` starting from ``(1, 0)`` at ``t_in``:
+each amplitude turns at its own frequency and is driven by the conjugate of
+its mirror::
 
-* the per-mode system (one frequency, no explicit carrier)::
+    z' = -i freqs z + i g(t) e^{-i carrier t} conj(z[::-1])
 
-      u' = -i omega u + i g(t) conj(v)
-      v' = -i omega v + i g(t) conj(u)
+* per mode, ``z = (u, v)`` at one frequency and no carrier, so
+  ``u' = -i omega u + i g(t) conj(v)`` and ``v' = -i omega v + i g(t) conj(u)``;
+* the resonant two-oscillator system, ``z = (u_s, v_s, u_e, v_e)`` under the
+  carrier ``omega_s + omega_e``, so ``u_s`` is driven by ``v_e`` and ``v_s``
+  by ``u_e``.
 
-* the resonant two-oscillator system (distinct frequencies, carrier
-  ``exp(-i (omega_s + omega_e) t)`` multiplying the pump)::
-
-      u_s' = -i omega_s u_s + i g(t) e^{-i omega t} conj(v_e)    (and cyclic)
-
-Unitarity fixes ``|u|^2 - |v|^2 = 1`` along any exact trajectory, which the
-integrator monitors.  The pair ``(u, v)`` maps to squeeze variables through
+One DOP853 solve integrates either and checks, pair by pair, the unitarity
+``|u|^2 - |v|^2 = 1`` that holds along any exact trajectory.  The pair
+``(u, v)`` maps to squeeze variables through
 
     u = e^{-i delta} cosh(r),   v = e^{-i (delta - theta)} sinh(r)
 
@@ -76,6 +77,12 @@ class IntegrationError(RuntimeError):
     """The adaptive integrator failed or the solution broke unitarity."""
 
 
+def _config_number(value, field):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PumpError(f"pump field {field!r} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PumpProfile:
     """Time-dependent coupling ``g(t)`` driving the amplification.
@@ -109,6 +116,13 @@ class PumpProfile:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise PumpError(f"unknown pump kind {self.kind!r}")
+        # a NaN or infinite parameter gives a non-finite right-hand side,
+        # which keeps DOP853's step-size control from ever finishing
+        for name in ("q0", "theta_in", "amplitude", "center", "width", "strength"):
+            if not np.isfinite(getattr(self, name)):
+                raise PumpError(f"pump {name} must be finite, got {getattr(self, name)}")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.values))):
+            raise PumpError("tabulated pump times and values must be finite")
         if self.kind == "gaussian_pulse" and self.width <= 0:
             raise PumpError("gaussian_pulse width must be positive")
         if self.kind == "tabulated":
@@ -139,20 +153,34 @@ class PumpProfile:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "PumpProfile":
-        """Build from the documented config schema (see the README)."""
+        """Build from the documented config schema (see the README).
+
+        A config that is not a mapping, lacks a required field or holds a
+        non-numeric one raises :class:`PumpError` naming the field.
+        """
+        if not isinstance(spec, dict):
+            raise PumpError(f"pump config must be a JSON object, got {type(spec).__name__}")
+
+        def number(field, default=None):
+            if field not in spec and default is None:
+                raise PumpError(f"pump config needs the field {field!r}")
+            return _config_number(spec.get(field, default), field)
+
         kind = spec.get("kind")
         if kind == "constant":
-            return cls.constant(spec["q0"], spec.get("theta_in", 0.0))
+            return cls.constant(number("q0"), number("theta_in", 0.0))
         if kind == "gaussian_pulse":
-            return cls.gaussian_pulse(spec["amplitude"], spec["center"],
-                                      spec["width"], spec.get("theta_in", 0.0))
+            return cls.gaussian_pulse(number("amplitude"), number("center"),
+                                      number("width"), number("theta_in", 0.0))
         if kind == "de_sitter":
-            return cls.de_sitter(spec.get("strength", 1.0))
+            return cls.de_sitter(number("strength", 1.0))
         if kind == "tabulated":
-            samples = spec["samples"]
-            times = [row[0] for row in samples]
-            values = [row[1] for row in samples]
-            return cls.tabulated(times, values, spec.get("theta_in", 0.0))
+            samples = spec.get("samples")
+            if not isinstance(samples, list) or not all(
+                    isinstance(row, list) and len(row) == 2 for row in samples):
+                raise PumpError("pump field 'samples' must be a list of [time, value] pairs")
+            table = [_config_number(x, "samples") for row in samples for x in row]
+            return cls.tabulated(table[0::2], table[1::2], number("theta_in", 0.0))
         raise PumpError(f"unknown pump kind {kind!r}")
 
     @classmethod
@@ -236,42 +264,72 @@ def check_span(t_in: float, t_fin: float, tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _solve(rhs, y0, t_in, t_fin, tol):
-    from scipy.integrate import solve_ivp
+def _bogoliubov_rhs(pump, freqs, carrier=None):
+    # z' = -i freqs z + w conj(z[::-1]) with w = i g(t) e^{-i carrier t}, on
+    # the real state vector y = (Re z_0, Im z_0, Re z_1, ...).  Written in
+    # real arithmetic, each product rounds once, as in numpy's scalar complex
+    # product; its array complex product may fuse multiply-adds, and a
+    # last-bit change moves the steps DOP853 accepts on a kinked pump
+    pairs = np.arange(2 * len(freqs)).reshape(-1, 2)
+    mirror, swap = pairs[::-1].ravel(), pairs[:, ::-1].ravel()
+    signs = np.tile([1.0, -1.0], len(freqs))
+    rotation = np.repeat(np.asarray(freqs, dtype=float), 2) * signs
 
-    check_span(t_in, t_fin, tol)
-    if t_fin == t_in:
-        return np.asarray(y0, dtype=float), 1
-    sol = solve_ivp(rhs, (t_in, t_fin), y0, method="DOP853",
-                    rtol=max(tol, 1e-13), atol=tol, dense_output=False)
-    if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}")
-    return sol.y[:, -1], len(sol.t) - 1
-
-
-def _uv_rhs(pump, omega):
     def rhs(t, y):
-        u = y[0] + 1j * y[1]
-        v = y[2] + 1j * y[3]
-        g = pump(t)
-        du = -1j * omega * u + 1j * g * np.conj(v)
-        dv = -1j * omega * v + 1j * g * np.conj(u)
-        return [du.real, du.imag, dv.real, dv.imag]
+        w = 1j * pump(t)
+        if carrier is not None:
+            w = w * np.exp(-1j * carrier * t)
+        # -i freqs z is (freqs Im z, -freqs Re z) and w conj(m) is
+        # (Re w Re m + Im w Im m, -Re w Im m + Im w Re m); y[::-1] holds
+        # (Im m, Re m) at each amplitude's place
+        return rotation * y[swap] + (w.real * (signs * y[mirror]) + w.imag * y[::-1])
     return rhs
 
 
-def _check_unitarity(u, v, tol, steps=1):
+def _check_unitarity(pair, tol, steps):
     # guard against broken integrations, not a certification of accuracy:
     # local errors of order tol accumulate over the accepted steps and the
     # invariant is quadratic in the moduli, so the window scales with both;
     # the 1e-10 floor absorbs roundoff at extreme tolerances
-    defect = abs(abs(u) ** 2 - abs(v) ** 2 - 1.0)
-    scale = max(1.0, abs(u) ** 2 + abs(v) ** 2)
+    defect = pair.unitarity_defect()
+    scale = max(1.0, abs(pair.u) ** 2 + abs(pair.v) ** 2)
     if defect > max(10.0 * tol * steps, 1e-10) * scale:
         raise IntegrationError(
             f"unitarity broken: | |u|^2 - |v|^2 - 1 | = {defect:.3e} "
             f"at solution scale {scale:.3e} after {steps} steps"
         )
+
+
+def _solve(pump, freqs, t_in, t_fin, tol, carrier=None, samples=None):
+    """Integrate the mirror-coupled system from the vacuum ``(1, 0, ...)``.
+
+    ``freqs`` holds one frequency per amplitude, the pairs ``(u, v)`` laid
+    out one after the other.  Returns the complex amplitudes at ``t_fin``,
+    or with ``samples`` their values on that many uniform times, one row
+    per amplitude.  Every pair passes the unitarity guard at ``t_fin``.
+    """
+    from scipy.integrate import solve_ivp
+
+    check_span(t_in, t_fin, tol)
+    if isinstance(pump, PumpProfile):
+        pump.validate_interval(t_in, t_fin)
+    z0 = np.zeros(len(freqs), dtype=complex)
+    z0[::2] = 1.0
+    if t_fin == t_in:
+        return z0 if samples is None else np.repeat(z0[:, None], samples, axis=1)
+    times = None if samples is None else np.linspace(t_in, t_fin, samples)
+    # dense output is what numbers the accepted steps of a sampled solve
+    sol = solve_ivp(_bogoliubov_rhs(pump, freqs, carrier), (t_in, t_fin),
+                    z0.view(float), method="DOP853", rtol=max(tol, 1e-13),
+                    atol=tol, t_eval=times, dense_output=samples is not None)
+    if not sol.success:
+        raise IntegrationError(f"integrator failed: {sol.message}")
+    z = np.ascontiguousarray(sol.y.T).view(complex).T
+    steps = len(sol.t if samples is None else sol.sol.ts) - 1
+    end = z[:, -1]
+    for u, v in zip(end[::2], end[1::2]):
+        _check_unitarity(BogoliubovPair(u, v), tol, steps)
+    return end if samples is None else z
 
 
 def integrate_uv(pump, omega: float, t_in: float, t_fin: float,
@@ -291,12 +349,8 @@ def integrate_uv(pump, omega: float, t_in: float, t_fin: float,
     omega : float
         Mode frequency entering the free rotation.
     """
-    if isinstance(pump, PumpProfile):
-        pump.validate_interval(t_in, t_fin)
-    y, steps = _solve(_uv_rhs(pump, omega), [1.0, 0.0, 0.0, 0.0], t_in, t_fin, tol)
-    pair = BogoliubovPair(u=complex(y[0], y[1]), v=complex(y[2], y[3]))
-    _check_unitarity(pair.u, pair.v, tol, steps)
-    return pair
+    u, v = _solve(pump, (omega, omega), t_in, t_fin, tol)
+    return BogoliubovPair(u=complex(u), v=complex(v))
 
 
 def uv_trajectory(pump, omega: float, t_in: float, t_fin: float,
@@ -306,22 +360,8 @@ def uv_trajectory(pump, omega: float, t_in: float, t_fin: float,
     Returns ``(times, u_array, v_array)``; used for residual checks of the
     squeeze-variable flow along the trajectory.
     """
-    from scipy.integrate import solve_ivp
-
-    check_span(t_in, t_fin, tol)
-    if isinstance(pump, PumpProfile):
-        pump.validate_interval(t_in, t_fin)
-    times = np.linspace(t_in, t_fin, samples)
-    sol = solve_ivp(_uv_rhs(pump, omega), (t_in, t_fin),
-                    [1.0, 0.0, 0.0, 0.0], method="DOP853",
-                    rtol=max(tol, 1e-13), atol=tol, t_eval=times,
-                    dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}")
-    u = sol.y[0] + 1j * sol.y[1]
-    v = sol.y[2] + 1j * sol.y[3]
-    _check_unitarity(u[-1], v[-1], tol, len(sol.sol.ts) - 1)
-    return times, u, v
+    u, v = _solve(pump, (omega, omega), t_in, t_fin, tol, samples=samples)
+    return np.linspace(t_in, t_fin, samples), u, v
 
 
 def integrate_qm(pump, omega_s: float, omega_e: float, t_in: float,
@@ -332,29 +372,10 @@ def integrate_qm(pump, omega_s: float, omega_e: float, t_in: float,
     Returns ``(pair_s, pair_e)`` relating each late-time operator to the
     initial pair.
     """
-    if isinstance(pump, PumpProfile):
-        pump.validate_interval(t_in, t_fin)
-    omega = omega_s + omega_e
-
-    def rhs(t, y):
-        us = y[0] + 1j * y[1]
-        vs = y[2] + 1j * y[3]
-        ue = y[4] + 1j * y[5]
-        ve = y[6] + 1j * y[7]
-        w = 1j * pump(t) * np.exp(-1j * omega * t)
-        dus = -1j * omega_s * us + w * np.conj(ve)
-        dvs = -1j * omega_s * vs + w * np.conj(ue)
-        due = -1j * omega_e * ue + w * np.conj(vs)
-        dve = -1j * omega_e * ve + w * np.conj(us)
-        return [dus.real, dus.imag, dvs.real, dvs.imag,
-                due.real, due.imag, dve.real, dve.imag]
-
-    y, steps = _solve(rhs, [1., 0., 0., 0., 1., 0., 0., 0.], t_in, t_fin, tol)
-    pair_s = BogoliubovPair(u=complex(y[0], y[1]), v=complex(y[2], y[3]))
-    pair_e = BogoliubovPair(u=complex(y[4], y[5]), v=complex(y[6], y[7]))
-    _check_unitarity(pair_s.u, pair_s.v, tol, steps)
-    _check_unitarity(pair_e.u, pair_e.v, tol, steps)
-    return pair_s, pair_e
+    u_s, v_s, u_e, v_e = _solve(pump, (omega_s, omega_s, omega_e, omega_e),
+                                t_in, t_fin, tol, carrier=omega_s + omega_e)
+    return (BogoliubovPair(u=complex(u_s), v=complex(v_s)),
+            BogoliubovPair(u=complex(u_e), v=complex(v_e)))
 
 
 def closed_form_qm(pump: PumpProfile, omega_s: float, omega_e: float,

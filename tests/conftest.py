@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,31 @@ FRONTIER_GRID = [(5.0, 1.5), (20.0, 1.0), (1.0, 2.5), (1.0, 3.0), (10.0, 2.25)] 
     (float(nb), float(r))
     for nb, r in zip(np.logspace(-2.0, 1.0, 5), np.linspace(0.25, 1.75, 5))]
 
+# pump configs with a NaN or infinite number, each of which once kept
+# DOP853 stepping forever
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_PUMPS = [
+    {"kind": "constant", "q0": NAN},
+    {"kind": "constant", "q0": INF},
+    {"kind": "constant", "q0": 0.5, "theta_in": NAN},
+    {"kind": "gaussian_pulse", "amplitude": INF, "center": 0, "width": 1},
+    {"kind": "gaussian_pulse", "amplitude": 1, "center": 0, "width": NAN},
+    {"kind": "de_sitter", "strength": NAN},
+    # a NaN time passes the strictly-increasing check
+    {"kind": "tabulated", "samples": [[-60, 0.1], [NAN, 0.2], [1, 0.3]]},
+    {"kind": "tabulated", "samples": [[-60, 0.1], [0, NAN]]},
+]
+MALFORMED_PUMPS = [  # (config, what the message names)
+    ({"kind": "constant"}, "'q0'"),
+    ([1, 2], "JSON object"),
+    ({"kind": "constant", "q0": "a"}, "'q0'"),
+    ({"kind": "gaussian_pulse", "amplitude": 1, "width": 1}, "'center'"),
+    ({"kind": "de_sitter", "strength": None}, "'strength'"),
+    ({"kind": "tabulated"}, "'samples'"),
+    ({"kind": "tabulated", "samples": [[0, 1], [1]]}, "'samples'"),
+    ({"kind": "tabulated", "samples": [[0, 1], [1, "x"]]}, "'samples'"),
+]
+
 
 @pytest.fixture(scope="session")
 def oracle_grid_report():
@@ -27,6 +53,16 @@ def oracle_grid_report():
                                      truncation_tolerance=1e-12)
     report["runtime_s"] = time.time() - t0
     return report
+
+
+@pytest.fixture
+def pump_file(tmp_path):
+    """Write a pump config (any JSON value) to a file and return its path."""
+    def write(spec):
+        path = tmp_path / "pump.json"
+        path.write_text(json.dumps(spec))
+        return str(path)
+    return write
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 
 from ampbound import analytic, cli
 from ampbound.cli import ScanConfig, main, scan_csv
-from conftest import run_cli, run_python
+from conftest import MALFORMED_PUMPS, NON_FINITE_PUMPS, run_cli, run_python
 from map_reference import reference_csv
 
 
@@ -215,6 +215,22 @@ class TestMap:
         assert not out.exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("plane, y_max, y_scale", [
+        ("nbar_vs_nq", "1e201", "log10"), ("omegaT_vs_nq", "1e300", "log10"),
+        ("omegaT_vs_r", "400", "linear"), ("nbar_vs_r", "400", "linear")])
+    def test_overflowing_n_bar_named_without_warning(self, tmp_path, plane, y_max, y_scale):
+        # N_bar = n_q (n_bar + 1) overflows; numpy's overflow warning named
+        # no input and the message blamed the ratio
+        out = tmp_path / "grid.csv"
+        x_min = "1e200" if plane == "nbar_vs_nq" else "1e-10"
+        result = run_cli("map", "--plane", plane, "--x-min", x_min, "--x-max", "1e201",
+                         "--x-points", "2", "--y-min", "1", "--y-max", y_max,
+                         "--y-points", "2", "--y-scale", y_scale, "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: N_bar = n_q (n_bar + 1)")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_temperature_and_occupation_planes_agree(self):
         # omegaT_vs_nq and nbar_vs_nq at n_bar = 1/expm1(omega/T) evaluate
         # the same cells, down to N_bar = 1e-20
@@ -342,15 +358,6 @@ class TestVerify:
         assert run(capsys, "verify", "--point", "0,0", flag, "1")[0] == 1
 
 
-@pytest.fixture
-def pump_file(tmp_path):
-    def write(spec):
-        path = tmp_path / "pump.json"
-        path.write_text(json.dumps(spec))
-        return str(path)
-    return write
-
-
 class TestSpectrum:
     def test_silent_pump_rows(self, pump_file, capsys):
         path = pump_file({"kind": "constant", "q0": 0.0})
@@ -461,6 +468,19 @@ class TestSpectrum:
         result = run_cli("spectrum", *[f"{k}={v}" for k, v in args.items()])
         assert result.returncode == 1
         assert "must be" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", NON_FINITE_PUMPS + [m[0] for m in MALFORMED_PUMPS])
+    def test_bad_pump_config_exits_1_before_solving(self, pump_file, tmp_path, spec):
+        # a non-finite pump number once kept DOP853 stepping forever, and a
+        # malformed config ended in a traceback
+        out = tmp_path / "spectrum.csv"
+        result = run_cli("spectrum", "--pump", pump_file(spec), "--T", "1",
+                         "--k-min", "0.1", "--k-max", "1", "--k-points", "2",
+                         "--tau-in", "-50", "--tau-fin", "-0.1", "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and "pump" in result.stderr
+        assert result.stderr.count("\n") == 1
         assert not out.exists()
 
     def test_singular_pump_isolated_per_mode(self, pump_file, capsys):

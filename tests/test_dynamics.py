@@ -24,7 +24,7 @@ from ampbound.dynamics import (
     squeeze_flow_rhs,
     uv_trajectory,
 )
-from conftest import run_python
+from conftest import MALFORMED_PUMPS, NON_FINITE_PUMPS, run_python
 
 BAD_SPANS = [  # (t_in, t_fin, tol)
     (0.0, 1.0, math.nan), (0.0, 1.0, 0.0), (0.0, 1.0, math.inf), (0.0, 1.0, -1.0),
@@ -68,7 +68,7 @@ class TestPumpProfile:
         with pytest.raises(PumpError):
             PumpProfile.tabulated([0.0, 0.0], [1.0, 1.0])
 
-    def test_config_roundtrip(self, tmp_path):
+    def test_config_roundtrip(self, pump_file):
         specs = [
             {"kind": "constant", "q0": 0.5, "theta_in": 0.25},
             {"kind": "gaussian_pulse", "amplitude": 1.0, "center": 0.0, "width": 2.0},
@@ -76,14 +76,32 @@ class TestPumpProfile:
             {"kind": "tabulated", "samples": [[0.0, 0.1], [1.0, 0.2]], "theta_in": 0.0},
         ]
         for spec in specs:
-            path = tmp_path / "pump.json"
-            path.write_text(json.dumps(spec))
-            pump = PumpProfile.from_config(path)
+            pump = PumpProfile.from_config(pump_file(spec))
             assert pump.kind == spec["kind"]
 
     def test_unknown_kind(self):
         with pytest.raises(PumpError):
             PumpProfile.from_dict({"kind": "sawtooth"})
+
+    @pytest.mark.parametrize("spec", NON_FINITE_PUMPS)
+    def test_non_finite_config_rejected(self, pump_file, spec):
+        # json reads NaN and Infinity; either one would stall the integrator
+        with pytest.raises(PumpError, match="finite"):
+            PumpProfile.from_config(pump_file(spec))
+
+    @pytest.mark.parametrize("make", [
+        lambda: PumpProfile.constant(math.inf),
+        lambda: PumpProfile.gaussian_pulse(1.0, math.nan, 1.0),
+        lambda: PumpProfile.de_sitter(-math.inf),
+        lambda: PumpProfile.tabulated([0.0, 1.0], [0.0, math.nan], theta_in=0.1)])
+    def test_non_finite_constructor_rejected(self, make):
+        with pytest.raises(PumpError, match="finite"):
+            make()
+
+    @pytest.mark.parametrize("spec, field", MALFORMED_PUMPS)
+    def test_malformed_config_names_the_field(self, spec, field):
+        with pytest.raises(PumpError, match=field):
+            PumpProfile.from_dict(spec)
 
 
 class TestIntegrateUv:
@@ -143,21 +161,26 @@ print(json.dumps(raised))
 
     def test_guard_window_counts_accepted_steps(self, monkeypatch):
         # the unitarity window scales with the steps the integrator accepted;
-        # the endpoint and the sampled solver both run the same DOP853 solve
+        # the endpoint and the sampled solver both run the same DOP853 solve,
+        # and the resonant system guards each of its two pairs
         pump = PumpProfile.gaussian_pulse(0.4, center=0.0, width=1.5)
-        ref = solve_ivp(dyn._uv_rhs(pump, 1.3), (-8.0, 8.0), [1.0, 0.0, 0.0, 0.0],
-                        method="DOP853", rtol=1e-12, atol=1e-12)
+        ref = solve_ivp(dyn._bogoliubov_rhs(pump, (1.3, 1.3)), (-8.0, 8.0),
+                        [1.0, 0.0, 0.0, 0.0], method="DOP853", rtol=1e-12, atol=1e-12)
+        ref_qm = solve_ivp(dyn._bogoliubov_rhs(pump, (1.3, 1.3, 0.9, 0.9), 2.2),
+                           (-8.0, 8.0), [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                           method="DOP853", rtol=1e-12, atol=1e-12)
         seen = []
         guard = dyn._check_unitarity
 
-        def spy(u, v, tol, steps=1):
+        def spy(pair, tol, steps):
             seen.append(steps)
-            guard(u, v, tol, steps)
+            guard(pair, tol, steps)
 
         monkeypatch.setattr(dyn, "_check_unitarity", spy)
         integrate_uv(pump, 1.3, -8.0, 8.0, tol=1e-12)
         uv_trajectory(pump, 1.3, -8.0, 8.0, tol=1e-12, samples=101)
-        assert seen == [len(ref.t) - 1] * 2
+        integrate_qm(pump, 1.3, 0.9, -8.0, 8.0, tol=1e-12)
+        assert seen == [len(ref.t) - 1] * 2 + [len(ref_qm.t) - 1] * 2
 
     def test_time_reversal_returns_to_vacuum(self):
         # reflect the trajectory: negated pump and frequency, run forward
@@ -168,12 +191,37 @@ print(json.dumps(raised))
         def reflected(s):
             return -pump(t1 + t0 - s)
 
-        y, _ = dyn._solve(dyn._uv_rhs(reflected, -omega),
-                          [fwd.u.real, fwd.u.imag, fwd.v.real, fwd.v.imag],
-                          t0, t1, 1e-10)
+        sol = solve_ivp(dyn._bogoliubov_rhs(reflected, (-omega, -omega)), (t0, t1),
+                        [fwd.u.real, fwd.u.imag, fwd.v.real, fwd.v.imag],
+                        method="DOP853", rtol=1e-10, atol=1e-10)
+        y = sol.y[:, -1]
         back = BogoliubovPair(u=complex(y[0], y[1]), v=complex(y[2], y[3]))
         assert abs(back.u - 1.0) < 1e-7
         assert abs(back.v) < 1e-7
+
+    def test_zero_length_trajectory_is_the_vacuum(self):
+        times, u, v = uv_trajectory(PumpProfile.constant(0.5), 1.0, 1.0, 1.0, samples=5)
+        assert times.shape == u.shape == v.shape == (5,)
+        assert np.all(times == 1.0)
+        assert np.all(u == 1.0) and np.all(v == 0.0)
+
+    def test_rhs_is_the_written_system(self):
+        # each amplitude is driven by the conjugate of its mirror: for the
+        # resonant pair u_s by v_e, v_s by u_e, under the pump's carrier;
+        # the real arithmetic rounds as the scalar complex products do
+        pump = PumpProfile.constant(0.5, theta_in=0.3)
+        omega_s, omega_e, t = 1.3, 0.9, 0.7
+        z = np.array([0.3 + 0.2j, -0.1 + 0.4j, 0.8 - 0.5j, 0.25 + 0.6j])
+        us, vs, ue, ve = z
+        w = 1j * pump(t) * np.exp(-1j * (omega_s + omega_e) * t)
+        written = [-1j * omega_s * us + w * np.conj(ve),
+                   -1j * omega_s * vs + w * np.conj(ue),
+                   -1j * omega_e * ue + w * np.conj(vs),
+                   -1j * omega_e * ve + w * np.conj(us)]
+        rhs = dyn._bogoliubov_rhs(pump, (omega_s, omega_s, omega_e, omega_e),
+                                  omega_s + omega_e)
+        got = rhs(t, z.view(float)).view(complex)
+        np.testing.assert_array_equal(got, written)
 
 
 class TestQmSystem:
