@@ -96,8 +96,9 @@ class Multiplicities:
 class ThermalSpec:
     """Environment temperature, oscillator frequency and chemical potential.
 
-    Natural units (k_B = hbar = 1).  ``mu < omega`` is required so that the
-    implied Bose-Einstein occupation is finite and positive.
+    Natural units (k_B = hbar = 1).  ``omega > 0`` is required, and
+    ``mu < omega`` so that the implied Bose-Einstein occupation is finite
+    and positive.
     """
 
     T: float
@@ -113,6 +114,8 @@ class ThermalSpec:
             )
         if self.T <= 0:
             raise ValueError(f"temperature must be positive, got {self.T}")
+        if self.omega <= 0:
+            raise ValueError(f"oscillator frequency must be positive, got {self.omega}")
         if self.mu >= self.omega:
             raise ValueError(
                 f"chemical potential must lie below the oscillator frequency "

@@ -131,6 +131,8 @@ class PumpProfile:
                 raise PumpError("tabulated times must be at least two, strictly increasing")
             if len(self.values) != t.size:
                 raise PumpError("tabulated times and values must have equal length")
+            # the table as arrays, converted once rather than on every call
+            object.__setattr__(self, "_table", (t, np.asarray(self.values, dtype=float)))
 
     @classmethod
     def constant(cls, q0: float, theta_in: float = 0.0) -> "PumpProfile":
@@ -213,7 +215,7 @@ class PumpProfile:
         if self.kind == "de_sitter":
             return 1j * self.strength * (-1.0 / np.asarray(t, dtype=float))
         # tabulated
-        q = np.interp(np.asarray(t, dtype=float), self.times, self.values)
+        q = np.interp(np.asarray(t, dtype=float), *self._table)
         return q * np.exp(1j * self.theta_in)
 
 
@@ -306,26 +308,52 @@ def _solve(pump, freqs, t_in, t_fin, tol, carrier=None, samples=None):
     ``freqs`` holds one frequency per amplitude, the pairs ``(u, v)`` laid
     out one after the other.  Returns the complex amplitudes at ``t_fin``,
     or with ``samples`` their values on that many uniform times, one row
-    per amplitude.  Every pair passes the unitarity guard at ``t_fin``.
+    per amplitude.  Every pair passes the unitarity guard at ``t_fin``,
+    over the accepted steps of the whole span.
+
+    A tabulated pump is kinked at its knots, where DOP853's error estimate
+    does not hold, so the span is split at its interior knots and the
+    segments are chained, each starting from the state the last one ended
+    in.  Floating-point overflow inside the solve raises no warning: a pump
+    large enough to cause it fails DOP853's step-size control, which raises
+    :class:`IntegrationError`.
     """
     from scipy.integrate import solve_ivp
 
     check_span(t_in, t_fin, tol)
+    knots = []
     if isinstance(pump, PumpProfile):
         pump.validate_interval(t_in, t_fin)
+        # only a tabulated profile has knots
+        knots = [t for t in pump.times if t_in < t < t_fin]
     z0 = np.zeros(len(freqs), dtype=complex)
     z0[::2] = 1.0
     if t_fin == t_in:
         return z0 if samples is None else np.repeat(z0[:, None], samples, axis=1)
+    bounds = (t_in, *knots, t_fin)
     times = None if samples is None else np.linspace(t_in, t_fin, samples)
-    # dense output is what numbers the accepted steps of a sampled solve
-    sol = solve_ivp(_bogoliubov_rhs(pump, freqs, carrier), (t_in, t_fin),
-                    z0.view(float), method="DOP853", rtol=max(tol, 1e-13),
-                    atol=tol, t_eval=times, dense_output=samples is not None)
-    if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}")
-    z = np.ascontiguousarray(sol.y.T).view(complex).T
-    steps = len(sol.t if samples is None else sol.sol.ts) - 1
+    rhs = _bogoliubov_rhs(pump, freqs, carrier)
+    y, steps, rows = z0.view(float), 0, []
+    with np.errstate(all="ignore"):
+        for a, b in zip(bounds, bounds[1:]):
+            # a sample on a knot belongs to the segment that starts there
+            t_eval = None if times is None else times[
+                (times >= a) & ((times < b) | (b == t_fin))]
+            # dense output is what numbers the accepted steps of a sampled
+            # solve, and gives its state at the segment's end
+            sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=max(tol, 1e-13),
+                            atol=tol, t_eval=t_eval, dense_output=samples is not None)
+            if not sol.success:
+                raise IntegrationError(f"integrator failed: {sol.message}")
+            if samples is None:
+                steps += len(sol.t) - 1
+                y = sol.y[:, -1]
+            else:
+                steps += len(sol.sol.ts) - 1
+                y = sol.sol(b)
+                rows.append(sol.y)
+    z = np.ascontiguousarray((y[:, None] if samples is None else np.hstack(rows)).T)
+    z = z.view(complex).T
     end = z[:, -1]
     for u, v in zip(end[::2], end[1::2]):
         _check_unitarity(BogoliubovPair(u, v), tol, steps)

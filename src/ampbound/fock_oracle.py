@@ -37,7 +37,6 @@ __all__ = [
     "JointReduction",
     "thermal_weights",
     "thermal_tail",
-    "squeeze_tail",
     "choose_truncation",
     "reduce_joint_state",
     "von_neumann_entropy",
@@ -70,10 +69,12 @@ class TruncationSpec:
     documented tail estimator is::
 
         (n_bar/(n_bar+1))**(M+1)
-          + sum_m pbar_m * NegBin(m+1, 1 - tanh(r)**2).sf(L)  <=  tolerance
+          + sum_{m<=M} pbar_m * NegBin(m+1, 1 - tanh(r)**2).sf(L)
+          <=  (n_bar/(n_bar+1))**(M+1) + (N/(N+1))**(L+1)  <=  tolerance
 
-    i.e. the exact geometric tail of the thermal sum plus the exact
-    negative-binomial ladder tails weighted by the thermal distribution.
+    with ``N = sinh(r)**2 (n_bar + 1)``: the geometric tail of the thermal
+    sum plus the negative-binomial ladder tails weighted by the thermal
+    distribution, which the tail of the geometric system marginal bounds.
     """
 
     max_thermal: int
@@ -121,38 +122,30 @@ def thermal_tail(n_bar: float, max_thermal: int) -> float:
     return float(np.exp((max_thermal + 1) * (np.log(n_bar) - np.log1p(n_bar))))
 
 
-def squeeze_tail(n_bar: float, r: float, max_thermal: int, max_squeeze: int) -> float:
-    """Dropped ladder mass summed over retained thermal sectors.
-
-    The pair ladder of the sector that started with ``m`` thermal quanta is
-    negative-binomially distributed with ``m+1`` successes and failure
-    probability ``tanh(r)**2``; its exact survival function beyond the cutoff
-    ``L``, the regularized incomplete beta ``I_{tanh(r)**2}(L+1, m+1)``, is
-    weighted by the thermal probability of the sector.
-    """
-    from scipy.special import betainc
-
-    if r == 0:
-        return 0.0
-    t2 = np.tanh(r) ** 2
-    m = np.arange(max_thermal + 1)
-    tails = betainc(max_squeeze + 1, m + 1, t2)
-    return float(np.sum(thermal_weights(n_bar, max_thermal + 1) * tails))
-
-
-def _weight_count(max_thermal: int, max_squeeze: int) -> int:
-    """Ladder weights a reduction at these cutoffs evaluates."""
-    return (max_thermal + 1) * (max_squeeze + 1)
+def _geometric_cutoff(mean: float, tail: float) -> int | float:
+    """Smallest ``K >= 0`` with ``(mean/(mean+1))**(K+1) <= tail``, or ``inf``
+    when no float fits: ``mean`` is not finite or the ratio rounds to 1."""
+    if mean == 0:
+        return 0
+    log_q = np.log(mean) - np.log1p(mean) if np.isfinite(mean) else 0.0
+    if not log_q < 0:
+        return np.inf
+    return max(0, int(np.ceil(np.log(tail) / log_q - 1)))
 
 
 def choose_truncation(n_bar: float, r: float, tolerance: float,
                       budget: int = ENTRY_BUDGET) -> TruncationSpec:
-    """Smallest cutoffs meeting the documented tail estimator.
+    """Smallest cutoffs that cut two geometric tails at half the tolerance.
 
-    The thermal cutoff takes half the tolerance through the exact geometric
-    tail; the ladder cutoff takes the other half through the weighted
-    negative-binomial tails.  Both cutoffs are nondecreasing as the tolerance
-    shrinks.
+    The thermal sum is geometric with mean ``n_bar``, which fixes ``M``.
+    The ladder of sector ``m`` is negative binomial, ``C(m+l, l) t^l
+    (1-t)^(m+1)`` with ``t = tanh(r)**2``; mixed over ``pbar_m = (1-q) q^m``,
+    ``q = n_bar/(n_bar+1)``, it gives the geometric system marginal of ratio
+    ``t/(1 - q(1-t)) = N/(N+1)``, ``N = sinh(r)**2 (n_bar + 1)``.  The
+    weighted ladder tails of the retained sectors are at most that
+    marginal's tail, which fixes ``L``.  Both cutoffs are nondecreasing as
+    the tolerance shrinks, and the work ``(M+1)(L+1)`` is checked against
+    the budget before anything is evaluated.
 
     Raises
     ------
@@ -160,7 +153,8 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
         If ``n_bar`` or ``r`` is negative or not finite, or the tolerance is
         outside ``(0, 1)``.
     TruncationInfeasibleError
-        If the reduction would evaluate more than ``budget`` ladder weights.
+        If the reduction would evaluate more than ``budget`` ladder weights,
+        or a cutoff does not fit a float.
     """
     if not 0 < tolerance < 1:
         raise ValueError("tolerance must be in (0, 1)")
@@ -169,37 +163,16 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
     if n_bar < 0 or r < 0:
         raise ValueError("n_bar and r must be nonnegative")
     half = tolerance / 2.0
-    if n_bar == 0:
-        M = 0
-    else:
-        log_q = np.log(n_bar) - np.log1p(n_bar)
-        M = max(0, int(np.ceil(np.log(half) / log_q - 1)))
-        while thermal_tail(n_bar, M) > half:
-            M += 1
-    if r == 0:
-        L = 0
-    else:
-        L = 1
-        while squeeze_tail(n_bar, r, M, L) > half:
-            # the cutoff is at least L + 1 from here on
-            if _weight_count(M, L + 1) > budget:
-                raise TruncationInfeasibleError(
-                    f"no feasible ladder cutoff for n_bar={n_bar}, r={r}, "
-                    f"tolerance={tolerance} within {budget} entries"
-                )
-            L *= 2
-        lo, hi = L // 2, L
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if squeeze_tail(n_bar, r, M, mid) <= half:
-                hi = mid
-            else:
-                lo = mid + 1
-        L = lo
-    entries = _weight_count(M, L)
+    # N overflows to inf beyond r of about 355, which has no cutoff
+    with np.errstate(over="ignore"):
+        N_bar = float(np.sinh(r) ** 2 * (n_bar + 1.0))
+    M = _geometric_cutoff(n_bar, half)
+    L = _geometric_cutoff(N_bar, half)
+    entries = (M + 1) * (L + 1)
     if entries > budget:
         raise TruncationInfeasibleError(
-            f"truncation (M={M}, L={L}) needs {entries} entries, "
+            f"truncation (M={M:.3g}, L={L:.3g}) needs {entries:.3g} ladder "
+            f"weights for n_bar={n_bar}, r={r}, tolerance={tolerance}; "
             f"budget is {budget}"
         )
     return TruncationSpec(max_thermal=M, max_squeeze=L, tolerance=tolerance)

@@ -32,6 +32,8 @@ and the factorization are compared with matrix exponentials, the double sum
 with a direct exponential of the generator, and :func:`joint_kets` mixes
 the evolved sectors into the ket ensemble from which
 ``dense_reference`` builds the full product-basis joint state.
+:func:`squeeze_tail` is the exact weighted ladder tail that the geometric
+cutoff of :func:`ampbound.fock_oracle.choose_truncation` bounds.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from ampbound.fock_oracle import (
     TruncationError,
@@ -230,3 +232,20 @@ def joint_kets(n_bar: float, p: SqueezeParams, trunc: TruncationSpec) -> tuple:
         amps = evolve_basis_state(0, m, p, trunc, tail_tol=1.0).amplitudes
         kets[m, :amps.size] = amps
     return thermal_weights(n_bar, M + 1), kets
+
+
+def squeeze_tail(n_bar: float, r: float, max_thermal: int, max_squeeze: int) -> float:
+    """Dropped ladder mass summed over retained thermal sectors.
+
+    The pair ladder of the sector that started with ``m`` thermal quanta is
+    negative-binomially distributed with ``m+1`` successes and failure
+    probability ``tanh(r)**2``; its exact survival function beyond the cutoff
+    ``L``, the regularized incomplete beta ``I_{tanh(r)**2}(L+1, m+1)``, is
+    weighted by the thermal probability of the sector.
+    """
+    if r == 0:
+        return 0.0
+    t2 = np.tanh(r) ** 2
+    m = np.arange(max_thermal + 1)
+    tails = betainc(max_squeeze + 1, m + 1, t2)
+    return float(np.sum(thermal_weights(n_bar, max_thermal + 1) * tails))

@@ -90,6 +90,12 @@ class TestThermalSpec:
         with pytest.raises(ValueError):
             ThermalSpec(T=1.0, omega=1.0, mu=2.0)
 
+    @pytest.mark.parametrize("omega, mu", [(-1.0, -2.0), (0.0, -1.0), (-1e-300, -1.0)])
+    def test_non_positive_frequency_rejected(self, omega, mu):
+        # mu < omega holds here, so only the frequency itself is at fault
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            ThermalSpec(T=1.0, omega=omega, mu=mu)
+
     @pytest.mark.parametrize("field", ["T", "omega", "mu"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, value):

@@ -68,6 +68,16 @@ class TestCheck:
         assert run(capsys, "check", "--nbar", "1", "--nq", "1",
                    "--omega", "1", "--T", "1", "--mu", "2")[0] == 1
 
+    @pytest.mark.parametrize("omega, mu", [("-1", "-2"), ("0", "-1")])
+    @pytest.mark.parametrize("occupation", [["--nbar", "1"], ["--from-thermal"]])
+    def test_non_positive_frequency_exits_1(self, capsys, omega, mu, occupation):
+        code = main(["check", *occupation, "--nq", "1", f"--omega={omega}",
+                     f"--mu={mu}", "--T", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "frequency must be positive" in captured.err
+
     @pytest.mark.parametrize("flag, value", [
         ("--nbar", "nan"), ("--nq", "inf"), ("--T", "inf"), ("--T", "nan"),
         ("--omega", "nan"), ("--mu", "-inf"), ("--nbar", "1e300")])
@@ -352,6 +362,21 @@ class TestVerify:
         assert "overflows" in bad["error"]
         assert good["pass"]
 
+    @pytest.mark.parametrize("point", [
+        # a 2.8e7-sector thermal cutoff, a 20 TiB one, a tail ratio that
+        # rounds to 1 and an N_bar that overflows
+        "1e6,0.5", "1e11,0.5", "1e17,0.5", "1e300,1", "1,400"])
+    def test_unreachable_point_recorded_and_sweep_goes_on(self, tmp_path, capsys, point):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--point", "1,0.8", "--point", point, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == ""
+        good, bad = strict_json(out.read_text())["records"]
+        assert good["pass"]
+        assert (bad["n_bar"], bad["r"]) == tuple(float(v) for v in point.split(","))
+        assert set(bad) == {"n_bar", "r", "error"}
+        assert "budget" in bad["error"]
+
     @pytest.mark.parametrize("flag", ["--seed", "--threads"])
     def test_removed_flags_rejected(self, capsys, flag):
         assert run(capsys, flag, "1", "verify", "--point", "0,0")[0] == 1
@@ -482,6 +507,18 @@ class TestSpectrum:
         assert result.stderr.startswith("error: ") and "pump" in result.stderr
         assert result.stderr.count("\n") == 1
         assert not out.exists()
+
+    def test_huge_pump_error_rows_without_warnings(self, pump_file, tmp_path):
+        path = pump_file({"kind": "constant", "q0": 1e300})
+        out = tmp_path / "spectrum.csv"
+        result = run_cli("spectrum", "--pump", path, "--T", "1", "--k-min", "0.1",
+                         "--k-max", "1", "--k-points", "2", "--tau-in", "-50",
+                         "--tau-fin", "-0.1", "--out", str(out))
+        assert result.returncode == 0
+        assert result.stderr == ""
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.endswith("less than spacing between numbers.") for row in rows)
 
     def test_singular_pump_isolated_per_mode(self, pump_file, capsys):
         path = pump_file({"kind": "de_sitter"})

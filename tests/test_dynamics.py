@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,94 @@ print(json.dumps(raised))
                                   omega_s + omega_e)
         got = rhs(t, z.view(float)).view(complex)
         np.testing.assert_array_equal(got, written)
+
+
+KNOT_TIMES = np.linspace(0.0, 14.0, 15)
+KNOT_PUMP = PumpProfile.tabulated(KNOT_TIMES, 0.3 + 0.2 * np.sin(KNOT_TIMES), theta_in=0.2)
+
+
+def knot_to_knot_reference(pump, omega, tol=1e-13):
+    """``(u, v)`` from DOP853 solves of the written complex system, one per
+    knot interval of a tabulated pump, each restarted where the last ended."""
+    def rhs(t, y):
+        u, v = complex(y[0], y[1]), complex(y[2], y[3])
+        g = complex(pump(t))
+        du = -1j * omega * u + 1j * g * v.conjugate()
+        dv = -1j * omega * v + 1j * g * u.conjugate()
+        return [du.real, du.imag, dv.real, dv.imag]
+
+    y = [1.0, 0.0, 0.0, 0.0]
+    for a, b in zip(pump.times, pump.times[1:]):
+        y = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=tol, atol=tol).y[:, -1]
+    return complex(y[0], y[1]), complex(y[2], y[3])
+
+
+class TestTabulatedKnots:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-8])
+    def test_tolerance_governs_error_across_knots(self, tol):
+        # stepping across the kinks left errors of 40, 290 and 29 times tol
+        u, v = knot_to_knot_reference(KNOT_PUMP, 0.7)
+        pair = integrate_uv(KNOT_PUMP, 0.7, 0.0, 14.0, tol)
+        assert max(abs(pair.u - u), abs(pair.v - v)) <= tol * abs(u)
+
+    @pytest.mark.parametrize("t_in, t_fin, spans", [
+        (0.0, 14.0, [(float(a), float(b)) for a, b in zip(KNOT_TIMES, KNOT_TIMES[1:])]),
+        (2.5, 4.5, [(2.5, 3.0), (3.0, 4.0), (4.0, 4.5)]),
+        (3.0, 4.0, [(3.0, 4.0)]),
+        (2.25, 2.75, [(2.25, 2.75)])])
+    def test_span_split_at_interior_knots_only(self, monkeypatch, t_in, t_fin, spans):
+        import scipy.integrate
+
+        seen = []
+        solve = scipy.integrate.solve_ivp
+        monkeypatch.setattr(scipy.integrate, "solve_ivp",
+                            lambda fun, span, *a, **k: seen.append(span) or solve(fun, span, *a, **k))
+        integrate_uv(KNOT_PUMP, 0.7, t_in, t_fin, 1e-10)
+        assert seen == spans
+
+    def test_span_without_interior_knot_is_one_solve(self):
+        # bit for bit the single DOP853 solve over the whole span
+        ref = solve_ivp(dyn._bogoliubov_rhs(KNOT_PUMP, (0.7, 0.7)), (3.0, 4.0),
+                        [1.0, 0.0, 0.0, 0.0], method="DOP853", rtol=1e-10, atol=1e-10)
+        pair = integrate_uv(KNOT_PUMP, 0.7, 3.0, 4.0, 1e-10)
+        y = ref.y[:, -1]
+        assert (pair.u, pair.v) == (complex(y[0], y[1]), complex(y[2], y[3]))
+
+    def test_guard_counts_steps_of_every_segment(self, monkeypatch):
+        rhs = dyn._bogoliubov_rhs(KNOT_PUMP, (0.7, 0.7))
+        y, total = [1.0, 0.0, 0.0, 0.0], 0
+        for a, b in zip(KNOT_TIMES, KNOT_TIMES[1:]):
+            sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-10, atol=1e-10)
+            y, total = sol.y[:, -1], total + len(sol.t) - 1
+        seen = []
+        guard = dyn._check_unitarity
+        monkeypatch.setattr(dyn, "_check_unitarity",
+                            lambda pair, tol, steps: seen.append(steps) or guard(pair, tol, steps))
+        integrate_uv(KNOT_PUMP, 0.7, 0.0, 14.0, 1e-10)
+        uv_trajectory(KNOT_PUMP, 0.7, 0.0, 14.0, 1e-10, samples=29)
+        assert seen == [total, total]
+
+    def test_trajectory_samples_across_knots(self):
+        # 29 samples put every other one on a knot
+        times, u, v = uv_trajectory(KNOT_PUMP, 0.7, 0.0, 14.0, 1e-10, samples=29)
+        np.testing.assert_array_equal(times, np.linspace(0.0, 14.0, 29))
+        assert u.shape == v.shape == (29,)
+        assert (u[0], v[0]) == (1.0, 0.0)
+        pair = integrate_uv(KNOT_PUMP, 0.7, 0.0, 14.0, 1e-10)
+        assert abs(u[-1] - pair.u) <= 1e-12 and abs(v[-1] - pair.v) <= 1e-12
+        half = integrate_uv(KNOT_PUMP, 0.7, 0.0, 7.0, 1e-10)
+        assert abs(u[14] - half.u) <= 1e-9 and abs(v[14] - half.v) <= 1e-9
+
+
+class TestHugePump:
+    @pytest.mark.parametrize("pump", [
+        PumpProfile.constant(1e300), PumpProfile.gaussian_pulse(1e200, -10.0, 1.0),
+        PumpProfile.de_sitter(1e300)])
+    def test_fails_without_warnings(self, pump):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="step size"):
+                integrate_uv(pump, 1.0, -50.0, -0.1)
 
 
 class TestQmSystem:

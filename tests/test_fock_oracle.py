@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from ampbound.fock_oracle import (
     choose_truncation,
     expectations,
     reduce_joint_state,
-    squeeze_tail,
     thermal_tail,
     thermal_weights,
     verify_grid,
@@ -30,7 +31,13 @@ from dense_reference import (
     partial_trace,
     purity,
 )
-from su11_reference import SqueezeParams, joint_kets
+from su11_reference import SqueezeParams, joint_kets, squeeze_tail
+
+
+def system_ratio(n_bar, r):
+    """``N/(N+1)`` of the geometric system marginal, ``N = sinh(r)**2 (n_bar+1)``."""
+    N = math.sinh(r) ** 2 * (n_bar + 1.0)
+    return N / (N + 1.0)
 
 
 def reduction(n_bar, r, tol=1e-12):
@@ -69,12 +76,49 @@ class TestChooseTruncation:
             assert total <= tol
 
     def test_minimality_of_ladder_cutoff(self):
+        # L is the smallest cutoff at which the geometric system marginal's
+        # tail (N/(N+1))**(L+1) fits half the tolerance
         trunc = choose_truncation(1.0, 1.0, 1e-10)
-        assert squeeze_tail(1.0, 1.0, trunc.max_thermal, trunc.max_squeeze - 1) > 5e-11
+        ratio = system_ratio(1.0, 1.0)
+        assert ratio ** (trunc.max_squeeze + 1) <= 5e-11
+        assert ratio ** trunc.max_squeeze > 5e-11
+
+    @pytest.mark.parametrize("n_bar", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("r", [0.1, 1.0, 2.25, 3.0])
+    def test_geometric_bound_dominates_ladder_tails(self, n_bar, r):
+        # corners of the default nbar_vs_nq and nbar_vs_r planes; choosing
+        # the cutoffs evaluates no weight, so a large budget costs nothing
+        trunc = choose_truncation(n_bar, r, 1e-12, budget=10**10)
+        M, L = trunc.max_thermal, trunc.max_squeeze
+        bound = system_ratio(n_bar, r) ** (L + 1)
+        assert squeeze_tail(n_bar, r, M, L) <= bound <= 5e-13
+        assert thermal_tail(n_bar, M) + bound <= 1e-12
 
     def test_infeasible_budget(self):
         with pytest.raises(TruncationInfeasibleError):
             choose_truncation(5.0, 3.0, 1e-12, budget=10_000)
+
+    def test_infeasible_point_allocates_nothing(self):
+        # M = 2.8e7 here: the budget is checked before any array exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationInfeasibleError):
+                choose_truncation(1e6, 0.5, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n_bar, r", [
+        (1e11, 0.5), (1e15, 0.5), (1e17, 0.5), (1e300, 1.0),
+        # N = sinh(r)**2 (n_bar + 1) overflows near r = 355
+        (1.0, 355.0), (1.0, 400.0), (1e300, 400.0)])
+    def test_extreme_point_is_infeasible_with_short_message(self, n_bar, r):
+        with pytest.raises(TruncationInfeasibleError) as info:
+            choose_truncation(n_bar, r, 1e-12)
+        # cutoffs are printed in short float form, never as long integers
+        cutoffs = re.search(r"M=(\S+), L=(\S+)\) needs (\S+) ", str(info.value))
+        assert cutoffs and all(len(c) <= 9 for c in cutoffs.groups())
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
