@@ -17,19 +17,16 @@ from .analytic import (
     delta_Q,
     delta_S,
     entropy_gain,
-    environment_pgf,
-    environment_weights,
+    geometric_weights,
     joint_purity,
     nbar_from_thermal,
     ratio_from_occupation,
     ratio_from_temperature,
-    system_weights,
 )
 from .dynamics import (
     BogoliubovPair,
     PumpProfile,
     SqueezeTriple,
-    closed_form_qm,
     desitter_exact_pair,
     extract_squeeze,
     integrate_qm,

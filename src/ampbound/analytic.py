@@ -36,9 +36,10 @@ __all__ = [
     "BoundReport",
     "RegimeValidityWarning",
     "nbar_from_thermal",
-    "system_weights",
-    "environment_weights",
-    "environment_pgf",
+    "pair_occupation",
+    "geometric_weights",
+    "geometric_tail",
+    "geometric_cutoff",
     "joint_purity",
     "delta_S",
     "delta_Q",
@@ -89,7 +90,7 @@ class Multiplicities:
         ``n_q`` overflows to infinity beyond ``|r|`` of about 355, which the
         constructor rejects with :class:`ValueError`.
         """
-        return cls(n_bar, float(np.sinh(r) ** 2))
+        return cls(n_bar, pair_occupation(r))
 
 
 @dataclass(frozen=True)
@@ -152,6 +153,16 @@ def nbar_from_thermal(spec: ThermalSpec) -> float:
     return float(np.exp(-x) / -np.expm1(-x))
 
 
+def pair_occupation(r: float) -> float:
+    """Mean number of pairs a squeeze of amplitude ``r`` produces, ``sinh(r)^2``.
+
+    A Python float in scalar rounding; infinite, without a warning, beyond
+    ``|r|`` of about 355.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.sinh(r) ** 2)
+
+
 def _occupations(values, name: str = "N_bar") -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if np.any(v < 0):
@@ -206,76 +217,41 @@ def delta_N(m: Multiplicities) -> float:
     return m.N_bar
 
 
-def system_weights(m: Multiplicities, ell_max: int) -> np.ndarray:
-    """Occupation probabilities of the reduced system state.
+def _log_ratio(mean: float) -> float:
+    # ln(mean/(mean+1)), taken as 0 for an infinite mean; callers handle 0
+    return np.log(mean) - np.log1p(mean) if np.isfinite(mean) else 0.0
 
-    The reduced system state after amplification is diagonal with geometric
-    weights ``p_l = N_bar^l / (N_bar+1)^(l+1)``.
 
-    Parameters
-    ----------
-    m : Multiplicities
-    ell_max : int
-        Highest occupation number included (inclusive).
+def geometric_weights(mean: float, count: int) -> np.ndarray:
+    """The Bose-Einstein law of mean ``mean``: ``mean**k / (mean+1)**(k+1)``
+    for ``k < count``.
 
-    Returns
-    -------
-    ndarray of shape (ell_max+1,)
+    It is the thermal occupation of a mode at mean ``n_bar``; after the
+    amplification the system is distributed by it at mean ``N_bar`` and the
+    environment at mean ``n_bar + N_bar``.
     """
-    if ell_max < 0:
-        raise ValueError("ell_max must be nonnegative")
-    N = m.N_bar
-    ell = np.arange(ell_max + 1)
-    if N == 0:
-        out = np.zeros(ell_max + 1)
-        out[0] = 1.0
-        return out
-    # log-space geometric weights: l*ln N - (l+1)*ln(N+1)
-    return np.exp(ell * np.log(N) - (ell + 1) * np.log1p(N))
+    if mean == 0:
+        return (np.arange(count) == 0) * 1.0
+    return np.exp(np.arange(count) * _log_ratio(mean) - np.log1p(mean))
 
 
-def environment_weights(m: Multiplicities, ell_max: int, m_max: int) -> np.ndarray:
-    """Joint occupation probabilities of the reduced environment state.
-
-    Entry ``[l, mm]`` is the probability that the environment holds ``mm``
-    initial thermal quanta and ``l`` amplified pairs:
-
-        C(mm+l, mm) * n_bar^mm * n_q^l / ((n_bar+1)^(mm+1) * (n_q+1)^(mm+l+1))
-
-    The binomials and powers are combined in log space, one exponentiation
-    per entry, so large indices do not overflow.
-
-    Returns
-    -------
-    ndarray of shape (ell_max+1, m_max+1)
-    """
-    from scipy.special import gammaln
-
-    if ell_max < 0 or m_max < 0:
-        raise ValueError("ell_max and m_max must be nonnegative")
-    nb, nq = m.n_bar, m.n_q
-    ell = np.arange(ell_max + 1)[:, None]
-    mm = np.arange(m_max + 1)[None, :]
-    log_binom = gammaln(mm + ell + 1) - gammaln(mm + 1) - gammaln(ell + 1)
-    # occupation powers: n^k in log space, with 0^0 = 1 and 0^k = 0
-    mterm = mm * np.log(nb) if nb > 0 else np.where(mm > 0, -np.inf, 0.0)
-    lterm = ell * np.log(nq) if nq > 0 else np.where(ell > 0, -np.inf, 0.0)
-    logp = (
-        log_binom + mterm + lterm
-        - (mm + 1) * np.log1p(nb)
-        - (mm + ell + 1) * np.log1p(nq)
-    )
-    return np.exp(logp)
+def geometric_tail(mean: float, count: int) -> float:
+    """Mass of the law beyond its first ``count`` weights, ``(mean/(mean+1))**count``."""
+    if mean == 0:
+        return float(count == 0)
+    return float(np.exp(count * _log_ratio(mean)))
 
 
-def environment_pgf(m: Multiplicities, s: float, w: float) -> float:
-    """Probability generating function of the environment weights.
-
-    ``sum_{l,mm} s^mm w^l p[l,mm] = 1/(1 + (1-s)*n_bar + (1-w)*N_bar)``.
-    ``s`` tags the initial thermal quanta, ``w`` the amplified pairs; both
-    marginals are of Bose-Einstein form, with means ``n_bar`` and ``N_bar``.
-    """
-    return 1.0 / (1.0 + (1.0 - s) * m.n_bar + (1.0 - w) * m.N_bar)
+def geometric_cutoff(mean: float, tail: float) -> int | float:
+    """Smallest ``K >= 0`` whose tail ``(mean/(mean+1))**(K+1)`` is at most
+    ``tail``, or ``inf`` when no float fits: ``mean`` is not finite or the
+    ratio rounds to 1."""
+    if mean == 0:
+        return 0
+    log_q = _log_ratio(mean)
+    if not log_q < 0:
+        return np.inf
+    return max(0, int(np.ceil(np.log(tail) / log_q - 1)))
 
 
 def joint_purity(m: Multiplicities) -> float:
@@ -303,6 +279,9 @@ def _ratio(N: np.ndarray, beta):
         ratio = np.where(N == 0, 0.0, (np.log1p(1.0 / N) + np.log1p(N) / N) / beta)
     if not np.all(np.isfinite(ratio)):
         raise ValueError("bound ratio is not finite: N_bar or T/(omega - mu) out of range")
+    # a subnormal ratio keeps too few digits to print 17 of them
+    if np.any((ratio > 0) & (ratio < _TINY)):
+        raise ValueError("bound ratio underflows: N_bar or T/(omega - mu) out of range")
     return _result(ratio)
 
 
@@ -312,7 +291,7 @@ def ratio_from_temperature(T, omega, mu, N_bar):
     ``(T/(omega-mu)) * ((N+1)ln(N+1) - N ln N) / N``; returns 0 at N=0 and
     at ``T = 0``.  The arguments are scalars or broadcastable arrays; the
     result is a float when all of them are scalars.  A negative or subnormal
-    ``N_bar``, or a ratio that overflows, raises ``ValueError``.
+    ``N_bar``, or an overflowing or subnormal ratio, raises ``ValueError``.
     """
     with np.errstate(divide="ignore"):
         return _ratio(_occupations(N_bar), np.subtract(omega, mu) / T)
@@ -324,8 +303,8 @@ def ratio_from_occupation(n_bar, N_bar):
     ``((N+1)ln(N+1) - N ln N) / (N ln(1 + 1/n_bar))``; returns 0 at N=0 and
     in the zero-temperature limit ``n_bar -> 0``.  The arguments are scalars
     or broadcastable arrays; the result is a float when both are scalars.
-    A negative or subnormal entry in either, or a ratio that overflows,
-    raises ``ValueError``.
+    A negative or subnormal entry in either, or an overflowing or subnormal
+    ratio, raises ``ValueError``.
     """
     N = _occupations(N_bar)
     with np.errstate(divide="ignore"):
@@ -347,8 +326,8 @@ def bound_ratio(spec: ThermalSpec, m: Multiplicities) -> BoundReport:
     BoundReport
         With ``delta_S`` (nats), ``delta_Q = omega*N_bar``, ``delta_N = N_bar``
         and ``satisfied = (ratio <= 1)``.  ``N_bar = 0`` yields ratio 0 with
-        zero flows, satisfied.  An overflowing ``delta_Q`` or ratio raises
-        ``ValueError``.
+        zero flows, satisfied.  An overflowing ``delta_Q``, or an overflowing
+        or subnormal ratio, raises ``ValueError``.
     """
     dQ = _heat(spec.omega, m.N_bar)
     ratio = ratio_from_temperature(spec.T, spec.omega, spec.mu, m.N_bar)

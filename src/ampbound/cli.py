@@ -81,13 +81,6 @@ class ScanConfig:
         return (_axis(*self.x_range), _axis(*self.y_range))
 
 
-def _pair_occupations(rs: np.ndarray) -> np.ndarray:
-    # n_q = sinh(r)**2 per axis value in the scalar form that
-    # Multiplicities.from_squeeze uses; the array form np.sinh(rs) ** 2 can
-    # round differently in the last place, which would move CSV bytes
-    return np.array([float(np.sinh(r) ** 2) for r in rs.tolist()])
-
-
 def ratio_grid(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarray:
     """Bound ratio on every cell of a plane, shape ``(len(xs), len(ys))``.
 
@@ -105,10 +98,14 @@ def ratio_grid(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndar
     x, y = xs[:, None], ys[None, :]
     if plane == "N_vs_omegaT":
         return analytic.ratio_from_temperature(1.0, y, mu, x)
+    n_q = y
+    if plane.endswith("_r"):
+        # scalar per axis value: the array form np.sinh(ys) ** 2 can round
+        # differently in the last place, which would move CSV bytes
+        n_q = np.array([analytic.pair_occupation(r) for r in ys.tolist()])[None, :]
     # N_bar = n_q (n_bar + 1) overflows for large axis values; numpy's
     # warning would name no input, so the product is checked here instead
     with np.errstate(over="ignore"):
-        n_q = _pair_occupations(ys)[None, :] if plane.endswith("_r") else y
         n_bar = x if plane.startswith("nbar") else 1.0 / np.expm1(x - mu)
         N_bar = n_q * (n_bar + 1.0)
     if not np.all(np.isfinite(N_bar)):
@@ -263,16 +260,12 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _add_common_flags(parser, suppress: bool) -> None:
-    # registered on the root and on every subcommand so the flags are
-    # accepted in either position; the subcommand copies suppress their
-    # defaults so they never clobber values parsed at the root
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--out", default=d,
+def _add_out_flag(parser, default=argparse.SUPPRESS) -> None:
+    # --out, like check's --json, is registered on the root and on the
+    # subcommand so it is accepted in either position; the subcommand copy
+    # suppresses its default so it never clobbers a value parsed at the root
+    parser.add_argument("--out", default=default,
                         help="write output to this path instead of stdout")
-    parser.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS if suppress else False,
-                        help="JSON output where applicable")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,11 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entropy/heat/particle-flow bounds for parametric "
                     "amplification, with oracle verification and field scans.",
     )
-    _add_common_flags(parser, suppress=False)
+    _add_out_flag(parser, default=None)
+    parser.add_argument("--json", action="store_true", help="JSON output (check only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="evaluate the bound at one point")
-    _add_common_flags(check, suppress=True)
+    _add_out_flag(check)
+    check.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                       help="JSON output")
     check.add_argument("--nbar", type=float, default=None, help="thermal occupation")
     check.add_argument("--from-thermal", action="store_true",
                        help="derive the occupation from --T/--omega/--mu")
@@ -297,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     cmap = sub.add_parser("map", help="write a contour-map CSV grid")
-    _add_common_flags(cmap, suppress=True)
+    _add_out_flag(cmap)
     cmap.add_argument("--config", help="JSON scan config (see README)")
     cmap.add_argument("--plane", choices=PLANES, default=None)
     cmap.add_argument("--x-min", type=float, default=None)
@@ -314,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmap.set_defaults(func=cmd_map)
 
     verify = sub.add_parser("verify", help="oracle sweep against the closed forms")
-    _add_common_flags(verify, suppress=True)
+    _add_out_flag(verify)
     verify.add_argument("--point", action="append", default=[],
                         metavar="NBAR,R", help="grid point; repeatable")
     verify.add_argument("--tolerance", type=float, default=1e-8,
@@ -325,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     spect = sub.add_parser("spectrum", help="per-mode field scan")
-    _add_common_flags(spect, suppress=True)
+    _add_out_flag(spect)
     spect.add_argument("--pump", required=True, help="pump profile JSON path")
     spect.add_argument("--T", type=float, required=True)
     spect.add_argument("--mu", type=float, default=0.0)
@@ -348,6 +344,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.json and args.command != "check":
+            parser.error(f"--json applies to check only, not {args.command}")
     except SystemExit as exc:
         # argparse exits 2 on usage problems; the contract reserves 2 for a
         # violated bound, so usage errors are remapped to 1

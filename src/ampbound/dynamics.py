@@ -19,15 +19,9 @@ One DOP853 solve integrates either and checks, pair by pair, the unitarity
 
     u = e^{-i delta} cosh(r),   v = e^{-i (delta - theta)} sinh(r)
 
-and that parametrization obeys the flow
-
-    r'     = H cos(2 delta - theta)
-    delta' = omega - H tanh(r) sin(2 delta - theta)
-    theta' = H sin(2 delta - theta) / (cosh(r) sinh(r))
-
-whenever the pump is purely imaginary, with ``H = -Im(g)``; the theta
-equation is singular at ``r = 0``, which is why the linear ``(u, v)`` system
-is what gets integrated and the squeeze variables are extraction-only.
+The flow of these variables is singular at ``r = 0``, where ``theta'``
+carries ``1/sinh(r)``, which is why the linear ``(u, v)`` system is what
+gets integrated and the squeeze variables are extraction-only.
 
 For the quasi-de Sitter pump (``g = i * strength * (-1/tau)`` on ``tau < 0``)
 with the canonical normalization ``strength = 1`` the system is solved in
@@ -53,13 +47,9 @@ __all__ = [
     "SqueezeTriple",
     "check_span",
     "integrate_uv",
-    "uv_trajectory",
     "integrate_qm",
-    "closed_form_qm",
     "extract_squeeze",
-    "reconstruct_pair",
     "desitter_exact_pair",
-    "squeeze_flow_rhs",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -302,14 +292,13 @@ def _check_unitarity(pair, tol, steps):
         )
 
 
-def _solve(pump, freqs, t_in, t_fin, tol, carrier=None, samples=None):
+def _solve(pump, freqs, t_in, t_fin, tol, carrier=None):
     """Integrate the mirror-coupled system from the vacuum ``(1, 0, ...)``.
 
     ``freqs`` holds one frequency per amplitude, the pairs ``(u, v)`` laid
-    out one after the other.  Returns the complex amplitudes at ``t_fin``,
-    or with ``samples`` their values on that many uniform times, one row
-    per amplitude.  Every pair passes the unitarity guard at ``t_fin``,
-    over the accepted steps of the whole span.
+    out one after the other.  Returns the complex amplitudes at ``t_fin``.
+    Every pair passes the unitarity guard there, over the accepted steps of
+    the whole span.
 
     A tabulated pump is kinked at its knots, where DOP853's error estimate
     does not hold, so the span is split at its interior knots and the
@@ -329,35 +318,22 @@ def _solve(pump, freqs, t_in, t_fin, tol, carrier=None, samples=None):
     z0 = np.zeros(len(freqs), dtype=complex)
     z0[::2] = 1.0
     if t_fin == t_in:
-        return z0 if samples is None else np.repeat(z0[:, None], samples, axis=1)
+        return z0
     bounds = (t_in, *knots, t_fin)
-    times = None if samples is None else np.linspace(t_in, t_fin, samples)
     rhs = _bogoliubov_rhs(pump, freqs, carrier)
-    y, steps, rows = z0.view(float), 0, []
+    y, steps = z0.view(float), 0
     with np.errstate(all="ignore"):
         for a, b in zip(bounds, bounds[1:]):
-            # a sample on a knot belongs to the segment that starts there
-            t_eval = None if times is None else times[
-                (times >= a) & ((times < b) | (b == t_fin))]
-            # dense output is what numbers the accepted steps of a sampled
-            # solve, and gives its state at the segment's end
             sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=max(tol, 1e-13),
-                            atol=tol, t_eval=t_eval, dense_output=samples is not None)
+                            atol=tol)
             if not sol.success:
                 raise IntegrationError(f"integrator failed: {sol.message}")
-            if samples is None:
-                steps += len(sol.t) - 1
-                y = sol.y[:, -1]
-            else:
-                steps += len(sol.sol.ts) - 1
-                y = sol.sol(b)
-                rows.append(sol.y)
-    z = np.ascontiguousarray((y[:, None] if samples is None else np.hstack(rows)).T)
-    z = z.view(complex).T
-    end = z[:, -1]
+            steps += len(sol.t) - 1
+            y = sol.y[:, -1]
+    end = np.ascontiguousarray(y).view(complex)
     for u, v in zip(end[::2], end[1::2]):
         _check_unitarity(BogoliubovPair(u, v), tol, steps)
-    return end if samples is None else z
+    return end
 
 
 def integrate_uv(pump, omega: float, t_in: float, t_fin: float,
@@ -381,17 +357,6 @@ def integrate_uv(pump, omega: float, t_in: float, t_fin: float,
     return BogoliubovPair(u=complex(u), v=complex(v))
 
 
-def uv_trajectory(pump, omega: float, t_in: float, t_fin: float,
-                  tol: float = 1e-10, samples: int = 2001):
-    """Like :func:`integrate_uv` but sampled on a uniform grid.
-
-    Returns ``(times, u_array, v_array)``; used for residual checks of the
-    squeeze-variable flow along the trajectory.
-    """
-    u, v = _solve(pump, (omega, omega), t_in, t_fin, tol, samples=samples)
-    return np.linspace(t_in, t_fin, samples), u, v
-
-
 def integrate_qm(pump, omega_s: float, omega_e: float, t_in: float,
                  t_fin: float, tol: float = 1e-10):
     """Integrate the resonant two-oscillator system as written.
@@ -406,59 +371,19 @@ def integrate_qm(pump, omega_s: float, omega_e: float, t_in: float,
             BogoliubovPair(u=complex(u_e), v=complex(v_e)))
 
 
-def closed_form_qm(pump: PumpProfile, omega_s: float, omega_e: float,
-                   t_in: float, t_fin: float):
-    """Closed-form solution of the resonant system for a constant pump.
-
-    With rate ``q0`` and pump phase ``theta_in`` the amplitude is simply
-    ``r = q0 * (t_fin - t_in)`` and, measuring phases from ``t_in``,
-
-        u_x = e^{-i omega_x dt} cosh(r)
-        v_x = e^{i (theta - omega_x dt)} sinh(r),   x in {s, e}
-
-    with ``theta = theta_in + pi/2 - (omega_s + omega_e) * t_in`` (the pi/2
-    comes from the quadrature between pump and pair creation; the last term
-    accounts for the carrier phase already accumulated at ``t_in``).
-    """
-    if not isinstance(pump, PumpProfile) or pump.kind != "constant":
-        raise PumpError("closed_form_qm requires a constant pump profile")
-    if t_fin < t_in:
-        raise ValueError("t_fin must not precede t_in")
-    dt = t_fin - t_in
-    r = pump.q0 * dt
-    theta = pump.theta_in + np.pi / 2.0 - (omega_s + omega_e) * t_in
-    pair_s = BogoliubovPair(
-        u=np.exp(-1j * omega_s * dt) * np.cosh(r),
-        v=np.exp(1j * (theta - omega_s * dt)) * np.sinh(r),
-    )
-    pair_e = BogoliubovPair(
-        u=np.exp(-1j * omega_e * dt) * np.cosh(r),
-        v=np.exp(1j * (theta - omega_e * dt)) * np.sinh(r),
-    )
-    return pair_s, pair_e
-
-
 def extract_squeeze(pair: BogoliubovPair) -> SqueezeTriple:
     """Invert ``u = e^{-i delta} cosh r``, ``v = e^{-i(delta-theta)} sinh r``.
 
     ``r = asinh|v|`` (exact on unitarity-satisfying pairs), ``delta = -arg u``
     and ``theta = arg v - arg u``; ``v = 0`` returns ``theta = 0`` by
-    convention.  Reconstruction through :func:`reconstruct_pair` round-trips
-    to floating-point accuracy.
+    convention.  Rebuilding ``(u, v)`` from the triple round-trips to
+    floating-point accuracy.
     """
     av = abs(pair.v)
     r = float(np.arcsinh(av))
     delta = float(-np.angle(pair.u))
     theta = float(np.angle(pair.v) - np.angle(pair.u)) if av > 0 else 0.0
     return SqueezeTriple(r=r, delta=delta, theta=theta)
-
-
-def reconstruct_pair(triple: SqueezeTriple) -> BogoliubovPair:
-    """Rebuild (u, v) from the squeeze variables."""
-    return BogoliubovPair(
-        u=np.exp(-1j * triple.delta) * np.cosh(triple.r),
-        v=np.exp(-1j * (triple.delta - triple.theta)) * np.sinh(triple.r),
-    )
 
 
 def desitter_exact_pair(k: float, tau_in: float, tau_fin: float,
@@ -497,19 +422,3 @@ def desitter_exact_pair(k: float, tau_in: float, tau_fin: float,
     v = np.conj((p_fin - f_fin) / 2.0)
     return BogoliubovPair(u=complex(u), v=complex(v))
 
-
-def squeeze_flow_rhs(r, delta, theta, omega, hub):
-    """Right-hand side of the squeeze-variable flow.
-
-    ``(r', delta', theta') = (H cos w, omega - H tanh(r) sin w,
-    H sin w / (cosh r sinh r))`` with ``w = 2 delta - theta``.  A trajectory
-    of the linear (u, v) system driven by a purely imaginary pump
-    ``g = i q`` satisfies this flow with ``hub = -q``; the last component is
-    singular at ``r = 0``.  Accepts scalars or arrays.
-    """
-    w = 2.0 * np.asarray(delta) - np.asarray(theta)
-    r = np.asarray(r, dtype=float)
-    dr = hub * np.cos(w)
-    ddelta = omega - hub * np.tanh(r) * np.sin(w)
-    dtheta = hub * np.sin(w) / (np.cosh(r) * np.sinh(r))
-    return dr, ddelta, dtheta

@@ -35,8 +35,6 @@ __all__ = [
     "TruncationInfeasibleError",
     "TruncationSpec",
     "JointReduction",
-    "thermal_weights",
-    "thermal_tail",
     "choose_truncation",
     "reduce_joint_state",
     "von_neumann_entropy",
@@ -105,34 +103,6 @@ class JointReduction:
     dropped_mass: float
 
 
-def thermal_weights(n_bar: float, count: int) -> np.ndarray:
-    """Bose-Einstein probabilities ``n**m / (n+1)**(m+1)`` for ``m < count``."""
-    if n_bar == 0:
-        w = np.zeros(count)
-        w[0] = 1.0
-        return w
-    m = np.arange(count)
-    return np.exp(m * (np.log(n_bar) - np.log1p(n_bar)) - np.log1p(n_bar))
-
-
-def thermal_tail(n_bar: float, max_thermal: int) -> float:
-    """Dropped mass of the geometric thermal sum, ``(n/(n+1))**(M+1)``."""
-    if n_bar == 0:
-        return 0.0
-    return float(np.exp((max_thermal + 1) * (np.log(n_bar) - np.log1p(n_bar))))
-
-
-def _geometric_cutoff(mean: float, tail: float) -> int | float:
-    """Smallest ``K >= 0`` with ``(mean/(mean+1))**(K+1) <= tail``, or ``inf``
-    when no float fits: ``mean`` is not finite or the ratio rounds to 1."""
-    if mean == 0:
-        return 0
-    log_q = np.log(mean) - np.log1p(mean) if np.isfinite(mean) else 0.0
-    if not log_q < 0:
-        return np.inf
-    return max(0, int(np.ceil(np.log(tail) / log_q - 1)))
-
-
 def choose_truncation(n_bar: float, r: float, tolerance: float,
                       budget: int = ENTRY_BUDGET) -> TruncationSpec:
     """Smallest cutoffs that cut two geometric tails at half the tolerance.
@@ -164,10 +134,9 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
         raise ValueError("n_bar and r must be nonnegative")
     half = tolerance / 2.0
     # N overflows to inf beyond r of about 355, which has no cutoff
-    with np.errstate(over="ignore"):
-        N_bar = float(np.sinh(r) ** 2 * (n_bar + 1.0))
-    M = _geometric_cutoff(n_bar, half)
-    L = _geometric_cutoff(N_bar, half)
+    N_bar = analytic.pair_occupation(r) * (n_bar + 1.0)
+    M = analytic.geometric_cutoff(n_bar, half)
+    L = analytic.geometric_cutoff(N_bar, half)
     entries = (M + 1) * (L + 1)
     if entries > budget:
         raise TruncationInfeasibleError(
@@ -192,13 +161,13 @@ def reduce_joint_state(n_bar: float, r: float, trunc: TruncationSpec) -> JointRe
     if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
     M, L = trunc.max_thermal, trunc.max_squeeze
-    t_tail = thermal_tail(n_bar, M)
+    t_tail = analytic.geometric_tail(n_bar, M + 1)
     if t_tail > trunc.tolerance:
         raise TruncationError(
             f"thermal cutoff {M} leaves tail mass {t_tail:.3e} "
             f"above tolerance {trunc.tolerance:.3e} for n_bar={n_bar}"
         )
-    pbar = thermal_weights(n_bar, M + 1)
+    pbar = analytic.geometric_weights(n_bar, M + 1)
     norms = np.empty(M + 1)
     p_s = np.zeros(L + 1)
     p_e = np.zeros(M + L + 1)
@@ -241,7 +210,8 @@ def von_neumann_entropy(p: np.ndarray) -> float:
         )
     vals = np.clip(vals, 0.0, 1.0)
     pos = vals[vals > 0]
-    return float(-np.sum(pos * np.log(pos)))
+    # 0.0 - x, not -x: a pure state's entropy is 0.0, not -0.0
+    return float(0.0 - np.sum(pos * np.log(pos)))
 
 
 def expectations(p: np.ndarray) -> float:
@@ -253,12 +223,12 @@ def verify_point(n_bar: float, r: float, omega: float = 1.0,
                  tolerance: float = 1e-12) -> dict:
     """Run the full oracle at one ``(n_bar, r)`` point.
 
-    Reduces the evolved joint state both ways to occupation distributions,
-    compares them with the initial vacuum system and Bose-Einstein
-    environment on the same labels, and returns a record comparing every
-    oracle number against its closed form.  The oracle's heat flow is
-    ``omega`` times its particle flow, the environment's mean-occupation
-    gain.
+    Reduces the evolved joint state both ways to occupation distributions
+    and returns a record comparing every oracle number against its closed
+    form.  The system starts in the vacuum, of entropy 0, so its entropy
+    gain is the entropy of its distribution.  The particle flow is the
+    environment's mean-occupation gain over the initial Bose-Einstein law on
+    the same labels, and the heat flow ``omega`` times it.
 
     Record fields: ``n_bar, r, M, L, delta_S_analytic, delta_S_oracle,
     delta_Q_analytic, delta_Q_oracle, delta_N_analytic, delta_N_oracle,
@@ -268,13 +238,9 @@ def verify_point(n_bar: float, r: float, omega: float = 1.0,
     joint = reduce_joint_state(n_bar, r, trunc)
     mult = analytic.Multiplicities.from_squeeze(n_bar, r)
 
-    p_s, p_e = joint.p_s, joint.p_e
-    p_s_in = np.zeros(p_s.size)
-    p_s_in[0] = 1.0
-    p_e_in = thermal_weights(n_bar, p_e.size)
-
-    dS_oracle = von_neumann_entropy(p_s) - von_neumann_entropy(p_s_in)
-    dN_oracle = expectations(p_e) - expectations(p_e_in)
+    dS_oracle = von_neumann_entropy(joint.p_s)
+    p_e_in = analytic.geometric_weights(n_bar, joint.p_e.size)
+    dN_oracle = expectations(joint.p_e) - expectations(p_e_in)
 
     return {
         "n_bar": n_bar,

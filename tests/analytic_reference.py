@@ -9,11 +9,18 @@ reference only where ``N`` is not small.
 
 The ``mp_*`` functions are 50-digit mpmath references on the exact values of
 their float arguments.
+
+``environment_weights`` and ``environment_pgf`` describe the environment
+after the amplification jointly, by its initial thermal quanta and its
+amplified pairs; both marginals are Bose-Einstein laws, and the environment
+occupation, their sum, is the law at mean ``n_bar + N_bar``.
 """
 
 import math
 
 import mpmath
+import numpy as np
+from scipy.special import gammaln
 
 MP_DIGITS = 50
 
@@ -68,3 +75,41 @@ def rel_err(value: float, reference) -> float:
         if reference == 0:
             return 0.0 if value == 0 else math.inf
         return float(abs((_mpf(value) - reference) / reference))
+
+
+def environment_weights(m, ell_max: int, m_max: int) -> np.ndarray:
+    """Joint occupation probabilities of the reduced environment state.
+
+    Entry ``[l, mm]`` is the probability that the environment holds ``mm``
+    initial thermal quanta and ``l`` amplified pairs, for the
+    ``Multiplicities`` ``m``:
+
+        C(mm+l, mm) * n_bar^mm * n_q^l / ((n_bar+1)^(mm+1) * (n_q+1)^(mm+l+1))
+
+    The binomials and powers are combined in log space, one exponentiation
+    per entry, so large indices do not overflow.  Shape
+    ``(ell_max+1, m_max+1)``.
+    """
+    nb, nq = m.n_bar, m.n_q
+    ell = np.arange(ell_max + 1)[:, None]
+    mm = np.arange(m_max + 1)[None, :]
+    log_binom = gammaln(mm + ell + 1) - gammaln(mm + 1) - gammaln(ell + 1)
+    # occupation powers: n^k in log space, with 0^0 = 1 and 0^k = 0
+    mterm = mm * np.log(nb) if nb > 0 else np.where(mm > 0, -np.inf, 0.0)
+    lterm = ell * np.log(nq) if nq > 0 else np.where(ell > 0, -np.inf, 0.0)
+    logp = (
+        log_binom + mterm + lterm
+        - (mm + 1) * np.log1p(nb)
+        - (mm + ell + 1) * np.log1p(nq)
+    )
+    return np.exp(logp)
+
+
+def environment_pgf(m, s: float, w: float) -> float:
+    """Probability generating function of the environment weights.
+
+    ``sum_{l,mm} s^mm w^l p[l,mm] = 1/(1 + (1-s)*n_bar + (1-w)*N_bar)``.
+    ``s`` tags the initial thermal quanta, ``w`` the amplified pairs; both
+    marginals are of Bose-Einstein form, with means ``n_bar`` and ``N_bar``.
+    """
+    return 1.0 / (1.0 + (1.0 - s) * m.n_bar + (1.0 - w) * m.N_bar)

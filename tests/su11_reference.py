@@ -43,11 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, gammaln
 
-from ampbound.fock_oracle import (
-    TruncationError,
-    TruncationSpec,
-    thermal_weights,
-)
+from ampbound.analytic import geometric_weights
+from ampbound.fock_oracle import TruncationError, TruncationSpec
 
 TWO_PI = 2.0 * np.pi
 
@@ -231,7 +228,7 @@ def joint_kets(n_bar: float, p: SqueezeParams, trunc: TruncationSpec) -> tuple:
     for m in range(M + 1):
         amps = evolve_basis_state(0, m, p, trunc, tail_tol=1.0).amplitudes
         kets[m, :amps.size] = amps
-    return thermal_weights(n_bar, M + 1), kets
+    return geometric_weights(n_bar, M + 1), kets
 
 
 def squeeze_tail(n_bar: float, r: float, max_thermal: int, max_squeeze: int) -> float:
@@ -248,4 +245,4 @@ def squeeze_tail(n_bar: float, r: float, max_thermal: int, max_squeeze: int) -> 
     t2 = np.tanh(r) ** 2
     m = np.arange(max_thermal + 1)
     tails = betainc(max_squeeze + 1, m + 1, t2)
-    return float(np.sum(thermal_weights(n_bar, max_thermal + 1) * tails))
+    return float(np.sum(geometric_weights(n_bar, max_thermal + 1) * tails))

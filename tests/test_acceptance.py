@@ -16,9 +16,10 @@ from scipy.optimize import brentq
 from ampbound import analytic, cli, dynamics, field_modes, fock_oracle
 from ampbound.analytic import Multiplicities, ThermalSpec
 
-from analytic_reference import written_ratio
+from analytic_reference import environment_pgf, written_ratio
 from conftest import FRONTIER_GRID, ORACLE_GRID
 from dense_reference import dense_reductions, ket_to_dense, max_offdiagonal
+import dynamics_reference as dyn_ref
 import su11_reference as su11_ref
 
 
@@ -94,15 +95,13 @@ def test_criterion_04_purity():
 def test_criterion_05_pgf_marginals():
     m = Multiplicities(0.7, 1.1)
     for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert analytic.environment_pgf(m, s, 1.0) == pytest.approx(
+        assert environment_pgf(m, s, 1.0) == pytest.approx(
             1.0 / (1.0 + (1.0 - s) * m.n_bar), rel=1e-12)
-        assert analytic.environment_pgf(m, 1.0, s) == pytest.approx(
+        assert environment_pgf(m, 1.0, s) == pytest.approx(
             1.0 / (1.0 + (1.0 - s) * m.N_bar), rel=1e-12)
     h = 1e-6
-    mean_m = (analytic.environment_pgf(m, 1.0, 1.0)
-              - analytic.environment_pgf(m, 1.0 - h, 1.0)) / h
-    mean_l = (analytic.environment_pgf(m, 1.0, 1.0)
-              - analytic.environment_pgf(m, 1.0, 1.0 - h)) / h
+    mean_m = (environment_pgf(m, 1.0, 1.0) - environment_pgf(m, 1.0 - h, 1.0)) / h
+    mean_l = (environment_pgf(m, 1.0, 1.0) - environment_pgf(m, 1.0, 1.0 - h)) / h
     assert abs(mean_m - m.n_bar) <= 1e-5
     assert abs(mean_l - m.N_bar) <= 1e-5
     report_line(5, "generating-function marginals are Bose-Einstein with "
@@ -173,7 +172,7 @@ def test_criterion_10_dynamics():
     t0 = time.time()
     pump = dynamics.PumpProfile.constant(0.5, theta_in=0.3)
     for dt in (0.5, 2.0, 5.0):
-        cf_s, cf_e = dynamics.closed_form_qm(pump, 1.3, 0.9, 0.0, dt)
+        cf_s, cf_e = dyn_ref.closed_form_qm(pump, 1.3, 0.9, 0.0, dt)
         it_s, it_e = dynamics.integrate_qm(pump, 1.3, 0.9, 0.0, dt, tol=1e-12)
         for cf, it in ((cf_s, it_s), (cf_e, it_e)):
             assert abs(cf.u - it.u) <= 1e-8
@@ -202,8 +201,7 @@ def test_criterion_10_dynamics():
 
 def test_criterion_11_squeeze_flow_residuals():
     pump = dynamics.PumpProfile.de_sitter()
-    times, u, v = dynamics.uv_trajectory(pump, 1.0, -30.0, -0.8,
-                                         tol=1e-12, samples=60001)
+    times, u, v = dyn_ref.trajectory(pump, 1.0, -30.0, -0.8, tol=1e-12, samples=60001)
     r = np.arcsinh(np.abs(v))
     delta = np.unwrap(-np.angle(u))
     theta = np.unwrap(np.angle(v) - np.angle(u))
@@ -213,7 +211,7 @@ def test_criterion_11_squeeze_flow_residuals():
         return (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
 
     hub = -np.imag(pump(times[2:-2]))
-    dr, ddelta, dtheta = dynamics.squeeze_flow_rhs(
+    dr, ddelta, dtheta = dyn_ref.squeeze_flow_rhs(
         r[2:-2], delta[2:-2], theta[2:-2], 1.0, hub)
     mask = r[2:-2] >= 0.05
     residuals = (np.abs(diff5(r) - dr)[mask].max(),

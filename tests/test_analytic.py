@@ -18,17 +18,18 @@ from ampbound.analytic import (
     delta_Q,
     delta_S,
     entropy_gain,
-    environment_pgf,
-    environment_weights,
+    geometric_cutoff,
+    geometric_tail,
+    geometric_weights,
     joint_purity,
     nbar_from_thermal,
+    pair_occupation,
     ratio_from_occupation,
     ratio_from_temperature,
-    system_weights,
 )
 
 import analytic_reference as ref
-from analytic_reference import written_ratio
+from analytic_reference import environment_pgf, environment_weights, written_ratio
 
 
 class TestMultiplicities:
@@ -55,9 +56,19 @@ class TestMultiplicities:
             Multiplicities(n_bar, n_q)
 
     def test_squeeze_overflow_rejected(self):
-        # sinh(r)**2 overflows to inf beyond r of about 355
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            Multiplicities.from_squeeze(1.0, 400.0)
+        # sinh(r)**2 overflows to inf beyond r of about 355 (sinh itself
+        # beyond 710), without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in (400.0, 800.0):
+                assert pair_occupation(r) == math.inf
+                with pytest.raises(ValueError, match="finite"):
+                    Multiplicities.from_squeeze(1.0, r)
+
+    def test_pair_occupation_is_the_scalar_square(self):
+        for r in (0.0, -0.3, 1e-8, 1.0, 20.0, 355.0):
+            assert pair_occupation(r) == float(np.sinh(r) ** 2)
+            assert type(pair_occupation(r)) is float
 
 
 class TestThermalSpec:
@@ -105,32 +116,57 @@ class TestThermalSpec:
 
 
 class TestSystemWeights:
+    """The system marginal is the Bose-Einstein law at mean ``N_bar``."""
+
     def test_halving_at_unit_total(self):
         # N_bar = 1: geometric with ratio 1/2
         m = Multiplicities(0.0, 1.0)
-        w = system_weights(m, 6)
+        w = geometric_weights(m.N_bar, 7)
         assert w[0] == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_allclose(w, 0.5 ** (np.arange(7) + 1), rtol=1e-14)
 
     def test_vacuum(self):
-        w = system_weights(Multiplicities(1.0, 0.0), 4)
+        w = geometric_weights(Multiplicities(1.0, 0.0).N_bar, 5)
         assert w[0] == 1.0
         assert np.all(w[1:] == 0.0)
+        assert geometric_tail(0.0, 5) == 0.0 and geometric_cutoff(0.0, 1e-12) == 0
 
     def test_unit_occupations(self):
         # n_bar = n_q = 1 gives N_bar = 2 and p_1 = 2/9; the same number
         # comes out of the partial trace of the assembled joint state
         # (see test_fock_oracle).
-        w = system_weights(Multiplicities(1.0, 1.0), 3)
+        w = geometric_weights(Multiplicities(1.0, 1.0).N_bar, 4)
         assert w[1] == pytest.approx(2.0 / 9.0, rel=1e-14)
 
     def test_truncated_normalization_identity(self):
         # the truncated sum is exactly 1 - (N/(N+1))**(L+1)
         m = Multiplicities(0.8, 1.7)
         for L in (0, 3, 17, 60):
-            total = system_weights(m, L).sum()
+            total = geometric_weights(m.N_bar, L + 1).sum()
             expected = 1.0 - (m.N_bar / (m.N_bar + 1.0)) ** (L + 1)
             assert total == pytest.approx(expected, rel=1e-12)
+            assert geometric_tail(m.N_bar, L + 1) == pytest.approx(1.0 - expected, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mean=st.one_of(st.sampled_from([0.0, 1e-300, 1e300, math.inf]),
+                          st.floats(min_value=1e-300, max_value=1e6)),
+           count=st.integers(min_value=0, max_value=400),
+           tail=st.floats(min_value=1e-15, max_value=0.5))
+    @example(mean=1.0, count=2, tail=0.25)
+    def test_law_sums_to_one_and_cutoff_is_minimal(self, mean, count, tail):
+        w = geometric_weights(mean, count)
+        assert w.shape == (count,)
+        # every weight shares the rounding of ln(mean/(mean+1)), a few ulp
+        total = math.fsum(w) + geometric_tail(mean, count)
+        assert abs(total - 1.0) <= 1e-14 * (count + 1)
+        K = geometric_cutoff(mean, tail)
+        if K == math.inf:
+            # the ratio rounds to 1: no count brings the tail below 1
+            assert mean > 1e15 and geometric_tail(mean, 10**9) == 1.0
+        else:
+            # the tail fits at K and not at K - 1, to rounding
+            assert geometric_tail(mean, K + 1) <= tail * (1.0 + 1e-12)
+            assert K == 0 or geometric_tail(mean, K) > tail * (1.0 - 1e-12)
 
 
 class TestEnvironmentWeights:
@@ -238,7 +274,8 @@ class TestFlows:
             delta_Q(1e308, m)
         with pytest.raises(ValueError, match="overflows"):
             bound_ratio(ThermalSpec(T=1.0, omega=1e308), m)
-        assert bound_ratio(ThermalSpec(T=1.0, omega=5e307), m).delta_Q == 1e308
+        # at T = 1 this ratio would be subnormal, which raises on its own
+        assert bound_ratio(ThermalSpec(T=1e3, omega=5e307), m).delta_Q == 1e308
 
 
 class TestBoundRatio:
@@ -353,6 +390,19 @@ class TestArrayForms:
         assert ratio_from_temperature(0.0, 1.0, 0.0, 2.0) == 0.0
         grid = ratio_from_temperature(np.array([0.0, 1.0]), 1.0, 0.0, 2.0)
         assert grid[0] == 0.0 and grid[1] > 0.0
+
+    def test_subnormal_ratio_rejected(self):
+        # 17 printed digits of a subnormal ratio would be mostly noise
+        with pytest.raises(ValueError, match="ratio underflows"):
+            ratio_from_temperature(1.0, 1.7e308, 0.0, 1.0)
+        with pytest.raises(ValueError, match="ratio underflows"):
+            ratio_from_temperature(1.0, np.array([1.0, 1e6]), 0.0, 1.7e308)
+        with pytest.raises(ValueError, match="ratio underflows"):
+            ratio_from_occupation(np.array([1.0, 1e-300]), 1e308)
+        with pytest.raises(ValueError, match="ratio underflows"):
+            bound_ratio(ThermalSpec(T=1.0, omega=1.7e308), Multiplicities(0.0, 1.0))
+        # the smallest normal ratio still passes
+        assert ratio_from_temperature(1.0, 5e307, 0.0, 1.0) > 2.2e-308
 
     def test_overflowing_ratio_rejected(self):
         with pytest.raises(ValueError, match="not finite"):

@@ -107,12 +107,51 @@ class TestCheck:
         (["--nbar", "1", "--nq", "1", "--omega", "1e-300", "--T", "1e10"], "not finite"),
         # a subnormal N_bar, where 1/N_bar overflows
         (["--nbar", "0", "--nq", "1e-310", "--omega", "1"], "at least"),
+        # a subnormal ratio, 2 ln 2 / 1.7e308
+        (["--nbar", "0", "--nq", "1", "--omega", "1.7e308"], "ratio underflows"),
     ])
     def test_overflow_and_subnormal_exit_1(self, capsys, args, message):
         assert main(["check", "--T", "1", *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+    def test_overflowing_squeeze_prints_one_error_line(self):
+        # sinh(r)**2 overflows at r = 400 and sinh(r) itself at r = 800;
+        # numpy's warnings once preceded the error line
+        for r in ("400", "800"):
+            result = run_cli("check", "--nbar", "1", "--r", r, "--omega", "1", "--T", "1")
+            assert result.returncode == 1
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+            assert "must be finite" in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["map", "--json", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2",
+         "--y-min", "1", "--y-max", "2"],
+        ["--json", "map", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2",
+         "--y-min", "1", "--y-max", "2"],
+        ["verify", "--point", "1,0.5", "--json"],
+        ["--json", "verify", "--point", "1,0.5"],
+        ["spectrum", "--json", "--pump", "pump.json", "--T", "1", "--k-min", "1",
+         "--k-max", "2", "--tau-in", "0", "--tau-fin", "1"],
+        ["--json", "spectrum", "--pump", "pump.json", "--T", "1", "--k-min", "1",
+         "--k-max", "2", "--tau-in", "0", "--tau-fin", "1"],
+    ])
+    def test_json_flag_rejected_outside_check(self, tmp_path, capsys, argv):
+        # only check has a JSON form; elsewhere the flag used to be ignored
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--json" in captured.err
+        assert not out.exists()
+
+    def test_json_flag_accepted_in_either_position_for_check(self, capsys):
+        argv = ["--nbar", "1", "--nq", "1", "--omega", "1", "--T", "1"]
+        root = run(capsys, "--json", "check", *argv)
+        sub = run(capsys, "check", *argv, "--json")
+        assert root == sub and json.loads(root[1])["satisfied"] is True
 
 
 class TestMap:
@@ -213,6 +252,8 @@ class TestMap:
         ("nbar_vs_nq", ("1e-320", "1e-310"), ("1", "2"), "n_bar must be at least"),
         # N_bar = n_q (n_bar + 1) overflows
         ("nbar_vs_nq", ("1e200", "1e201"), ("1e200", "1e201"), "not finite"),
+        # a subnormal ratio: 4.2e-312 at N_bar = 1.7e308, omega/T = 1e6
+        ("N_vs_omegaT", ("1e307", "1.7e308"), ("1e5", "1e6"), "ratio underflows"),
     ])
     def test_subnormal_or_overflowing_cells_exit_1(self, tmp_path, capsys, plane,
                                                    x_range, y_range, message):
@@ -296,6 +337,8 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["pass"]
+        # the vacuum's entropy is +0.0, with no vacuum subtracted to make it so
+        assert '"delta_S_oracle": 0.0,' in out
 
     def test_moderate_point(self, capsys):
         code, out = run(capsys, "verify", "--point", "1,0.8",

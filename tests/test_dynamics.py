@@ -16,16 +16,13 @@ from ampbound.dynamics import (
     PumpProfile,
     SingularPumpError,
     SqueezeTriple,
-    closed_form_qm,
     desitter_exact_pair,
     extract_squeeze,
     integrate_qm,
     integrate_uv,
-    reconstruct_pair,
-    squeeze_flow_rhs,
-    uv_trajectory,
 )
 from conftest import MALFORMED_PUMPS, NON_FINITE_PUMPS, run_python
+from dynamics_reference import closed_form_qm, reconstruct_pair, squeeze_flow_rhs, trajectory
 
 BAD_SPANS = [  # (t_in, t_fin, tol)
     (0.0, 1.0, math.nan), (0.0, 1.0, 0.0), (0.0, 1.0, math.inf), (0.0, 1.0, -1.0),
@@ -142,7 +139,6 @@ import json
 from ampbound import dynamics as dyn
 pump = dyn.PumpProfile.constant(0.5)
 solvers = [lambda a, b, tol: dyn.integrate_uv(pump, 1.0, a, b, tol),
-           lambda a, b, tol: dyn.uv_trajectory(pump, 1.0, a, b, tol, samples=3),
            lambda a, b, tol: dyn.integrate_qm(pump, 1.0, 1.0, a, b, tol)]
 raised = []
 for span in json.loads({json.dumps(BAD_SPANS)!r}):
@@ -157,13 +153,12 @@ print(json.dumps(raised))
         result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         raised = json.loads(result.stdout)
-        assert len(raised) == 3 * len(BAD_SPANS)
+        assert len(raised) == 2 * len(BAD_SPANS)
         assert all(msg and "must" in msg for msg in raised), raised
 
     def test_guard_window_counts_accepted_steps(self, monkeypatch):
         # the unitarity window scales with the steps the integrator accepted;
-        # the endpoint and the sampled solver both run the same DOP853 solve,
-        # and the resonant system guards each of its two pairs
+        # the resonant system guards each of its two pairs
         pump = PumpProfile.gaussian_pulse(0.4, center=0.0, width=1.5)
         ref = solve_ivp(dyn._bogoliubov_rhs(pump, (1.3, 1.3)), (-8.0, 8.0),
                         [1.0, 0.0, 0.0, 0.0], method="DOP853", rtol=1e-12, atol=1e-12)
@@ -179,9 +174,8 @@ print(json.dumps(raised))
 
         monkeypatch.setattr(dyn, "_check_unitarity", spy)
         integrate_uv(pump, 1.3, -8.0, 8.0, tol=1e-12)
-        uv_trajectory(pump, 1.3, -8.0, 8.0, tol=1e-12, samples=101)
         integrate_qm(pump, 1.3, 0.9, -8.0, 8.0, tol=1e-12)
-        assert seen == [len(ref.t) - 1] * 2 + [len(ref_qm.t) - 1] * 2
+        assert seen == [len(ref.t) - 1] + [len(ref_qm.t) - 1] * 2
 
     def test_time_reversal_returns_to_vacuum(self):
         # reflect the trajectory: negated pump and frequency, run forward
@@ -199,12 +193,6 @@ print(json.dumps(raised))
         back = BogoliubovPair(u=complex(y[0], y[1]), v=complex(y[2], y[3]))
         assert abs(back.u - 1.0) < 1e-7
         assert abs(back.v) < 1e-7
-
-    def test_zero_length_trajectory_is_the_vacuum(self):
-        times, u, v = uv_trajectory(PumpProfile.constant(0.5), 1.0, 1.0, 1.0, samples=5)
-        assert times.shape == u.shape == v.shape == (5,)
-        assert np.all(times == 1.0)
-        assert np.all(u == 1.0) and np.all(v == 0.0)
 
     def test_rhs_is_the_written_system(self):
         # each amplitude is driven by the conjugate of its mirror: for the
@@ -287,19 +275,7 @@ class TestTabulatedKnots:
         monkeypatch.setattr(dyn, "_check_unitarity",
                             lambda pair, tol, steps: seen.append(steps) or guard(pair, tol, steps))
         integrate_uv(KNOT_PUMP, 0.7, 0.0, 14.0, 1e-10)
-        uv_trajectory(KNOT_PUMP, 0.7, 0.0, 14.0, 1e-10, samples=29)
-        assert seen == [total, total]
-
-    def test_trajectory_samples_across_knots(self):
-        # 29 samples put every other one on a knot
-        times, u, v = uv_trajectory(KNOT_PUMP, 0.7, 0.0, 14.0, 1e-10, samples=29)
-        np.testing.assert_array_equal(times, np.linspace(0.0, 14.0, 29))
-        assert u.shape == v.shape == (29,)
-        assert (u[0], v[0]) == (1.0, 0.0)
-        pair = integrate_uv(KNOT_PUMP, 0.7, 0.0, 14.0, 1e-10)
-        assert abs(u[-1] - pair.u) <= 1e-12 and abs(v[-1] - pair.v) <= 1e-12
-        half = integrate_uv(KNOT_PUMP, 0.7, 0.0, 7.0, 1e-10)
-        assert abs(u[14] - half.u) <= 1e-9 and abs(v[14] - half.v) <= 1e-9
+        assert seen == [total]
 
 
 class TestHugePump:
@@ -438,7 +414,7 @@ class TestDeSitter:
 class TestSqueezeFlow:
     @staticmethod
     def residuals(pump, omega, t0, t1, samples=60001):
-        times, u, v = uv_trajectory(pump, omega, t0, t1, tol=1e-12, samples=samples)
+        times, u, v = trajectory(pump, omega, t0, t1, tol=1e-12, samples=samples)
         r = np.arcsinh(np.abs(v))
         delta = np.unwrap(-np.angle(u))
         theta = np.unwrap(np.angle(v) - np.angle(u))

@@ -70,6 +70,11 @@ class TestForcedMultiplicities:
         with pytest.raises(ValueError, match="overflows"):
             mode_result_from_multiplicities(make_mode(1e308), T, MU, 1.0, 2.0)
 
+    def test_subnormal_ratio_raises(self):
+        # N_bar = 1 at omega_k = 1.7e308: a finite heat flow, a subnormal ratio
+        with pytest.raises(ValueError, match="ratio underflows"):
+            mode_result_from_multiplicities(make_mode(1.7e308), T, MU, 0.0, math.asinh(1.0))
+
     def test_satisfied_flag_equivalent_to_occupation_form(self):
         # the per-mode verdict coincides with the occupation-form condition,
         # straddling the boundary from both sides

@@ -8,19 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ampbound import analytic, fock_oracle, su11
+from ampbound.analytic import geometric_tail, geometric_weights
 from ampbound.fock_oracle import (
     TruncationInfeasibleError,
     TruncationSpec,
     choose_truncation,
     expectations,
     reduce_joint_state,
-    thermal_tail,
-    thermal_weights,
     verify_grid,
     verify_point,
     von_neumann_entropy,
 )
 
+from analytic_reference import environment_weights
 from conftest import FRONTIER_GRID, ORACLE_GRID
 from dense_reference import (
     dense_reductions,
@@ -59,8 +59,8 @@ class TestChooseTruncation:
         # (1/2)**(M+1) <= 5e-11 forces M >= 34
         trunc = choose_truncation(1.0, 1.0, 1e-10)
         assert trunc.max_thermal == 34
-        assert thermal_tail(1.0, trunc.max_thermal) <= 5e-11
-        assert thermal_tail(1.0, trunc.max_thermal - 1) > 5e-11
+        assert geometric_tail(1.0, trunc.max_thermal + 1) <= 5e-11
+        assert geometric_tail(1.0, trunc.max_thermal) > 5e-11
 
     def test_monotone_in_tolerance(self):
         loose = choose_truncation(1.0, 1.0, 1e-6)
@@ -71,7 +71,7 @@ class TestChooseTruncation:
     def test_estimator_invariant(self):
         for (nb, r, tol) in [(0.5, 0.8, 1e-10), (2.0, 1.2, 1e-12), (0.0, 1.0, 1e-8)]:
             trunc = choose_truncation(nb, r, tol)
-            total = thermal_tail(nb, trunc.max_thermal) + squeeze_tail(
+            total = geometric_tail(nb, trunc.max_thermal + 1) + squeeze_tail(
                 nb, r, trunc.max_thermal, trunc.max_squeeze)
             assert total <= tol
 
@@ -92,7 +92,7 @@ class TestChooseTruncation:
         M, L = trunc.max_thermal, trunc.max_squeeze
         bound = system_ratio(n_bar, r) ** (L + 1)
         assert squeeze_tail(n_bar, r, M, L) <= bound <= 5e-13
-        assert thermal_tail(n_bar, M) + bound <= 1e-12
+        assert geometric_tail(n_bar, M + 1) + bound <= 1e-12
 
     def test_infeasible_budget(self):
         with pytest.raises(TruncationInfeasibleError):
@@ -150,7 +150,7 @@ class TestJointReduction:
         # whole weight array pbar_m w[m, l] bit for bit
         trunc = choose_truncation(1.0, 0.8, 1e-10)
         M, L = trunc.max_thermal, trunc.max_squeeze
-        pbar = thermal_weights(1.0, M + 1)
+        pbar = geometric_weights(1.0, M + 1)
         w = su11.ladder_weights(0.8, np.arange(M + 1), L)
         norms = w.sum(axis=1)
         w *= pbar[:, None]
@@ -199,7 +199,7 @@ class TestPartialTrace:
     def test_system_reduction_matches_geometric_weights(self):
         p_s = reduction(1.0, 0.8).p_s
         mult = analytic.Multiplicities.from_squeeze(1.0, 0.8)
-        expected = analytic.system_weights(mult, p_s.size - 1)
+        expected = geometric_weights(mult.N_bar, p_s.size)
         np.testing.assert_allclose(p_s, expected, atol=1e-10)
 
     def test_unit_point_weight_from_trace(self):
@@ -211,12 +211,23 @@ class TestPartialTrace:
     def test_environment_reduction_matches_marginal_sums(self):
         p_e = reduction(1.0, 0.8).p_e
         mult = analytic.Multiplicities.from_squeeze(1.0, 0.8)
-        table = analytic.environment_weights(mult, p_e.size - 1, p_e.size - 1)
+        table = environment_weights(mult, p_e.size - 1, p_e.size - 1)
         marginal = np.array([
             sum(table[ell, n - ell] for ell in range(n + 1))
             for n in range(p_e.size)
         ])
         np.testing.assert_allclose(p_e, marginal, atol=1e-10)
+
+    @pytest.mark.parametrize("n_bar, r", ORACLE_GRID + FRONTIER_GRID)
+    def test_reductions_are_the_geometric_laws(self, n_bar, r):
+        # the system is the Bose-Einstein law at N_bar, the environment at
+        # n_bar + N_bar, each to the mass the truncation may drop
+        joint = reduction(n_bar, r)
+        N_bar = analytic.Multiplicities.from_squeeze(n_bar, r).N_bar
+        p_s = geometric_weights(N_bar, joint.p_s.size)
+        p_e = geometric_weights(n_bar + N_bar, joint.p_e.size)
+        assert np.max(np.abs(joint.p_s - p_s)) <= 1e-12
+        assert np.max(np.abs(joint.p_e - p_e)) <= 1e-12
 
     def test_trace_preserved(self):
         pbar, kets = reference_kets(0.7, 0.6, tol=1e-10)
@@ -236,7 +247,8 @@ class TestPartialTrace:
 
 class TestEntropy:
     def test_pure_state(self):
-        assert von_neumann_entropy(np.eye(8)[0]) == 0.0
+        # +0.0, not -0.0: verify reports this entropy as the gain itself
+        assert math.copysign(1.0, von_neumann_entropy(np.eye(8)[0])) == 1.0
 
     def test_reduced_state_at_unit_total(self):
         # N_bar = 1 needs sinh^2(r) (n_bar + 1) = 1
@@ -246,7 +258,7 @@ class TestEntropy:
         assert s == pytest.approx(2 * math.log(2.0), abs=1e-10)
 
     def test_bose_einstein_mode(self):
-        s = von_neumann_entropy(thermal_weights(1.0, 60))
+        s = von_neumann_entropy(geometric_weights(1.0, 60))
         assert s == pytest.approx(2 * math.log(2.0), abs=1e-12)
 
     def test_validity_floor(self):
@@ -262,7 +274,7 @@ class TestEntropy:
 
 class TestExpectations:
     def test_thermal_mode(self):
-        assert expectations(thermal_weights(1.0, 80)) == pytest.approx(1.0, abs=1e-12)
+        assert expectations(geometric_weights(1.0, 80)) == pytest.approx(1.0, abs=1e-12)
 
     def test_amplified_environment(self):
         # mean-occupation identity: n_bar + n_q (n_bar + 1)

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 from scipy.special import betainc
 
 from ampbound import fock_oracle, su11
+from ampbound.analytic import geometric_weights
 from ampbound.fock_oracle import TruncationError, TruncationSpec
 
 from dense_reference import dense_reductions, joint_to_dense, ket_to_dense, purity
@@ -229,7 +230,7 @@ class TestJointDensity:
         trunc = fock_oracle.choose_truncation(1.0, 0.0, 1e-10)
         rho = joint_to_dense(*joint_kets(1.0, SqueezeParams(r=0.0), trunc))
         dim_e = trunc.max_thermal + trunc.max_squeeze + 1
-        thermal = np.diag(fock_oracle.thermal_weights(1.0, dim_e))
+        thermal = np.diag(geometric_weights(1.0, dim_e))
         for i in range(len(rho)):
             ns, ne = divmod(i, dim_e)
             for j in range(len(rho)):
@@ -238,7 +239,7 @@ class TestJointDensity:
                 assert rho[i, j] == pytest.approx(expected, abs=1e-14)
         joint = fock_oracle.reduce_joint_state(1.0, 0.0, trunc)
         assert joint.p_s.tolist() == [pytest.approx(1.0, abs=1e-10)]
-        assert joint.p_e.tobytes() == fock_oracle.thermal_weights(1.0, dim_e).tobytes()
+        assert joint.p_e.tobytes() == geometric_weights(1.0, dim_e).tobytes()
 
     def test_cold_environment_gives_rank_one(self):
         trunc = fock_oracle.choose_truncation(0.0, 0.9, 1e-12)
@@ -309,7 +310,7 @@ class TestJointDensity:
         np.testing.assert_allclose(np.abs(plain) ** 2, np.abs(rotated) ** 2,
                                    rtol=1e-12, atol=0)
         np.testing.assert_allclose(np.abs(rotated) ** 2, weights, rtol=1e-12, atol=0)
-        pbar = fock_oracle.thermal_weights(n_bar, trunc.max_thermal + 1)
+        pbar = geometric_weights(n_bar, trunc.max_thermal + 1)
         p_s_rot = (pbar[:, None] * np.abs(rotated) ** 2).sum(axis=0)
         joint = fock_oracle.reduce_joint_state(n_bar, r, trunc)
         assert fock_oracle.von_neumann_entropy(joint.p_s) == pytest.approx(
