@@ -291,10 +291,16 @@ def ratio_from_temperature(T, omega, mu, N_bar):
     ``(T/(omega-mu)) * ((N+1)ln(N+1) - N ln N) / N``; returns 0 at N=0 and
     at ``T = 0``.  The arguments are scalars or broadcastable arrays; the
     result is a float when all of them are scalars.  A negative or subnormal
-    ``N_bar``, or an overflowing or subnormal ratio, raises ``ValueError``.
+    ``N_bar``, or an overflowing or subnormal ratio, raises ``ValueError``;
+    so does a ``(omega - mu)/T`` that overflows at a nonzero ``T`` and a
+    nonzero ``N_bar``, where the ratio would round to a false 0.
     """
-    with np.errstate(divide="ignore"):
-        return _ratio(_occupations(N_bar), np.subtract(omega, mu) / T)
+    N = _occupations(N_bar)
+    with np.errstate(divide="ignore", over="ignore"):
+        beta = np.subtract(omega, mu) / T
+    if np.any(np.isinf(beta) & (np.asarray(T) != 0) & (N != 0)):
+        raise ValueError("bound ratio underflows: N_bar or T/(omega - mu) out of range")
+    return _ratio(N, beta)
 
 
 def ratio_from_occupation(n_bar, N_bar):

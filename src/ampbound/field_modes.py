@@ -1,14 +1,15 @@
 """Per-mode bound evaluation over momentum grids.
 
 Each comoving wavenumber ``k`` carries an independent two-mode amplifier:
-the pump is integrated for that mode, the squeeze amplitude extracted, and
-the closed-form thermodynamics evaluated with the mode's own thermal
-occupation ``n_bar_k = 1/(exp((omega_k - mu)/T) - 1)``.  The bath is just
-``(T, mu)``; a mode with ``mu >= omega_k`` is recorded as failed.  Every
-number here is per polarization: extensive quantities (entropy, heat,
-particle flow) add over modes and polarizations, and the polarization count
-multiplies them only at output (the ``total_*`` helpers and
-``cli.spectrum_csv``); the bound ratio is intensive.
+the pump is integrated for that mode (all modes of a grid in one stacked
+solve), the squeeze amplitude extracted, and the closed-form
+thermodynamics evaluated with the mode's own thermal occupation
+``n_bar_k = 1/(exp((omega_k - mu)/T) - 1)``.  The bath is just ``(T, mu)``;
+a mode with ``mu >= omega_k`` is recorded as failed.  Every number here is
+per polarization: extensive quantities (entropy, heat, particle flow) add
+over modes and polarizations, and the polarization count multiplies them
+only at output (the ``total_*`` helpers and ``cli.spectrum_csv``); the bound
+ratio is intensive.
 
 Two frequency conventions are supported for massless modes: the default
 ``omega_k = k`` (consistent with the ``1/sqrt(2k)`` ladder normalization)
@@ -152,6 +153,12 @@ def spectrum(kgrid, pump, T: float, mu: float, tau_in: float, tau_fin: float,
     the tolerance are checked once, before any mode runs, and raise
     ``ValueError``; a failure on one mode is recorded in its result and does
     not abort the scan.
+
+    Every mode whose occupation exists (``mu < omega_k``) is integrated in
+    one stacked solve (:func:`ampbound.dynamics.integrate_modes`), where
+    ``tol`` holds per mode.  If that solve fails, each of its modes is
+    solved alone, so a pump or integrator failure lands only in the rows of
+    the modes it belongs to, exactly as a one-mode solve reports it.
     """
     if not (np.isfinite(T) and T > 0 and np.isfinite(mu)):
         raise ValueError(
@@ -162,14 +169,31 @@ def spectrum(kgrid, pump, T: float, mu: float, tau_in: float, tau_fin: float,
     if any(k2 <= k1 for k1, k2 in zip(kgrid, kgrid[1:])):
         raise ValueError("kgrid must be sorted ascending with distinct entries")
     modes = [make_mode(k, convention=convention) for k in kgrid]
+    failures = (dynamics.PumpError, dynamics.IntegrationError, ValueError)
 
-    def run(mode: ModeSpec) -> ModeResult:
+    def solve(omegas):
+        return dynamics.integrate_modes(pump, omegas, tau_in, tau_fin, tol)
+
+    results, n_bars = {}, {}
+    for i, mode in enumerate(modes):
         try:
-            return mode_bound(mode, pump, T, mu, tau_in, tau_fin, tol)
-        except (dynamics.PumpError, dynamics.IntegrationError, ValueError) as exc:
-            return ModeResult.failed(mode, str(exc))
-
-    return [run(mode) for mode in modes]
+            n_bars[i] = analytic.nbar_from_thermal(
+                analytic.ThermalSpec(T, mode.omega_k, mu))
+        except ValueError as exc:
+            results[i] = ModeResult.failed(mode, str(exc))
+    try:
+        pairs = solve([modes[i].omega_k for i in n_bars])
+    except failures:
+        pairs = [None] * len(n_bars)
+    for (i, n_bar_k), pair in zip(n_bars.items(), pairs):
+        try:
+            if pair is None:
+                pair, = solve([modes[i].omega_k])
+            r_k = dynamics.extract_squeeze(pair).r
+            results[i] = mode_result_from_multiplicities(modes[i], T, mu, n_bar_k, r_k)
+        except failures as exc:
+            results[i] = ModeResult.failed(modes[i], str(exc))
+    return [results[i] for i in range(len(modes))]
 
 
 def _clean(results) -> list[ModeResult]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ampbound import fock_oracle
+from ampbound import dynamics, fock_oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CHILD_TIMEOUT_S = 30
@@ -42,6 +42,34 @@ MALFORMED_PUMPS = [  # (config, what the message names)
     ({"kind": "tabulated", "samples": [[0, 1], [1]]}, "'samples'"),
     ({"kind": "tabulated", "samples": [[0, 1], [1, "x"]]}, "'samples'"),
 ]
+
+# the 50 de Sitter modes of the spectrum benchmark: a log grid over
+# k in [0.1, 10], integrated over tau in [-50, -0.1] at tol 1e-10
+DESITTER_KS = np.logspace(-1.0, 1.0, 50)
+DESITTER_SPAN = (-50.0, -0.1)
+
+
+class CountingPump:
+    """A pump callable that counts how often the integrator evaluates it."""
+
+    def __init__(self, pump):
+        self.pump, self.calls = pump, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.pump(t)
+
+
+@pytest.fixture(scope="session")
+def desitter_one_mode():
+    """Each mode of ``DESITTER_KS`` solved alone: its pairs and pump calls."""
+    pump = CountingPump(dynamics.PumpProfile.de_sitter())
+    pairs, calls = [], []
+    for k in DESITTER_KS:
+        pump.calls = 0
+        pairs.append(dynamics.integrate_uv(pump, k, *DESITTER_SPAN, 1e-10))
+        calls.append(pump.calls)
+    return pairs, calls
 
 
 @pytest.fixture(scope="session")

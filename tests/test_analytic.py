@@ -412,6 +412,19 @@ class TestArrayForms:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
             ratio_from_occupation(1e200, np.array([1e200]) * 1e200)
 
+    def test_overflowing_beta_rejected(self):
+        # (omega - mu)/T = 1e310 overflows to inf, which made the ratio a
+        # false 0; the true ratio, about 1e-310, is subnormal
+        with pytest.raises(ValueError, match="ratio underflows"):
+            ratio_from_temperature(1e-10, 1e300, 0.0, 2.0)
+        with pytest.raises(ValueError, match="ratio underflows"):
+            ratio_from_temperature(np.array([1.0, 1e-10]), 1e300, 0.0, 2.0)
+        with pytest.raises(ValueError, match="ratio underflows"):
+            ratio_from_temperature(1.0, 1.7e308, -1.7e308, 2.0)
+        # T = 0 and N_bar = 0 keep their documented ratio 0
+        assert ratio_from_temperature(0.0, 1e300, 0.0, 2.0) == 0.0
+        assert ratio_from_temperature(1e-10, 1e300, 0.0, 0.0) == 0.0
+
 
 class TestAgainstMpmath:
     """The production closed forms against 50-digit references, with the

@@ -127,6 +127,15 @@ class TestCheck:
             assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
             assert "must be finite" in result.stderr
 
+    def test_overflowing_beta_prints_one_error_line(self):
+        # (omega - mu)/T overflows; numpy's warning once preceded a false
+        # "ratio = 0, satisfied = true" and exit 0
+        result = run_cli("check", "--nbar", "1", "--nq", "1", "--omega", "1e300", "--T", "1e-10")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "ratio underflows" in result.stderr
+
     @pytest.mark.parametrize("argv", [
         ["map", "--json", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2",
          "--y-min", "1", "--y-max", "2"],

@@ -18,10 +18,12 @@ from ampbound.dynamics import (
     SqueezeTriple,
     desitter_exact_pair,
     extract_squeeze,
+    integrate_modes,
     integrate_qm,
     integrate_uv,
 )
-from conftest import MALFORMED_PUMPS, NON_FINITE_PUMPS, run_python
+from conftest import (DESITTER_KS, DESITTER_SPAN, MALFORMED_PUMPS, NON_FINITE_PUMPS,
+                      run_python)
 from dynamics_reference import closed_form_qm, reconstruct_pair, squeeze_flow_rhs, trajectory
 
 BAD_SPANS = [  # (t_in, t_fin, tol)
@@ -250,9 +252,10 @@ class TestTabulatedKnots:
         import scipy.integrate
 
         seen = []
-        solve = scipy.integrate.solve_ivp
-        monkeypatch.setattr(scipy.integrate, "solve_ivp",
-                            lambda fun, span, *a, **k: seen.append(span) or solve(fun, span, *a, **k))
+        stepper = scipy.integrate.DOP853
+        monkeypatch.setattr(scipy.integrate, "DOP853",
+                            lambda fun, t0, y0, t_bound, **k: seen.append((t0, t_bound))
+                            or stepper(fun, t0, y0, t_bound, **k))
         integrate_uv(KNOT_PUMP, 0.7, t_in, t_fin, 1e-10)
         assert seen == spans
 
@@ -276,6 +279,61 @@ class TestTabulatedKnots:
                             lambda pair, tol, steps: seen.append(steps) or guard(pair, tol, steps))
         integrate_uv(KNOT_PUMP, 0.7, 0.0, 14.0, 1e-10)
         assert seen == [total]
+
+
+def desitter_error(pair, k):
+    """``max(|du|, |dv|) / |u|`` against the exact de Sitter pair."""
+    exact = desitter_exact_pair(k, *DESITTER_SPAN)
+    return max(abs(pair.u - exact.u), abs(pair.v - exact.v)) / abs(exact.u)
+
+
+class TestIntegrateModes:
+    @pytest.mark.parametrize("pump, span", [
+        (PumpProfile.gaussian_pulse(0.8, center=1.0, width=0.4), (0.0, 2.0)),
+        (PumpProfile.de_sitter(), (-20.0, -0.5)),
+        (KNOT_PUMP, (0.0, 14.0))])
+    def test_single_mode_is_integrate_uv(self, pump, span):
+        assert integrate_modes(pump, [0.7], *span, 1e-10) == [integrate_uv(pump, 0.7, *span, 1e-10)]
+
+    def test_empty_grid(self):
+        assert integrate_modes(PumpProfile.constant(0.5), [], 0.0, 1.0) == []
+
+    def test_stack_is_one_solve_at_the_scaled_tolerance(self, monkeypatch):
+        # bit for bit the DOP853 solve of the stacked blocks at tol/sqrt(3),
+        # each pair guarded over that solve's accepted steps
+        pump = PumpProfile.gaussian_pulse(0.4, center=0.0, width=1.5)
+        omegas, tol = [0.5, 1.0, 2.0], 1e-10
+        ref = solve_ivp(dyn._bogoliubov_rhs(pump, [(w, w) for w in omegas]), (-8.0, 8.0),
+                        [1.0, 0.0, 0.0, 0.0] * 3, method="DOP853", rtol=tol / math.sqrt(3),
+                        atol=tol / math.sqrt(3))
+        seen = []
+        guard = dyn._check_unitarity
+        monkeypatch.setattr(dyn, "_check_unitarity",
+                            lambda pair, tol, steps: seen.append(steps) or guard(pair, tol, steps))
+        pairs = integrate_modes(pump, omegas, -8.0, 8.0, tol)
+        z = ref.y[:, -1].view(complex)
+        assert pairs == [BogoliubovPair(complex(u), complex(v)) for u, v in zip(z[::2], z[1::2])]
+        assert seen == [len(ref.t) - 1] * 3
+
+    def test_rhs_mirrors_within_each_block(self):
+        # each mode's u is driven by its own v, never by another mode's
+        pump, omegas, t = PumpProfile.constant(0.5, theta_in=0.3), (0.4, 1.3, 2.0), 0.7
+        z = np.array([0.3 + 0.2j, -0.1 + 0.4j, 0.8 - 0.5j, 0.25 + 0.6j, 0.1 - 0.9j, 0.7 + 0.05j])
+        stacked = dyn._bogoliubov_rhs(pump, [(w, w) for w in omegas])(t, z.view(float))
+        alone = [dyn._bogoliubov_rhs(pump, (w, w))(t, z[2 * i:2 * i + 2].view(float))
+                 for i, w in enumerate(omegas)]
+        np.testing.assert_array_equal(stacked, np.concatenate(alone))
+
+    def test_tolerance_holds_per_mode(self, desitter_one_mode):
+        # on the 50 de Sitter modes no mode's error grows by more than half
+        # of its one-mode error, and the worst mode gets no worse; DOP853's
+        # error estimate is not a plain RMS, so this is checked, not implied
+        alone = [desitter_error(p, k) for p, k in zip(desitter_one_mode[0], DESITTER_KS)]
+        stacked = [desitter_error(p, k) for p, k in zip(
+            integrate_modes(PumpProfile.de_sitter(), DESITTER_KS, *DESITTER_SPAN, 1e-10),
+            DESITTER_KS)]
+        assert all(b <= 1.5 * a for a, b in zip(alone, stacked))
+        assert max(stacked) <= max(alone)
 
 
 class TestHugePump:

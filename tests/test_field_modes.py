@@ -6,6 +6,7 @@ import pytest
 from ampbound import analytic, dynamics, field_modes
 from ampbound.analytic import Multiplicities, ThermalSpec
 from ampbound.cli import spectrum_csv
+from conftest import DESITTER_KS, DESITTER_SPAN, CountingPump
 from ampbound.field_modes import (
     ModeResult,
     ModeSpec,
@@ -169,6 +170,59 @@ class TestSpectrum:
         assert "chemical potential" in results[0].error
         assert results[1].error is None
         assert total_entropy(results) == 0.0
+
+
+class TestBatchedSpectrum:
+    def test_thermal_failures_stay_out_of_the_batch(self, monkeypatch):
+        # mu = 1.5 lies between the second and third mode frequencies
+        pump, span, grid = dynamics.PumpProfile.de_sitter(), (-20.0, -0.5), [0.5, 1.0, 2.0, 4.0]
+        batches = []
+        solve = dynamics.integrate_modes
+        monkeypatch.setattr(
+            dynamics, "integrate_modes",
+            lambda p, omegas, *a: batches.append(list(omegas)) or solve(p, omegas, *a))
+        results = spectrum(grid, pump, T, 1.5, *span, tol=1e-10)
+        assert batches == [[2.0, 4.0]]
+        assert all("chemical potential" in res.error for res in results[:2])
+        for res in results[2:]:
+            alone = mode_bound(make_mode(res.k), pump, T, 1.5, *span, tol=1e-10)
+            assert res.error is None
+            for name in ("r_k", "n_q_k", "delta_S_k", "ratio_k"):
+                assert getattr(res, name) == pytest.approx(getattr(alone, name), rel=1e-8)
+
+    @pytest.mark.parametrize("grid, pump, span", [
+        # every mode fails alone: a huge pump, a span over the de Sitter pole
+        ([0.1, 1.0, 10.0], dynamics.PumpProfile.constant(1e300), (-50.0, -0.1)),
+        ([0.5, 2.0], dynamics.PumpProfile.de_sitter(), (-1.0, 1.0)),
+        # only the mode at omega = 1e300 fails alone, and it fails the batch
+        ([1.0, 1e300], dynamics.PumpProfile.de_sitter(), (-20.0, -0.5))])
+    def test_failed_batch_gives_one_mode_rows(self, grid, pump, span):
+        results = spectrum(grid, pump, T, MU, *span)
+        for res in results:
+            try:
+                alone = mode_bound(make_mode(res.k), pump, T, MU, *span)
+            except (dynamics.PumpError, dynamics.IntegrationError) as exc:
+                assert res.error == str(exc)
+            else:
+                assert res == alone
+
+    def test_pump_calls_of_one_mode(self, desitter_one_mode):
+        # one pump call per stage serves every mode: the 50-mode grid costs
+        # less than twice its slowest mode, where one solve per mode cost
+        # the sum over modes, about 12 times as much
+        pump = CountingPump(dynamics.PumpProfile.de_sitter())
+        spectrum(DESITTER_KS, pump, T, MU, *DESITTER_SPAN, tol=1e-10)
+        assert pump.calls < 2 * max(desitter_one_mode[1])
+
+    def test_bad_input_integrates_nothing(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a mode ran")
+
+        monkeypatch.setattr(dynamics, "integrate_modes", never)
+        for T_bad, tol in ((0.0, 1e-10), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="must"):
+                spectrum([0.5, 2.0], dynamics.PumpProfile.constant(0.5), T_bad, MU, 0.0,
+                         1.0, tol=tol)
 
 
 class TestTotals:
