@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from ampbound import analytic, fock_oracle, su11
 from ampbound.analytic import geometric_tail, geometric_weights
@@ -182,6 +183,27 @@ class TestJointReduction:
             assert blocked.purity == pytest.approx(whole.purity, rel=0, abs=1e-15)
             assert blocked.dropped_mass == pytest.approx(whole.dropped_mass,
                                                          rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("n_bar, r", [(100.0, 2.25), (9.5, 4.6)])
+    def test_reaches_corners_beyond_the_budget(self, n_bar, r):
+        # the (100, 2.25) corner of nbar_vs_nq and the k = 0.1 de Sitter
+        # mode need 1.8e8 and 2.1e8 weights, ten times ENTRY_BUDGET; with
+        # the budget lifted the measured dropped mass is the exact one, the
+        # thermal tail plus the weighted incomplete-beta ladder tails, and
+        # stays within the tolerance
+        with pytest.raises(TruncationInfeasibleError):
+            choose_truncation(n_bar, r, 1e-12)
+        trunc = choose_truncation(n_bar, r, 1e-12, budget=10**9)
+        joint = reduce_joint_state(n_bar, r, trunc)
+        M, L = trunc.max_thermal, trunc.max_squeeze
+        exact = geometric_tail(n_bar, M + 1) + np.sum(
+            geometric_weights(n_bar, M + 1)
+            * betainc(L + 1, np.arange(M + 1) + 1, math.tanh(r) ** 2))
+        assert joint.dropped_mass == pytest.approx(exact, rel=0, abs=1e-15)
+        assert joint.dropped_mass <= trunc.tolerance
+        N_bar = analytic.pair_occupation(r) * (n_bar + 1.0)
+        law = geometric_weights(N_bar, joint.p_s.size)
+        assert np.abs(joint.p_s - law).max() <= trunc.tolerance
 
 
 class TestPartialTrace:

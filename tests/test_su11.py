@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -213,16 +214,47 @@ class TestLadderWeights:
         w = su11.ladder_weights(0.0, np.arange(3, 6), 4)
         assert w.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0]] * 3
 
+    def test_subnormal_squeeze_keeps_first_rung(self):
+        # tanh(r)**2 rounds to 0 at r = 2.2e-309 and to a subnormal at
+        # r = 1e-160, where the deviance would divide by zero or overflow:
+        # no warning, and every sector stays on its first rung
+        for r in (2.2e-309, 1e-160):
+            w = su11.ladder_weights(r, np.arange(3, 6), 40)
+            assert w.tolist() == [[1.0] + [0.0] * 40] * 3
+        rec, unsqueezed = (fock_oracle.verify_point(1.0, r) for r in (2.2e-309, 0.0))
+        for key in ("L", "delta_S_oracle", "delta_N_oracle", "purity_oracle"):
+            assert rec[key] == unsqueezed[key]
+
     def test_row_tails_are_negative_binomial(self):
         # deep sectors of the (100, 1.0) truncation: cosh(r)**(-2(m+1))
-        # alone underflows there, the log-space product does not; log-gamma
-        # values near 1e4 leave a few 1e-12 of roundoff in each row sum
+        # alone underflows there, the saddle-point form does not, and each
+        # weight is good to a few 1e-14 relative, so the row sums are too
         r, L = 1.0, 3874
         sectors = np.array([0, 10, 500, 2000, 2846])
         tails = 1.0 - su11.ladder_weights(r, sectors, L).sum(axis=1)
         exact = betainc(L + 1, sectors + 1, math.tanh(r) ** 2)
-        np.testing.assert_allclose(tails, exact, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(tails, exact, rtol=0, atol=1e-13)
         assert exact[-1] > 0.5
+
+    @pytest.mark.parametrize("r", [1.0, 2.25, 3.0, 4.6])
+    def test_bulk_weights_match_mpmath(self, r):
+        # 20 rungs within six standard deviations of the mean of each of 15
+        # sectors, where the mass is, against 40-digit arithmetic on the
+        # exact r; at r = 1 the first rung of sector 0 is among them
+        rng = np.random.default_rng(7)
+        with mpmath.workdps(40):
+            t2, c2 = mpmath.tanh(mpmath.mpf(r)) ** 2, mpmath.cosh(mpmath.mpf(r)) ** 2
+            n_q = math.sinh(r) ** 2
+            worst = 0.0
+            for m in [0] + sorted(rng.integers(1, 200, 14).tolist()):
+                mean, sd = (m + 1) * n_q, math.sqrt((m + 1) * n_q * (n_q + 1))
+                rungs = np.unique(np.maximum(
+                    0, np.round(mean + sd * rng.uniform(-6, 6, 20)))).astype(int)
+                w = su11.ladder_weights(r, np.array([m]), int(rungs[-1]))[0]
+                for ell in rungs.tolist():
+                    exact = mpmath.binomial(m + ell, ell) * t2 ** ell / c2 ** (m + 1)
+                    worst = max(worst, float(abs(w[ell] - exact) / exact))
+        assert worst <= 1e-13
 
 
 class TestJointDensity:
