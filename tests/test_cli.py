@@ -582,12 +582,12 @@ class TestSpectrum:
         assert all(r[-1] != "" for r in rows)
 
 
-def test_check_map_and_verify_load_no_scipy(tmp_path):
-    # every subcommand pays the package import before it starts, and check,
-    # map and verify need only numpy: no scipy module may load for them,
-    # neither on import nor while they run; only spectrum loads scipy, to
-    # integrate
+def test_no_subcommand_loads_scipy(tmp_path):
+    # every subcommand pays the package import before it starts, and all
+    # four need only numpy: no scipy module may load, neither on import nor
+    # while any of them runs, spectrum's integration included
     out = str(tmp_path / "out.txt")
+    pump = str(tmp_path / "pump.json")
     code = f"""
 import json, sys
 import ampbound.cli as cli
@@ -605,8 +605,13 @@ cli.main(["check", "--from-thermal", "--r", "1", "--omega", "1", "--T", "1",
 loaded.append(scipy_modules())
 cli.main(["verify", "--point", "1,0.8", "--out", {out!r}])
 loaded.append(scipy_modules())
+with open({pump!r}, "w") as fh:
+    json.dump({{"kind": "de_sitter"}}, fh)
+cli.main(["spectrum", "--pump", {pump!r}, "--T", "1", "--k-min", "0.5", "--k-max", "2",
+          "--k-points", "3", "--tau-in", "-20", "--tau-fin", "-0.5", "--out", {out!r}])
+loaded.append(scipy_modules())
 print(json.dumps(loaded))
 """
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[], [], [], []]
+    assert json.loads(result.stdout) == [[], [], [], [], []]

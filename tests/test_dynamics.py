@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from ampbound import dynamics as dyn
 from ampbound.dynamics import (
@@ -249,13 +249,11 @@ class TestTabulatedKnots:
         (3.0, 4.0, [(3.0, 4.0)]),
         (2.25, 2.75, [(2.25, 2.75)])])
     def test_span_split_at_interior_knots_only(self, monkeypatch, t_in, t_fin, spans):
-        import scipy.integrate
-
         seen = []
-        stepper = scipy.integrate.DOP853
-        monkeypatch.setattr(scipy.integrate, "DOP853",
-                            lambda fun, t0, y0, t_bound, **k: seen.append((t0, t_bound))
-                            or stepper(fun, t0, y0, t_bound, **k))
+        stepper = dyn._dop853
+        monkeypatch.setattr(dyn, "_dop853",
+                            lambda fun, t0, y0, t_bound, *tols: seen.append((t0, t_bound))
+                            or stepper(fun, t0, y0, t_bound, *tols))
         integrate_uv(KNOT_PUMP, 0.7, t_in, t_fin, 1e-10)
         assert seen == spans
 
@@ -345,6 +343,85 @@ class TestHugePump:
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError, match="step size"):
                 integrate_uv(pump, 1.0, -50.0, -0.1)
+
+
+def scipy_dop853(fun, t0, y0, t_bound, rtol, atol):
+    """scipy's ``DOP853`` stepped to the end: ``(y, accepted steps, nfev)``."""
+    solver = DOP853(fun, t0, y0, t_bound, rtol=rtol, atol=atol)
+    steps = 0
+    while solver.status == "running":
+        message = solver.step()
+        steps += solver.status != "failed"
+    if solver.status == "failed":
+        raise IntegrationError(f"integrator failed: {message}")
+    return solver.y, steps, solver.nfev
+
+
+def counted(fun):
+    """``fun`` and a list that grows by one entry per call."""
+    calls = []
+    return lambda t, y: calls.append(t) or fun(t, y), calls
+
+
+# pump, block frequencies, span and tol of one stepper run.  The gaussian,
+# de Sitter and stack runs reject steps on the way, the weak run's first
+# trial step would overshoot its span, the ramp starts at rest and the still
+# system stays there, with a zero error estimate
+STEPPER_CASES = {
+    "still": (PumpProfile.constant(0.0), (0.0, 0.0), (0.0, 1.0), 1e-10),
+    "ramp": (PumpProfile.tabulated([0.0, 1.0], [0.0, 1.0]), (0.0, 0.0), (0.0, 1.0), 1e-10),
+    "weak": (PumpProfile.gaussian_pulse(1e-3, 0.0, 0.2), (1e-3, 1e-3), (0.0, 0.4), 1e-6),
+    "constant": (PumpProfile.constant(0.5, 0.3), (1.3, 1.3), (0.0, 6.0), 1e-10),
+    "gaussian": (PumpProfile.gaussian_pulse(0.8, 1.0, 0.4), (0.7, 0.7), (-3.0, 5.0), 1e-12),
+    "de_sitter": (PumpProfile.de_sitter(), (1.0, 1.0), DESITTER_SPAN, 1e-10),
+    "knot_segment": (KNOT_PUMP, (0.7, 0.7), (3.0, 4.0), 1e-13),
+    "de_sitter_stack": (PumpProfile.de_sitter(), [(k, k) for k in DESITTER_KS], DESITTER_SPAN,
+                        1e-10 / math.sqrt(len(DESITTER_KS)))}
+
+
+class TestStepper:
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        stages = ref.N_STAGES
+        for ours, theirs in ((dyn._A, ref.A[:stages, :stages]), (dyn._B, ref.B),
+                             (dyn._C, ref.C[:stages]), (dyn._E3, ref.E3), (dyn._E5, ref.E5)):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("case", STEPPER_CASES)
+    def test_steps_as_scipy_does(self, case):
+        # the same final state bits, accepted steps and right-hand side calls
+        pump, freqs, (t0, t1), tol = STEPPER_CASES[case]
+        rhs = dyn._bogoliubov_rhs(pump, freqs)
+        y0 = np.tile([1.0, 0.0, 0.0, 0.0], np.size(freqs) // 2)  # every pair at (1, 0)
+        ours, calls = counted(rhs)
+        y, steps = dyn._dop853(ours, t0, y0, t1, tol, tol)
+        ref_y, ref_steps, nfev = scipy_dop853(rhs, t0, y0, t1, tol, tol)
+        assert y.tobytes() == ref_y.tobytes()
+        assert (steps, len(calls)) == (ref_steps, nfev)
+
+    def test_fails_as_scipy_does(self):
+        rhs = dyn._bogoliubov_rhs(PumpProfile.constant(1e300), (1.0, 1.0))
+        failures = []
+        for stepper in (dyn._dop853, scipy_dop853):
+            fun, calls = counted(rhs)
+            with np.errstate(all="ignore"), pytest.raises(IntegrationError) as info:
+                stepper(fun, -50.0, np.array([1.0, 0.0, 0.0, 0.0]), -0.1, 1e-10, 1e-10)
+            failures.append((str(info.value), calls))
+        assert failures[0] == failures[1]
+        assert failures[0][0] == ("integrator failed: Required step size is less than "
+                                  "spacing between numbers.")
+
+    @pytest.mark.parametrize("freqs, t_bound", [((1.0, 1.0), 2.0), ([], 3.0)])
+    def test_nothing_to_integrate(self, freqs, t_bound):
+        # no span or no state: the start comes back after no step and no call
+        y0 = np.tile([1.0, 0.0, 0.0, 0.0], len(freqs) // 2)
+        rhs = dyn._bogoliubov_rhs(PumpProfile.constant(0.5), freqs)
+        ours, calls = counted(rhs)
+        y, steps = dyn._dop853(ours, 2.0, y0, t_bound, 1e-10, 1e-10)
+        assert (y.tobytes(), steps, calls) == (y0.tobytes(), 0, [])
+        assert y.tobytes() == scipy_dop853(rhs, 2.0, y0, t_bound, 1e-10, 1e-10)[0].tobytes()
 
 
 class TestQmSystem:

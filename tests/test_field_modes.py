@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ampbound import analytic, dynamics, field_modes
+from ampbound import analytic, dynamics
 from ampbound.analytic import Multiplicities, ThermalSpec
 from ampbound.cli import spectrum_csv
 from conftest import DESITTER_KS, DESITTER_SPAN, CountingPump
@@ -158,7 +158,8 @@ class TestSpectrum:
         def never(*args, **kwargs):
             raise AssertionError("a mode ran")
 
-        monkeypatch.setattr(field_modes, "mode_bound", never)
+        # every solve, batched or one-mode, steps through the one stepper
+        monkeypatch.setattr(dynamics, "_dop853", never)
         with pytest.raises(ValueError, match="must"):
             spectrum([0.5, 2.0], dynamics.PumpProfile.constant(0.5), T, mu, 0.0,
                      tau_fin, tol=tol)
