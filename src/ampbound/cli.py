@@ -28,6 +28,9 @@ __all__ = ["main", "ScanConfig", "build_parser", "ratio_grid", "scan_csv",
            "spectrum_csv"]
 
 PLANES = ("N_vs_omegaT", "nbar_vs_nq", "omegaT_vs_nq", "nbar_vs_r", "omegaT_vs_r")
+# JSON types a scan-config field may hold; a bool is never a number
+_CONFIG_KINDS = {"a number": (int, float), "an integer": int, "a string": str,
+                 "a string or null": (str, type(None)), "a JSON object": dict}
 
 
 class CliError(Exception):
@@ -71,11 +74,32 @@ class ScanConfig:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ScanConfig":
-        def rng(d):
-            return (d["min"], d["max"], d["points"], d.get("scale", "linear"))
-        return cls(plane=spec["plane"], x_range=rng(spec["x"]),
-                   y_range=rng(spec["y"]), mu=spec.get("mu", 0.0),
-                   output_path=spec.get("output_path"))
+        """Build from the documented config schema (see the README).
+
+        A config that is not a JSON object, lacks a required field or holds
+        one of the wrong type raises :class:`CliError` naming the field.
+        """
+        if not isinstance(spec, dict):
+            raise CliError(f"scan config must be a JSON object, got {type(spec).__name__}")
+
+        def field(obj, name, kind, *default):
+            key = name.rpartition(".")[2]
+            if key not in obj and not default:
+                raise CliError(f"scan config needs the field {name!r}")
+            value = obj.get(key, *default)
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_KINDS[kind]):
+                raise CliError(f"scan config field {name!r} must be {kind}, got {value!r}")
+            return value
+
+        def rng(axis):
+            d = field(spec, axis, "a JSON object")
+            return (field(d, f"{axis}.min", "a number"), field(d, f"{axis}.max", "a number"),
+                    field(d, f"{axis}.points", "an integer"),
+                    field(d, f"{axis}.scale", "a string", "linear"))
+
+        return cls(plane=field(spec, "plane", "a string"), x_range=rng("x"),
+                   y_range=rng("y"), mu=field(spec, "mu", "a number", 0.0),
+                   output_path=field(spec, "output_path", "a string or null", None))
 
     def axes(self):
         return (_axis(*self.x_range), _axis(*self.y_range))
@@ -205,8 +229,6 @@ def cmd_map(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = ScanConfig.from_dict(json.load(fh))
-        if args.out:
-            config.output_path = args.out
     else:
         required = (args.plane, args.x_min, args.x_max, args.y_min, args.y_max)
         if any(v is None for v in required):
@@ -216,9 +238,9 @@ def cmd_map(args) -> int:
             x_range=(args.x_min, args.x_max, args.x_points, args.x_scale),
             y_range=(args.y_min, args.y_max, args.y_points, args.y_scale),
             mu=args.mu,
-            output_path=args.out,
         )
-    _emit(scan_csv(config), config.output_path)
+    # --out takes precedence over the config's output_path
+    _emit(scan_csv(config), args.out or config.output_path)
     return 0
 
 

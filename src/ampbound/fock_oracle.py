@@ -15,9 +15,9 @@ entries whose traced-out labels agree, and those lie on the diagonal, so
 each reduced state is an occupation distribution: a probability vector
 indexed by number label, whose entries are its eigenvalues.  Only the
 weights ``pbar_m |<l, m+l|psi_m>|**2`` reach the reductions, and
-:func:`reduce_joint_state` streams them block by block from
-:func:`ampbound.su11.ladder_weights` into both distributions and the purity
-without storing the joint state.
+:func:`reduce_joint_state` adds each tile of :func:`ampbound.su11.ladder_tiles`
+into both distributions and the purity as it is made, without storing the
+joint state.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 ENTRY_BUDGET = 2 * 10**7      # max ladder weights one reduction evaluates
-BLOCK_ENTRIES = 4 * 10**6     # ladder weights held at once while reducing
 
 EIGENVALUE_FLOOR = -1e-10     # below this a probability is a bug, not noise
 
@@ -150,13 +149,14 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
 def reduce_joint_state(n_bar: float, r: float, trunc: TruncationSpec) -> JointReduction:
     """Reduce the evolved joint state without storing it.
 
-    The weights ``pbar_m C(m+l, l) tanh(r)^(2l) / cosh(r)^(2(m+1))`` are
-    evaluated ``BLOCK_ENTRIES`` at a time, a block of whole sectors each.
-    Every block adds its column sums to the system distribution (label
-    ``l``), its sums over ``m + l`` to the environment distribution and its
-    row sums to the sector masses, then is dropped.  Sectors never mix and
-    each is rank one, so the purity is the sum of the squared sector masses.
-    The total dropped mass must stay within ``trunc.tolerance``.
+    The weights ``pbar_m C(m+l, l) tanh(r)^(2l) / cosh(r)^(2(m+1))`` arrive
+    in the tiles of :func:`ampbound.su11.ladder_tiles`.  Each tile adds its
+    row sums to the sector masses, its column sums to the system
+    distribution (label ``l``) and each of its rows, at offset ``m``, to the
+    environment distribution (label ``m + l``), in ascending ``m``; then the
+    next tile overwrites it.  Sectors never mix and each is rank one, so the
+    purity is the sum of the squared sector masses.  The total dropped mass
+    must stay within ``trunc.tolerance``.
     """
     if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
@@ -168,19 +168,20 @@ def reduce_joint_state(n_bar: float, r: float, trunc: TruncationSpec) -> JointRe
             f"above tolerance {trunc.tolerance:.3e} for n_bar={n_bar}"
         )
     pbar = analytic.geometric_weights(n_bar, M + 1)
-    norms = np.empty(M + 1)
+    norms = np.zeros(M + 1)
     p_s = np.zeros(L + 1)
     p_e = np.zeros(M + L + 1)
-    rows = max(1, BLOCK_ENTRIES // (L + 1))
-    for first in range(0, M + 1, rows):
-        stop = min(first + rows, M + 1)
-        w = su11.ladder_weights(r, np.arange(first, stop), L)
-        norms[first:stop] = w.sum(axis=1)
-        w *= pbar[first:stop, None]
-        p_s += w.sum(axis=0)
-        # environment label m + l, counted from the block's first sector
-        labels = np.arange(stop - first)[:, None] + np.arange(L + 1)
-        p_e[first:stop + L] += np.bincount(labels.ravel(), weights=w.ravel())
+    for m, first_rung, w in su11.ladder_tiles(r, np.arange(M + 1), L):
+        norms[m] += w.sum(axis=1)
+        w *= pbar[m, None]
+        p_s[first_rung:first_rung + w.shape[1]] += w.sum(axis=0)
+        # environment label m + l, in ascending m: row by row, or on a tile
+        # taller than wide (its sectors are consecutive) column by column
+        # from the last rung, which keeps the Python loop short
+        lines, labels = (w, m + first_rung) if w.shape[0] <= w.shape[1] else (
+            w.T[::-1], m[0] + first_rung + np.arange(w.shape[1])[::-1])
+        for label, line in zip(labels.tolist(), lines):
+            p_e[label:label + line.size] += line
     dropped = t_tail + float(np.sum(pbar * (1.0 - norms)))
     if dropped > trunc.tolerance:
         raise TruncationError(

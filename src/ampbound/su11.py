@@ -16,11 +16,11 @@ ladder ``|l, m + l>``, ``l = 0, 1, ...``, with amplitudes of modulus
 The squeeze phase and any later mode rotations only multiply these
 amplitudes by phases.  The Fock oracle's reductions depend on their squared
 moduli alone, the ladder weights ``C(m+l, l) tanh(r)^(2l) / cosh(r)^(2(m+1))``
-of a negative-binomial distribution in ``l``, which :func:`ladder_weights`
-evaluates in Loader's saddle-point form of the binomial probability
-(C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
-2000): a Stirling-series remainder and a deviance that is small where the
-mass is, so no large logarithms cancel.
+of a negative-binomial distribution in ``l``, which :func:`ladder_tiles`
+evaluates one cache-sized tile at a time in Loader's saddle-point form of
+the binomial probability (C. Loader, "Fast and Accurate Computation of
+Binomial Probabilities", 2000): a Stirling-series remainder and a deviance
+that is small where the mass is, so no large logarithms cancel.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import analytic
 
-__all__ = ["ladder_weights"]
+__all__ = ["ladder_tiles"]
 
 # stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 0..15, correctly
 # rounded (Loader's table); entry 0 is never used
@@ -45,7 +45,7 @@ _STIRLERR_SMALL = np.array([
 _S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
-CHUNK_ENTRIES = 2**15   # weights per pass: three such buffers stay in a core's cache
+CHUNK_ENTRIES = 2**15   # weights per tile: it and three scratch tiles stay in a core's cache
 # below this log a weight is flushed to 0: exp takes a slow path, 5 to 100
 # times slower, for results that underflow, and most far-tail rungs do
 _LOG_TINY = np.log(np.finfo(float).tiny)
@@ -54,35 +54,29 @@ _LOG_TINY = np.log(np.finfo(float).tiny)
 def _stirlerr_half_log(top: int) -> np.ndarray:
     """``stirlerr(n) - ln(n)/2`` for ``n = 0..top``; entry 0 is unused."""
     n = np.arange(top + 1, dtype=float)
-    out = np.empty(top + 1)
     k = _STIRLERR_SMALL.size
-    out[:k] = _STIRLERR_SMALL[:top + 1]
-    inv_sq = np.square(n[k:])
-    np.reciprocal(inv_sq, out=inv_sq)
-    series = np.multiply(inv_sq, _S4, out=out[k:])
-    series -= _S3
-    series *= inv_sq
-    series += _S2
-    series *= inv_sq
-    series -= _S1
-    series *= inv_sq
-    series += _S0
-    series /= n[k:]
-    half_log = np.log(n[1:], out=n[1:])
-    half_log *= 0.5
-    out[1:] -= half_log
+    inv_sq = 1.0 / np.square(n[k:])
+    series = (((_S4 * inv_sq - _S3) * inv_sq + _S2) * inv_sq - _S1) * inv_sq + _S0
+    out = np.concatenate([_STIRLERR_SMALL[:top + 1], series / n[k:]])
+    out[1:] -= 0.5 * np.log(n[1:])
     return out
 
 
-def ladder_weights(r: float, sectors: np.ndarray, max_squeeze: int) -> np.ndarray:
-    """Squared ladder moduli ``C(m+l, l) tanh(r)^(2l) / cosh(r)^(2(m+1))``.
+def ladder_tiles(r: float, sectors: np.ndarray, max_squeeze: int):
+    """Squared ladder moduli ``C(m+l, l) tanh(r)^(2l) / cosh(r)^(2(m+1))``, tile by tile.
 
-    Row ``i`` belongs to the sector ``m = sectors[i]`` (nondecreasing
-    environment occupations) and column ``l`` runs over the rungs
-    ``0..max_squeeze``.  With ``x = m + 1``, ``n = x + l``,
-    ``p = 1/cosh(r)^2`` and ``q = tanh(r)^2`` the weight is the
-    negative-binomial probability ``(x/n) dbinom(x; n, p)``, ``p^x`` on the
-    first rung and, above it, Loader's saddle-point form
+    Yields ``(rows, first_rung, w)``: ``w[i, j]`` is the weight of the
+    sector ``m = rows[i]`` on the rung ``l = first_rung + j``.  ``sectors``
+    are nondecreasing environment occupations and the rungs run over
+    ``0..max_squeeze``.  A tile holds at most ``CHUNK_ENTRIES`` weights:
+    whole rows of consecutive sectors, or consecutive rungs of one sector
+    when a row is longer.  Tiles come in sector order, then rung order, and
+    ``w`` is a buffer that the next tile overwrites.
+
+    With ``x = m + 1``, ``n = x + l``, ``p = 1/cosh(r)^2`` and
+    ``q = tanh(r)^2`` the weight is the negative-binomial probability
+    ``(x/n) dbinom(x; n, p)``, ``p^x`` on the first rung and, above it,
+    Loader's saddle-point form
 
         exp(stirlerr(n) - stirlerr(x) - stirlerr(l) - D) sqrt(x / (2 pi n l))
 
@@ -91,50 +85,49 @@ def ladder_weights(r: float, sectors: np.ndarray, max_squeeze: int) -> np.ndarra
     same rounded ``d``, so their first-order errors cancel and ``D`` is off
     by about ``eps |d|``: each weight is good to a few 1e-14 relative at any
     ``r``, where differences of log-factorials near ``ln (m+l)!`` would lose
-    ``eps ln (m+l)!``.  ``stirlerr`` is tabulated over ``0..m+l+1``.  When
-    ``tanh(r)^2`` rounds to 0 or to a subnormal (``r`` below about 1.5e-154,
-    ``r = 0`` included) every sector stays on its first rung: the rungs
-    above it weigh less than the smallest normal double.  Any other weight
-    above the first rung that falls below that double is returned as 0.
+    ``eps ln (m+l)!``.  ``stirlerr`` is tabulated once, over ``0..m+l+1``.
+    When ``tanh(r)^2`` rounds to 0 or to a subnormal (``r`` below about
+    1.5e-154, ``r = 0`` included) every sector stays on its first rung: the
+    rungs above it weigh less than the smallest normal double.  Any other
+    weight above the first rung that falls below that double is 0.
     """
     n_q = analytic.pair_occupation(r)
     p, q = 1.0 / (1.0 + n_q), n_q / (1.0 + n_q)
-    rungs = np.arange(max_squeeze + 1)
-    if q < np.finfo(float).tiny:
-        return np.broadcast_to(rungs == 0, (sectors.size, rungs.size)).astype(float)
-    x = sectors + 1.0
-    ell = rungs[1:].astype(float)
-    out = np.zeros((sectors.size, rungs.size))
-    np.exp(-np.log1p(n_q) * x, out=out[:, 0])
-
-    lead = _stirlerr_half_log(int(sectors[-1]) + max_squeeze + 1)
-    # row m of the windows holds n = m + 2 .. m + max_squeeze + 1
-    windows = sliding_window_view(lead[2:], max_squeeze)
-    lead_l = lead[1:max_squeeze + 1] + np.log(ell) + _HALF_LOG_2PI
+    width = max_squeeze + 1
+    lead = _stirlerr_half_log(int(sectors[-1]) + width)
+    # row m of the windows holds n = m + 1 + l for the rungs l = 0..max_squeeze
+    windows = sliding_window_view(lead[1:], width)
+    ell = np.arange(1, width, dtype=float)
+    lead_l = lead[1:width] + np.log(ell) + _HALF_LOG_2PI
     p_l, minus_q_l = p * ell, -q * ell
-    # tiles of whole rows, or of one row's columns when a row is longer
-    width = max(max_squeeze, 1)
     rows, cols = max(1, CHUNK_ENTRIES // width), min(width, CHUNK_ENTRIES)
-    buffers = np.empty((3, min(rows, sectors.size) * cols))
+    buffers = np.empty((4, min(rows, sectors.size) * cols))
     for first in range(0, sectors.size, rows):
-        m, xm = sectors[first:first + rows], x[first:first + rows, None]
-        for c in range(0, max_squeeze, cols):
-            e = min(c + cols, max_squeeze)
-            log_w, d, term = (b[:m.size * (e - c)].reshape(m.size, e - c) for b in buffers)
-            log_w[...] = windows[m, c:e]
-            log_w -= lead[m + 1][:, None]
-            log_w -= lead_l[c:e]
-            np.subtract(q * xm, p_l[c:e], out=d)
-            np.add(p * xm, p_l[c:e], out=term)            # n p
-            np.divide(d, term, out=term)
-            np.log1p(term, out=term)
-            term *= xm
-            log_w -= term
-            np.add(-q * xm, minus_q_l[c:e], out=term)     # -n q
-            np.divide(d, term, out=term)
-            np.log1p(term, out=term)
-            term *= ell[c:e]
-            log_w -= term
-            np.exp(log_w, out=out[first:first + m.size, 1 + c:1 + e],
-                   where=log_w > _LOG_TINY)
-    return out
+        m = sectors[first:first + rows]
+        xm = m[:, None] + 1.0
+        for c in range(0, width, cols):
+            e = min(c + cols, width)
+            w, log_w, d, term = (b[:m.size * (e - c)].reshape(m.size, e - c)
+                                 for b in buffers)
+            w.fill(0.0)
+            if c == 0:
+                np.exp(-np.log1p(n_q) * xm, out=w[:, :1])
+            a = max(c, 1)   # the first rung above rung 0
+            if q >= np.finfo(float).tiny and a < e:
+                log_w, d, term = (b[:, a - c:] for b in (log_w, d, term))
+                log_w[...] = windows[m, a:e]
+                log_w -= lead[m + 1][:, None]
+                log_w -= lead_l[a - 1:e - 1]
+                np.subtract(q * xm, p_l[a - 1:e - 1], out=d)
+                np.add(p * xm, p_l[a - 1:e - 1], out=term)        # n p
+                np.divide(d, term, out=term)
+                np.log1p(term, out=term)
+                term *= xm
+                log_w -= term
+                np.add(-q * xm, minus_q_l[a - 1:e - 1], out=term)  # -n q
+                np.divide(d, term, out=term)
+                np.log1p(term, out=term)
+                term *= ell[a - 1:e - 1]
+                log_w -= term
+                np.exp(log_w, out=w[:, a - c:], where=log_w > _LOG_TINY)
+            yield m, c, w

@@ -27,7 +27,8 @@ Factorials enter only through log-gamma and each amplitude is assembled as
 log-modulus plus phase.
 
 This is the reference the production ladder weights
-(:func:`ampbound.su11.ladder_weights`) are checked against: the generators
+(:func:`ampbound.su11.ladder_tiles`, assembled into one matrix by
+:func:`ladder_weights`) are checked against: the generators
 and the factorization are compared with matrix exponentials, the double sum
 with a direct exponential of the generator, and :func:`joint_kets` mixes
 the evolved sectors into the ket ensemble from which
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, gammaln
 
+from ampbound import su11
 from ampbound.analytic import geometric_weights
 from ampbound.fock_oracle import TruncationError, TruncationSpec
 
@@ -246,3 +248,19 @@ def squeeze_tail(n_bar: float, r: float, max_thermal: int, max_squeeze: int) -> 
     m = np.arange(max_thermal + 1)
     tails = betainc(max_squeeze + 1, m + 1, t2)
     return float(np.sum(geometric_weights(n_bar, max_thermal + 1) * tails))
+
+
+def ladder_weights(r: float, sectors: np.ndarray, max_squeeze: int) -> np.ndarray:
+    """The tiles of :func:`ampbound.su11.ladder_tiles` as one dense matrix.
+
+    Row ``i`` holds the weights of the sector ``sectors[i]`` on the rungs
+    ``0..max_squeeze``.  Tiles come row block by row block, each row block
+    rung by rung, so a block ends with the tile that reaches the last rung.
+    """
+    out = np.empty((sectors.size, max_squeeze + 1))
+    row = 0
+    for rows, first_rung, w in su11.ladder_tiles(r, sectors, max_squeeze):
+        out[row:row + rows.size, first_rung:first_rung + w.shape[1]] = w
+        if first_rung + w.shape[1] == max_squeeze + 1:
+            row += rows.size
+    return out

@@ -17,6 +17,12 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+# a well-formed map config, edited by the malformed-config tests
+SCAN = {"plane": "nbar_vs_nq",
+        "x": {"min": 0.1, "max": 10.0, "points": 3},
+        "y": {"min": 0.1, "max": 10.0, "points": 3}}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -338,6 +344,24 @@ class TestMap:
         path.write_text(json.dumps(cfg))
         assert main(["map", "--config", str(path)]) == 0
         assert (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("cfg, field", [
+        ({}, "'plane'"),
+        ({**SCAN, "y": {"min": 0.1, "max": 10.0}}, "'y.points'"),
+        ({**SCAN, "x": {**SCAN["x"], "points": 2.5}}, "'x.points'"),
+        ([SCAN], "JSON object"),
+        ({**SCAN, "x": {**SCAN["x"], "min": "0.1"}}, "'x.min'"),
+        ({**SCAN, "mu": "0"}, "'mu'"),
+    ])
+    def test_malformed_config_exits_1(self, tmp_path, capsys, cfg, field):
+        # each of these once ended in a KeyError or TypeError traceback
+        path, out = tmp_path / "scan.json", tmp_path / "grid.csv"
+        path.write_text(json.dumps(cfg))
+        assert main(["map", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scan config") and field in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestVerify:

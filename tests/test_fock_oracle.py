@@ -32,7 +32,7 @@ from dense_reference import (
     partial_trace,
     purity,
 )
-from su11_reference import SqueezeParams, joint_kets, squeeze_tail
+from su11_reference import SqueezeParams, joint_kets, ladder_weights, squeeze_tail
 
 
 def system_ratio(n_bar, r):
@@ -147,50 +147,87 @@ class TestJointReduction:
         assert joint.p_e.size == trunc.max_thermal + trunc.max_squeeze + 1
 
     def test_matches_one_shot_weights(self):
-        # one block covers this point: the streamed sums equal those of the
-        # whole weight array pbar_m w[m, l] bit for bit
-        trunc = choose_truncation(1.0, 0.8, 1e-10)
-        M, L = trunc.max_thermal, trunc.max_squeeze
-        pbar = geometric_weights(1.0, M + 1)
-        w = su11.ladder_weights(0.8, np.arange(M + 1), L)
-        norms = w.sum(axis=1)
-        w *= pbar[:, None]
-        labels = np.arange(M + 1)[:, None] + np.arange(L + 1)
-        joint = reduce_joint_state(1.0, 0.8, trunc)
-        assert joint.p_s.tobytes() == w.sum(axis=0).tobytes()
-        assert joint.p_e.tobytes() == np.bincount(labels.ravel(), w.ravel()).tobytes()
-        assert joint.purity == float(np.sum((pbar * norms) ** 2))
+        # one tile covers each point, wider than tall at (1.0, 0.8) and
+        # taller than wide at (2.0, 0.3): the streamed sums equal those of
+        # the whole weight array pbar_m w[m, l] bit for bit
+        for n_bar, r in [(1.0, 0.8), (2.0, 0.3)]:
+            trunc = choose_truncation(n_bar, r, 1e-10)
+            M, L = trunc.max_thermal, trunc.max_squeeze
+            pbar = geometric_weights(n_bar, M + 1)
+            w = ladder_weights(r, np.arange(M + 1), L)
+            norms = w.sum(axis=1)
+            w *= pbar[:, None]
+            labels = np.arange(M + 1)[:, None] + np.arange(L + 1)
+            joint = reduce_joint_state(n_bar, r, trunc)
+            assert joint.p_s.tobytes() == w.sum(axis=0).tobytes()
+            assert joint.p_e.tobytes() == np.bincount(labels.ravel(), w.ravel()).tobytes()
+            assert joint.purity == float(np.sum((pbar * norms) ** 2))
 
-    @pytest.mark.parametrize("n_bar, r", [(1.0, 0.8), (2.0, 1.2)])
-    def test_block_size_does_not_change_reductions(self, monkeypatch, n_bar, r):
+    # the default tile of (2.0, 0.3) is taller than wide, the others wider
+    @pytest.mark.parametrize("n_bar, r", [(1.0, 0.8), (2.0, 1.2), (2.0, 0.3)])
+    def test_tile_size_does_not_change_reductions(self, monkeypatch, n_bar, r):
         trunc = choose_truncation(n_bar, r, 1e-12)
         sectors, rungs = trunc.max_thermal + 1, trunc.max_squeeze + 1
         whole = reduce_joint_state(n_bar, r, trunc)
-        # one sector per block, then a block height that leaves a short block
-        heights = [1, next(k for k in range(2, sectors) if sectors % k)]
-        calls = []
-        kernel = su11.ladder_weights
-        monkeypatch.setattr(su11, "ladder_weights",
-                            lambda *a: calls.append(a[1].size) or kernel(*a))
-        for height in heights:
-            calls.clear()
-            monkeypatch.setattr(fock_oracle, "BLOCK_ENTRIES", height * rungs)
-            blocked = reduce_joint_state(n_bar, r, trunc)
-            short = [sectors % height] if sectors % height else []
-            assert calls == [height] * (sectors // height) + short
-            np.testing.assert_allclose(blocked.p_s, whole.p_s, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(blocked.p_e, whole.p_e, rtol=0, atol=1e-15)
-            assert blocked.purity == pytest.approx(whole.purity, rel=0, abs=1e-15)
-            assert blocked.dropped_mass == pytest.approx(whole.dropped_mass,
-                                                         rel=0, abs=1e-15)
+        tiles = []
+        make_tiles = su11.ladder_tiles
 
-    @pytest.mark.parametrize("n_bar, r", [(100.0, 2.25), (9.5, 4.6)])
-    def test_reaches_corners_beyond_the_budget(self, n_bar, r):
+        def recorded(*args):
+            for rows, first_rung, w in make_tiles(*args):
+                tiles.append((rows.size, first_rung, w.shape[1]))
+                yield rows, first_rung, w
+
+        monkeypatch.setattr(su11, "ladder_tiles", recorded)
+        # one sector per tile; each row split over two tiles, the second
+        # one shorter; a row-block height that leaves a short last block
+        half = rungs // 2 + 1
+        height = next(k for k in range(2, sectors) if sectors % k)
+        for chunk, expected in [
+                (rungs, [(1, 0, rungs)] * sectors),
+                (half, [(1, 0, half), (1, half, rungs - half)] * sectors),
+                (height * rungs, [(height, 0, rungs)] * (sectors // height)
+                 + [(sectors % height, 0, rungs)])]:
+            tiles.clear()
+            monkeypatch.setattr(su11, "CHUNK_ENTRIES", chunk)
+            tiled = reduce_joint_state(n_bar, r, trunc)
+            assert tiles == expected
+            np.testing.assert_allclose(tiled.p_s, whole.p_s, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(tiled.p_e, whole.p_e, rtol=0, atol=1e-15)
+            assert tiled.purity == pytest.approx(whole.purity, rel=0, abs=1e-15)
+            assert tiled.dropped_mass == pytest.approx(whole.dropped_mass,
+                                                       rel=0, abs=1e-15)
+
+    def test_reduction_holds_a_few_tiles(self):
+        # (100, 1.0) evaluates 1.1e7 weights; the reduction keeps O(M + L)
+        # sums and one tile's buffers, not a block of weights
+        trunc = choose_truncation(100.0, 1.0, 1e-12)
+        tracemalloc.start()
+        try:
+            reduce_joint_state(100.0, 1.0, trunc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("n_bar, r, lifted", [
+        pytest.param(100.0, 2.25, True, id="100.0-2.25"),
+        pytest.param(9.5, 4.6, True, id="9.5-4.6")] + [
+        # the corners of the default nbar_vs_nq plane, n_bar and n_q each
+        # 0.01 or 100; only (100, 100) needs the budget lifted
+        pytest.param(n_bar, math.asinh(math.sqrt(n_q)), n_bar == n_q == 100.0,
+                     id=f"nbar_vs_nq-{n_bar}-{n_q}")
+        for n_bar in (0.01, 100.0) for n_q in (0.01, 100.0)])
+    def test_reaches_corners_beyond_the_budget(self, n_bar, r, lifted):
         # the (100, 2.25) corner of nbar_vs_nq and the k = 0.1 de Sitter
-        # mode need 1.8e8 and 2.1e8 weights, ten times ENTRY_BUDGET; with
-        # the budget lifted the measured dropped mass is the exact one, the
-        # thermal tail plus the weighted incomplete-beta ladder tails, and
-        # stays within the tolerance
+        # mode need 1.8e8 and 2.1e8 weights, ten times ENTRY_BUDGET, and the
+        # (100, 100) corner 8.1e8; with the budget lifted the measured
+        # dropped mass is the exact one, the thermal tail plus the weighted
+        # incomplete-beta ladder tails, and stays within the tolerance.  A
+        # corner within the budget passes the full oracle and its gates.
+        if not lifted:
+            report = verify_grid([(n_bar, r)], truncation_tolerance=1e-12)
+            assert report["pass"], report["records"]
+            return
         with pytest.raises(TruncationInfeasibleError):
             choose_truncation(n_bar, r, 1e-12)
         trunc = choose_truncation(n_bar, r, 1e-12, budget=10**9)

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import betainc
 
-from ampbound import fock_oracle, su11
+from ampbound import fock_oracle
 from ampbound.analytic import geometric_weights
 from ampbound.fock_oracle import TruncationError, TruncationSpec
 
@@ -20,6 +20,7 @@ from su11_reference import (
     k_minus_matrix,
     k_plus_matrix,
     k_zero_matrix,
+    ladder_weights,
     rotation_phases,
     squeeze_generator,
 )
@@ -207,11 +208,11 @@ class TestLadderWeights:
         p = SqueezeParams(r=0.8, theta=1.1, delta_s=0.4, delta_e=0.9)
         trunc = TruncationSpec(max_thermal=6, max_squeeze=30, tolerance=1e-6)
         _, kets = joint_kets(0.5, p, trunc)
-        w = su11.ladder_weights(p.r, np.arange(7), 30)
+        w = ladder_weights(p.r, np.arange(7), 30)
         np.testing.assert_allclose(w, np.abs(kets) ** 2, rtol=1e-12, atol=0)
 
     def test_zero_squeeze_keeps_first_rung(self):
-        w = su11.ladder_weights(0.0, np.arange(3, 6), 4)
+        w = ladder_weights(0.0, np.arange(3, 6), 4)
         assert w.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0]] * 3
 
     def test_subnormal_squeeze_keeps_first_rung(self):
@@ -219,7 +220,7 @@ class TestLadderWeights:
         # r = 1e-160, where the deviance would divide by zero or overflow:
         # no warning, and every sector stays on its first rung
         for r in (2.2e-309, 1e-160):
-            w = su11.ladder_weights(r, np.arange(3, 6), 40)
+            w = ladder_weights(r, np.arange(3, 6), 40)
             assert w.tolist() == [[1.0] + [0.0] * 40] * 3
         rec, unsqueezed = (fock_oracle.verify_point(1.0, r) for r in (2.2e-309, 0.0))
         for key in ("L", "delta_S_oracle", "delta_N_oracle", "purity_oracle"):
@@ -231,7 +232,7 @@ class TestLadderWeights:
         # weight is good to a few 1e-14 relative, so the row sums are too
         r, L = 1.0, 3874
         sectors = np.array([0, 10, 500, 2000, 2846])
-        tails = 1.0 - su11.ladder_weights(r, sectors, L).sum(axis=1)
+        tails = 1.0 - ladder_weights(r, sectors, L).sum(axis=1)
         exact = betainc(L + 1, sectors + 1, math.tanh(r) ** 2)
         np.testing.assert_allclose(tails, exact, rtol=0, atol=1e-13)
         assert exact[-1] > 0.5
@@ -250,7 +251,7 @@ class TestLadderWeights:
                 mean, sd = (m + 1) * n_q, math.sqrt((m + 1) * n_q * (n_q + 1))
                 rungs = np.unique(np.maximum(
                     0, np.round(mean + sd * rng.uniform(-6, 6, 20)))).astype(int)
-                w = su11.ladder_weights(r, np.array([m]), int(rungs[-1]))[0]
+                w = ladder_weights(r, np.array([m]), int(rungs[-1]))[0]
                 for ell in rungs.tolist():
                     exact = mpmath.binomial(m + ell, ell) * t2 ** ell / c2 ** (m + 1)
                     worst = max(worst, float(abs(w[ell] - exact) / exact))
@@ -293,7 +294,7 @@ class TestJointDensity:
         dim_e = trunc.max_thermal + trunc.max_squeeze + 1
         got = rho[basis_index(1, 1, dim_e), basis_index(1, 1, dim_e)]
         assert got == pytest.approx(expected, rel=1e-12)
-        weight = su11.ladder_weights(r, np.arange(1), trunc.max_squeeze)[0, 1]
+        weight = ladder_weights(r, np.arange(1), trunc.max_squeeze)[0, 1]
         assert weight / (n_bar + 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_general_coefficients_with_phases(self):
@@ -337,7 +338,7 @@ class TestJointDensity:
         _, plain = joint_kets(n_bar, SqueezeParams(r=r), trunc)
         _, rotated = joint_kets(
             n_bar, SqueezeParams(r=r, theta=0.0, delta_s=1.2, delta_e=0.7), trunc)
-        weights = su11.ladder_weights(r, np.arange(trunc.max_thermal + 1),
+        weights = ladder_weights(r, np.arange(trunc.max_thermal + 1),
                                       trunc.max_squeeze)
         np.testing.assert_allclose(np.abs(plain) ** 2, np.abs(rotated) ** 2,
                                    rtol=1e-12, atol=0)
