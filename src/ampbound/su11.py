@@ -107,14 +107,14 @@ def ladder_tiles(r: float, sectors: np.ndarray, max_squeeze: int):
         xm = m[:, None] + 1.0
         for c in range(0, width, cols):
             e = min(c + cols, width)
-            w, log_w, d, term = (b[:m.size * (e - c)].reshape(m.size, e - c)
-                                 for b in buffers)
+            w = buffers[0, :m.size * (e - c)].reshape(m.size, e - c)
             w.fill(0.0)
             if c == 0:
                 np.exp(-np.log1p(n_q) * xm, out=w[:, :1])
             a = max(c, 1)   # the first rung above rung 0
             if q >= np.finfo(float).tiny and a < e:
-                log_w, d, term = (b[:, a - c:] for b in (log_w, d, term))
+                log_w, d, term = (b[:m.size * (e - a)].reshape(m.size, e - a)
+                                  for b in buffers[1:])
                 log_w[...] = windows[m, a:e]
                 log_w -= lead[m + 1][:, None]
                 log_w -= lead_l[a - 1:e - 1]
