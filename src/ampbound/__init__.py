@@ -36,7 +36,6 @@ from .field_modes import (
     ModeResult,
     ModeSpec,
     make_mode,
-    mode_bound,
     spectrum,
     total_entropy,
 )

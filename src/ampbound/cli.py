@@ -139,27 +139,41 @@ def ratio_grid(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndar
     return analytic.ratio_from_temperature(1.0, x, mu, N_bar)
 
 
-def scan_csv(config: ScanConfig) -> str:
+def scan_csv(config: ScanConfig):
     """CSV with columns x, y, log10_ratio, satisfied, in row-major order
-    with y fastest.
+    with y fastest, as an iterator of chunks: the header line, then one
+    chunk per x value.
 
-    A vanishing ratio (no amplification) writes an empty log10 field and
-    counts as satisfied.
+    The axes and the whole ratio grid are evaluated before this returns, so
+    every input error is raised before any chunk is written.  A vanishing
+    ratio (no amplification) writes an empty log10 field and counts as
+    satisfied.
     """
     xs, ys = config.axes()
     ratios = ratio_grid(config.plane, xs, ys, config.mu)
-    y_fields = [_fmt(y) for y in ys.tolist()]
-    lines = ["x,y,log10_ratio,satisfied"]
-    for x, row in zip(xs.tolist(), ratios.tolist()):
-        x_field = _fmt(x)
+    return _scan_chunks(xs, ys, ratios)
+
+
+def _scan_chunks(xs: np.ndarray, ys: np.ndarray, ratios: np.ndarray):
+    # one %-format per x row; %.17g is _fmt's conversion
+    cells = [None] * (3 * len(ys))
+    cells[0::3] = [_fmt(y) for y in ys.tolist()]
+    yield "x,y,log10_ratio,satisfied\n"
+    for x, row in zip(xs.tolist(), ratios):
+        prefix = _fmt(x) + ","
+        values = row.tolist()
+        cells[2::3] = ["true" if ratio <= 1.0 else "false" for ratio in values]
+        zeros = np.flatnonzero(row == 0.0).tolist()
         # math.log10, not np.log10: the vectorised log10 differs from it in
         # the last digit on a sizeable share of cells
-        lines += [
-            f"{x_field},{y_field},{'' if ratio == 0.0 else _fmt(math.log10(ratio))},"
-            f"{'true' if ratio <= 1.0 else 'false'}"
-            for y_field, ratio in zip(y_fields, row)
-        ]
-    return "\n".join(lines) + "\n"
+        if zeros:
+            cells[1::3] = ["" if ratio == 0.0 else math.log10(ratio) for ratio in values]
+        else:
+            cells[1::3] = map(math.log10, values)
+        line = [prefix + "%s,%.17g,%s\n"] * len(values)
+        for j in zeros:
+            line[j] = prefix + "%s,%s,%s\n"
+        yield "".join(line) % tuple(cells)
 
 
 def spectrum_csv(results, polarizations: int = 1) -> str:
@@ -188,12 +202,13 @@ def spectrum_csv(results, polarizations: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks, out_path: str | None) -> None:
+    """Write the text chunks, in order, to ``out_path`` or to stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def cmd_check(args) -> int:
@@ -217,11 +232,11 @@ def cmd_check(args) -> int:
         "satisfied": report.satisfied,
     }
     if args.json:
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit([json.dumps(payload, sort_keys=True, indent=2) + "\n"], args.out)
     else:
         lines = [f"{key} = {_fmt(val) if isinstance(val, float) else str(val).lower()}"
                  for key, val in payload.items()]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if report.satisfied else 2
 
 
@@ -267,7 +282,7 @@ def cmd_verify(args) -> int:
         omega=args.omega,
         truncation_tolerance=args.trunc_tolerance,
     )
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+    _emit([json.dumps(report, sort_keys=True, indent=2) + "\n"], args.out)
     return 0 if report["pass"] else 2
 
 
@@ -278,7 +293,7 @@ def cmd_spectrum(args) -> int:
         kgrid, pump, args.T, args.mu, args.tau_in, args.tau_fin, tol=args.tol,
         convention=args.omega_convention,
     )
-    _emit(spectrum_csv(results, 2 if args.graviton else 1), args.out)
+    _emit([spectrum_csv(results, 2 if args.graviton else 1)], args.out)
     return 0
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "ModeResult",
     "make_mode",
     "mode_result_from_multiplicities",
-    "mode_bound",
     "spectrum",
     "total_entropy",
     "total_heat",
@@ -130,19 +129,6 @@ def mode_result_from_multiplicities(mode: ModeSpec, T: float, mu: float,
         ratio_k=report.ratio,
         satisfied=report.satisfied,
     )
-
-
-def mode_bound(mode: ModeSpec, pump, T: float, mu: float, tau_in: float,
-               tau_fin: float, tol: float = 1e-10) -> ModeResult:
-    """Integrate one mode and evaluate its bound.
-
-    The occupation is that of the bath ``(T, mu)`` at the mode's own
-    frequency.  Thermal-domain, integrator and pump errors propagate.
-    """
-    n_bar_k = analytic.nbar_from_thermal(analytic.ThermalSpec(T, mode.omega_k, mu))
-    pair = dynamics.integrate_uv(pump, mode.omega_k, tau_in, tau_fin, tol)
-    triple = dynamics.extract_squeeze(pair)
-    return mode_result_from_multiplicities(mode, T, mu, n_bar_k, triple.r)
 
 
 def spectrum(kgrid, pump, T: float, mu: float, tau_in: float, tau_fin: float,

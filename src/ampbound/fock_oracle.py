@@ -175,13 +175,19 @@ def reduce_joint_state(n_bar: float, r: float, trunc: TruncationSpec) -> JointRe
         norms[m] += w.sum(axis=1)
         w *= pbar[m, None]
         p_s[first_rung:first_rung + w.shape[1]] += w.sum(axis=0)
-        # environment label m + l, in ascending m: row by row, or on a tile
-        # taller than wide (its sectors are consecutive) column by column
-        # from the last rung, which keeps the Python loop short
-        lines, labels = (w, m + first_rung) if w.shape[0] <= w.shape[1] else (
-            w.T[::-1], m[0] + first_rung + np.arange(w.shape[1])[::-1])
-        for label, line in zip(labels.tolist(), lines):
-            p_e[label:label + line.size] += line
+        # environment label m + l, in ascending m (a tile's sectors are
+        # consecutive): row i of the zero-padded tile, read with rows one
+        # entry shorter, starts i places to the right, so one sum over axis 0
+        # adds each label's entries in ascending m.  A tile taller than wide
+        # is skewed along its reversed columns instead, and its sums reversed
+        tall = w.shape[0] > w.shape[1]
+        lines = w[::-1, ::-1].T if tall else w
+        n, width = lines.shape[0], lines.shape[0] + lines.shape[1] - 1
+        padded = np.zeros((n, width + 1))
+        padded[:, :lines.shape[1]] = lines
+        sums = padded.ravel()[:n * width].reshape(n, width).sum(axis=0)
+        label = m[0] + first_rung
+        p_e[label:label + width] += sums[::-1] if tall else sums
     dropped = t_tail + float(np.sum(pbar * (1.0 - norms)))
     if dropped > trunc.tolerance:
         raise TruncationError(

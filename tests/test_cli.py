@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ class TestMap:
                   y_range=(0.1, 10.0, 3, "log10"))
 
     def test_row_major_y_fastest(self):
-        text = scan_csv(ScanConfig(**self.CONFIG))
+        text = "".join(scan_csv(ScanConfig(**self.CONFIG)))
         rows = [line.split(",") for line in text.strip().split("\n")[1:]]
         xs = [float(r[0]) for r in rows]
         ys = [float(r[1]) for r in rows]
@@ -184,15 +185,15 @@ class TestMap:
         assert xs[0] == xs[1] == xs[2]
 
     def test_deterministic(self):
-        a = scan_csv(ScanConfig(**self.CONFIG))
-        b = scan_csv(ScanConfig(**self.CONFIG))
+        a = "".join(scan_csv(ScanConfig(**self.CONFIG)))
+        b = "".join(scan_csv(ScanConfig(**self.CONFIG)))
         assert a == b
 
     def test_zero_total_cell_empty_log(self):
         config = ScanConfig(plane="nbar_vs_r",
                             x_range=(0.5, 2.0, 2, "linear"),
                             y_range=(0.0, 1.0, 2, "linear"))
-        rows = [line.split(",") for line in scan_csv(config).strip().split("\n")[1:]]
+        rows = [line.split(",") for line in "".join(scan_csv(config)).strip().split("\n")[1:]]
         zero_rows = [r for r in rows if float(r[1]) == 0.0]
         assert zero_rows
         for r in zero_rows:
@@ -235,7 +236,7 @@ class TestMap:
     ])
     def test_matches_cell_by_cell_reference(self, plane, x_range, y_range, mu):
         config = ScanConfig(plane=plane, x_range=x_range, y_range=y_range, mu=mu)
-        assert scan_csv(config) == reference_csv(config)
+        assert "".join(scan_csv(config)) == reference_csv(config)
 
     @pytest.mark.parametrize("flag, value", [
         ("--x-min", "nan"), ("--x-max", "inf"), ("--y-min", "-inf"),
@@ -297,6 +298,39 @@ class TestMap:
         assert result.stderr.count("\n") == 1
         assert not out.exists()
 
+    def test_failed_map_leaves_existing_output_untouched(self, tmp_path):
+        # the grid is evaluated before the output file is opened
+        out = tmp_path / "grid.csv"
+        out.write_bytes(b"earlier,output\n")
+        argv = ["map", "--plane", "nbar_vs_nq", "--x-min", "1e200", "--x-max", "1e201",
+                "--x-points", "2", "--y-min", "1e200", "--y-max", "1e201", "--y-points", "2"]
+        to_file = run_cli(*argv, "--out", str(out))
+        to_stdout = run_cli(*argv)
+        for result in (to_file, to_stdout):
+            assert result.returncode == 1
+            assert result.stderr.startswith("error: N_bar = n_q (n_bar + 1)")
+            assert result.stderr.count("\n") == 1
+        assert out.read_bytes() == b"earlier,output\n"
+        assert to_stdout.stdout == ""
+
+    def test_plane_streams_one_chunk_per_x_row(self):
+        # a 451 x 451 plane holds 65 MB of text; streamed, the peak is the
+        # float grid and its temporaries (49 MiB when the text was one string)
+        config = ScanConfig(plane="nbar_vs_r", x_range=(1e-2, 1e2, 451, "log10"),
+                            y_range=(-2.25, 2.25, 451, "linear"))
+        tracemalloc.start()
+        try:
+            chunks = sizes = 0
+            for chunk in scan_csv(config):
+                chunks += 1
+                sizes += len(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks == 1 + 451
+        assert sizes > 451 * 451 * 40
+        assert peak < 8 * 2**20
+
     def test_temperature_and_occupation_planes_agree(self):
         # omegaT_vs_nq and nbar_vs_nq at n_bar = 1/expm1(omega/T) evaluate
         # the same cells, down to N_bar = 1e-20
@@ -312,7 +346,7 @@ class TestMap:
         config = ScanConfig(plane="omegaT_vs_r",
                             x_range=(0.5, 2.0, 2, "log10"),
                             y_range=(-1.0, 1.0, 5, "linear"))
-        rows = [line.split(",") for line in scan_csv(config).strip().split("\n")[1:]]
+        rows = [line.split(",") for line in "".join(scan_csv(config)).strip().split("\n")[1:]]
         # amplification is even in r
         by_xy = {(r[0], float(r[1])): r[2] for r in rows}
         for (x, y), val in by_xy.items():

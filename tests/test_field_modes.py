@@ -11,13 +11,13 @@ from ampbound.field_modes import (
     ModeResult,
     ModeSpec,
     make_mode,
-    mode_bound,
     mode_result_from_multiplicities,
     spectrum,
     total_entropy,
     total_heat,
     total_particles,
 )
+from field_modes_reference import mode_bound
 
 T, MU = 1.0, 0.0  # the bath
 EXTENSIVE = ("delta_S_k", "delta_Q_k", "delta_N_k")
