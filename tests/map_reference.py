@@ -1,8 +1,9 @@
 """Cell-by-cell reference for the ``map`` CSV.
 
-``ampbound.cli.scan_csv`` evaluates each plane as one array expression.  This
-module keeps the per-cell loop it replaced: one scalar closed-form call per
-grid cell, every field formatted on its own.  Tests compare the two byte for
+``ampbound.cli.scan_csv`` evaluates each plane as one array expression and
+formats it one x row at a time.  This module keeps the per-cell loop it
+replaced: one scalar closed-form call per grid cell, every field formatted on
+its own.  Tests compare the two byte for
 byte, so a change in the array path that moves one ulp of one cell shows.
 """
 
