@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -163,16 +164,11 @@ def _scan_chunks(xs: np.ndarray, ys: np.ndarray, ratios: np.ndarray):
         prefix = _fmt(x) + ","
         values = row.tolist()
         cells[2::3] = ["true" if ratio <= 1.0 else "false" for ratio in values]
-        zeros = np.flatnonzero(row == 0.0).tolist()
         # math.log10, not np.log10: the vectorised log10 differs from it in
         # the last digit on a sizeable share of cells
-        if zeros:
-            cells[1::3] = ["" if ratio == 0.0 else math.log10(ratio) for ratio in values]
-        else:
-            cells[1::3] = map(math.log10, values)
-        line = [prefix + "%s,%.17g,%s\n"] * len(values)
-        for j in zeros:
-            line[j] = prefix + "%s,%s,%s\n"
+        cells[1::3] = ["" if ratio == 0.0 else math.log10(ratio) for ratio in values]
+        line = [prefix + ("%s,%s,%s\n" if ratio == 0.0 else "%s,%.17g,%s\n")
+                for ratio in values]
         yield "".join(line) % tuple(cells)
 
 
@@ -208,7 +204,13 @@ def _emit(chunks, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
     else:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed early, which is not an input error; stdout
+            # goes to devnull so that the interpreter's final flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_check(args) -> int:

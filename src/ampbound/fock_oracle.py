@@ -240,10 +240,15 @@ def verify_point(n_bar: float, r: float, omega: float = 1.0,
     Record fields: ``n_bar, r, M, L, delta_S_analytic, delta_S_oracle,
     delta_Q_analytic, delta_Q_oracle, delta_N_analytic, delta_N_oracle,
     purity_formula, purity_oracle``.
+    A subnormal ``N_bar`` counts as no squeeze on the closed-form side, as
+    it does on the oracle's: the closed forms reject it, and the flows it
+    stands for are below any tolerance.
     """
     trunc = choose_truncation(n_bar, r, tolerance)
     joint = reduce_joint_state(n_bar, r, trunc)
     mult = analytic.Multiplicities.from_squeeze(n_bar, r)
+    if 0 < mult.N_bar < np.finfo(float).tiny:
+        mult = analytic.Multiplicities(n_bar, 0.0)
 
     dS_oracle = von_neumann_entropy(joint.p_s)
     p_e_in = analytic.geometric_weights(n_bar, joint.p_e.size)

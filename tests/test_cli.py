@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,8 @@ import pytest
 
 from ampbound import analytic, cli
 from ampbound.cli import ScanConfig, main, scan_csv
-from conftest import MALFORMED_PUMPS, NON_FINITE_PUMPS, run_cli, run_python
+from conftest import (
+    CHILD_TIMEOUT_S, MALFORMED_PUMPS, NON_FINITE_PUMPS, SRC, run_cli, run_python)
 from map_reference import reference_csv
 
 
@@ -312,6 +316,25 @@ class TestMap:
             assert result.stderr.count("\n") == 1
         assert out.read_bytes() == b"earlier,output\n"
         assert to_stdout.stdout == ""
+
+    def test_reader_closing_early_exits_quietly(self):
+        # 300 x 300 cells are about 3 MB of text, far more than a pipe holds
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "ampbound.cli", "map", "--plane", "nbar_vs_r",
+                "--x-min", "0.1", "--x-max", "5", "--x-points", "300",
+                "--y-min", "0.1", "--y-max", "2", "--y-points", "300"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as child:
+            try:
+                head = child.stdout.read(100)
+                child.stdout.close()
+                _, err = child.communicate(timeout=CHILD_TIMEOUT_S)
+            finally:
+                child.kill()
+        assert head.startswith(b"x,y,log10_ratio,satisfied\n")
+        assert child.returncode == 0
+        assert err == b""
 
     def test_plane_streams_one_chunk_per_x_row(self):
         # a 451 x 451 plane holds 65 MB of text; streamed, the peak is the

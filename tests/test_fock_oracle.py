@@ -464,15 +464,22 @@ class TestVerify:
     )
     @example(n_bar=0.0, r=3.2532208647296655e-155)
     def test_random_points_match_closed_forms(self, n_bar, r):
-        if 0 < analytic.pair_occupation(r) * (n_bar + 1.0) < np.finfo(float).tiny:
-            # a subnormal N_bar is outside the closed forms, which reject it
-            with pytest.raises(ValueError, match="N_bar must be at least"):
-                verify_point(n_bar, r, tolerance=1e-10)
-            return
         rec = verify_point(n_bar, r, tolerance=1e-10)
         assert abs(rec["delta_S_analytic"] - rec["delta_S_oracle"]) < 1e-8
         q_scale = max(rec["delta_Q_analytic"], 1.0)
         assert abs(rec["delta_Q_analytic"] - rec["delta_Q_oracle"]) < 1e-8 * q_scale
+
+    @pytest.mark.parametrize("n_bar, r", [
+        (0.0, 3.2532208647296655e-155), (2.5, 1e-160), (100.0, 1e-156)])
+    def test_subnormal_N_bar_counts_as_no_squeeze(self, n_bar, r):
+        # the closed forms reject a subnormal N_bar; the record takes it as
+        # no squeeze, as the ladder weights do
+        assert 0 < analytic.pair_occupation(r) * (n_bar + 1.0) < np.finfo(float).tiny
+        rec = verify_point(n_bar, r)
+        assert rec["delta_S_analytic"] == rec["delta_Q_analytic"] == 0.0
+        assert rec["delta_N_analytic"] == rec["delta_N_oracle"] == 0.0
+        assert rec["purity_formula"] == 1.0 / (2.0 * n_bar + 1.0)
+        assert verify_grid([(n_bar, r)])["pass"]
 
     def test_dense_and_block_routes_agree(self):
         # the streamed label-matched occupation distributions against the
