@@ -299,6 +299,18 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse takes only tokens like -1 and -0.001 for negative numbers and
+    # reads -1e-3 or -inf as an unknown option; here any token that float()
+    # parses is a value, in every subcommand (subparsers share this class)
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _add_out_flag(parser, default=argparse.SUPPRESS) -> None:
     # --out, like check's --json, is registered on the root and on the
     # subcommand so it is accepted in either position; the subcommand copy
@@ -308,7 +320,7 @@ def _add_out_flag(parser, default=argparse.SUPPRESS) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ampbound",
         description="Entropy/heat/particle-flow bounds for parametric "
                     "amplification, with oracle verification and field scans.",

@@ -10,7 +10,7 @@ frequency and is driven by the conjugate of its mirror within its block::
 * per mode, a block ``(u, v)`` at one frequency and no carrier, so
   ``u' = -i omega u + i g(t) conj(v)`` and ``v' = -i omega v + i g(t) conj(u)``;
   :func:`integrate_uv` solves one such block, :func:`integrate_modes` one per
-  frequency of a grid, with one pump call per stage for all of them;
+  frequency of a grid, with one pump call per step attempt for all of them;
 * the resonant two-oscillator system, one block ``(u_s, v_s, u_e, v_e)``
   under the carrier ``omega_s + omega_e``, so ``u_s`` is driven by ``v_e``
   and ``v_s`` by ``u_e``.
@@ -207,7 +207,12 @@ class PumpProfile:
             g = self.q0 * np.exp(1j * self.theta_in)
             return g if np.ndim(t) == 0 else np.full(np.shape(t), g)
         if self.kind == "gaussian_pulse":
-            q = self.amplitude * np.exp(-((np.asarray(t, dtype=float) - self.center) ** 2)
+            # float_power squares with libm's pow, as a scalar ``** 2`` does,
+            # on every shape of t; an array's ``** 2`` is an exact square,
+            # which differs in the last bit about once in a thousand times
+            # and would move the steps DOP853 accepts
+            q = self.amplitude * np.exp(-np.float_power(np.asarray(t, dtype=float)
+                                                        - self.center, 2)
                                         / (2.0 * self.width ** 2))
             return q * np.exp(1j * self.theta_in)
         if self.kind == "de_sitter":
@@ -265,29 +270,55 @@ def check_span(t_in: float, t_fin: float, tol: float) -> None:
 
 
 def _bogoliubov_rhs(pump, freqs, carrier=None):
-    # z' = -i freqs z + w conj(mirror(z)) with w = i g(t) e^{-i carrier t}, on
-    # the real state vector y = (Re z_0, Im z_0, Re z_1, ...).  Each row of
-    # freqs is one block of amplitudes and the mirror reverses within a block;
-    # a flat sequence is one block.  Written in real arithmetic, each product
-    # rounds once, as in numpy's scalar complex product; its array complex
-    # product may fuse multiply-adds, and a last-bit change moves the steps
-    # DOP853 accepts on a kinked pump
+    """``(coef, apply)``: the right-hand side split into its time and state parts.
+
+    The system is ``z' = -i freqs z + w conj(mirror(z))`` with
+    ``w = i g(t) e^{-i carrier t}``, on the real state vector
+    ``y = (Re z_0, Im z_0, Re z_1, ...)``.  Each row of ``freqs`` is one block
+    of amplitudes and the mirror reverses within a block; a flat sequence is
+    one block.  ``coef(ts)`` calls the pump once for a 1-d array of times and
+    returns one ``(3, size)`` row per time; ``apply(c, y, out=None)`` is the
+    derivative at state ``y`` under row ``c``, so ``apply(coef([t])[0], y)``
+    is ``z'`` at ``t``.  A row does not depend on how many times ``coef``
+    was given.
+
+    Written in real arithmetic, each product rounds once, as in numpy's
+    scalar complex product; its array complex product may fuse
+    multiply-adds, and a last-bit change moves the steps DOP853 accepts on a
+    kinked pump.
+    """
     freqs = np.atleast_2d(np.asarray(freqs, dtype=float))
     parts = np.arange(2 * freqs.size).reshape(*freqs.shape, 2)
     mirror, swap = parts[:, ::-1].ravel(), parts[:, :, ::-1].ravel()
     crossed = parts[:, ::-1, ::-1].ravel()
+    # -i freqs z is (freqs Im z, -freqs Re z) and w conj(m) is
+    # (Re w Re m + Im w Im m, -Re w Im m + Im w Re m); y[crossed] holds
+    # (Im m, Re m) at each amplitude's place and y[swap] (Im z, Re z)
+    gather = np.concatenate([mirror, crossed, swap])
     signs = np.tile([1.0, -1.0], freqs.size)
     rotation = np.repeat(freqs.ravel(), 2) * signs
 
-    def rhs(t, y):
-        w = 1j * pump(t)
+    def coef(ts):
+        ts = np.asarray(ts, dtype=float)
+        w = 1j * pump(ts)
+        re, im = w.real, w.imag
         if carrier is not None:
-            w = w * np.exp(-1j * carrier * t)
-        # -i freqs z is (freqs Im z, -freqs Re z) and w conj(m) is
-        # (Re w Re m + Im w Im m, -Re w Im m + Im w Re m); y[crossed] holds
-        # (Im m, Re m) at each amplitude's place
-        return rotation * y[swap] + (w.real * (signs * y[mirror]) + w.imag * y[crossed])
-    return rhs
+            e = np.exp(-1j * carrier * ts)
+            re, im = re * e.real - im * e.imag, re * e.imag + im * e.real
+        c = np.empty((ts.size, 3, signs.size))
+        # a sign flip is exact, so (Re w signs) y rounds as Re w (signs y)
+        np.multiply.outer(re, signs, out=c[:, 0])
+        c[:, 1] = im[:, None]
+        c[:, 2] = rotation
+        return c
+
+    def apply(c, y, out=None):
+        p = y[gather].reshape(3, -1)
+        p *= c
+        out = np.add(p[0], p[1], out=out)
+        out += p[2]
+        return out
+    return coef, apply
 
 
 def _check_unitarity(pair, tol, steps):
@@ -348,32 +379,40 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _dop853(fun, t0, y0, t_bound, rtol, atol):
+def _dop853(rhs, t0, y0, t_bound, rtol, atol):
     """Step DOP853 from ``t0`` to ``t_bound >= t0``; return ``(y, accepted_steps)``.
 
-    The arithmetic is that of scipy's ``DOP853`` stepped to the end (scipy
-    1.17, no ``max_step``), operation for operation, so the state comes out
-    bit for bit and ``fun`` is called as often: the initial step of Hairer,
-    Norsett & Wanner (II.4) for an error of order 7, the step factor
+    ``rhs`` is the ``(coef, apply)`` pair of :func:`_bogoliubov_rhs`.  The
+    arithmetic is that of scipy's ``DOP853`` stepped to the end (scipy 1.17,
+    no ``max_step``) on ``fun(t, y) = apply(coef([t])[0], y)``, operation for
+    operation, so the state comes out bit for bit and ``apply`` runs as
+    often as scipy calls ``fun``: the initial step of Hairer, Norsett &
+    Wanner (II.4) for an error of order 7, the step factor
     ``0.9 err^(-1/8)`` clipped to ``[0.2, 10]`` and to 1 after a rejection,
     and the error norm that weighs the 5th-order estimate against the
-    3rd-order one.  A step that must shrink below ten spacings of ``t``
-    raises :class:`IntegrationError`.
+    3rd-order one.  ``coef`` is called once per step attempt, at the stage
+    times ``t + C h`` (``C[0] = 0`` reuses the last derivative and
+    ``C[11] = 1`` is the new point), and once for each of the two trial
+    derivatives of the initial step.  A step that must shrink below ten
+    spacings of ``t`` raises :class:`IntegrationError`.
     """
+    coef, apply = rhs
     y = np.asarray(y0, dtype=float)
     if y.size == 0 or t_bound == t0:
         return y, 0
-    f = fun(t0, y)
+    K = np.empty((13, y.size))
+    # K[0] holds the derivative at the current point; only an accepted
+    # step moves the new point's derivative there
+    f = K[0] = apply(coef([t0])[0], y)
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound - t0)
-    d2 = _rms((fun(t0 + h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((apply(coef([t0 + h0])[0], y + h0 * f) - f) / scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** 0.125)
     h_abs = min(100 * h0, h1, t_bound - t0)
     t, steps = t0, 0
-    K = np.empty((13, y.size))
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
@@ -383,11 +422,11 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol):
                                        "is less than spacing between numbers.")
             t_new = min(t + h_abs, t_bound)
             h_abs = h = t_new - t
-            K[0] = f
+            rows = coef(t + _C[1:] * h)
             for s in range(1, 12):
-                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+                apply(rows[s - 1], y + np.dot(K[:s].T, _A[s, :s]) * h, out=K[s])
             y_new = y + h * np.dot(K[:-1].T, _B)
-            K[-1] = f_new = fun(t + h, y_new)
+            apply(rows[-1], y_new, out=K[-1])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
             err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
@@ -399,7 +438,8 @@ def _dop853(fun, t0, y0, t_bound, rtol, atol):
                 break
             h_abs *= max(0.2, 0.9 * error ** -0.125)
             rejected = True
-        t, y, f, steps = t_new, y_new, f_new, steps + 1
+        K[0] = K[-1]
+        t, y, steps = t_new, y_new, steps + 1
     return y, steps
 
 
@@ -459,7 +499,7 @@ def integrate_modes(pump, omegas, t_in: float, t_fin: float,
     """Integrate the per-mode systems of several frequencies in one solve.
 
     Each frequency is an independent block ``(u, v)`` of one stacked system,
-    so the pump is evaluated once per stage for all of them.  ``tol`` holds
+    so the pump is evaluated once per step attempt for all of them.  ``tol`` holds
     per mode: it is divided by ``sqrt(len(omegas))`` (see :func:`_solve`),
     and a single frequency gives :func:`integrate_uv` bit for bit.  A pump,
     span or integrator failure, or any one pair's unitarity guard, raises
@@ -481,8 +521,10 @@ def integrate_uv(pump, omega: float, t_in: float, t_fin: float,
     Parameters
     ----------
     pump : callable
-        ``pump(t) -> complex``; a :class:`PumpProfile` is validated against
-        the interval first.
+        ``pump(ts) -> complex array``, called with a 1-d array of times and
+        returning ``g`` at each of them (the 11 distinct stage times of one step
+        attempt at once); a :class:`PumpProfile` accepts arrays and is
+        validated against the interval first.
     omega : float
         Mode frequency entering the free rotation.
     """

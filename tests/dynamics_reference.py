@@ -1,9 +1,11 @@
 """Independent evaluations for the tests of ``ampbound.dynamics``.
 
 ``closed_form_qm`` solves the resonant two-oscillator system for a constant
-pump in closed form.  ``reconstruct_pair`` inverts
-``dynamics.extract_squeeze``.  ``trajectory`` samples one per-mode solve on a
-uniform grid, and ``squeeze_flow_rhs`` is the flow that the squeeze
+pump in closed form, and ``hankel_exact_pair`` the per-mode system for a
+power-law pump in Hankel functions.  ``reconstruct_pair`` inverts
+``dynamics.extract_squeeze``.  ``plain_rhs`` is the right-hand side as one
+``fun(t, y)`` for scipy's integrators.  ``trajectory`` samples one per-mode
+solve on a uniform grid, and ``squeeze_flow_rhs`` is the flow that the squeeze
 variables of such a trajectory obey when the pump is purely imaginary,
 ``g = i q``, with ``H = -q``::
 
@@ -14,6 +16,7 @@ variables of such a trajectory obey when the pump is purely imaginary,
 The theta equation is singular at ``r = 0``.
 """
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -21,12 +24,19 @@ from ampbound import dynamics
 from ampbound.dynamics import BogoliubovPair, PumpError, PumpProfile, SqueezeTriple
 
 
+def plain_rhs(pump, freqs, carrier=None):
+    """``fun(t, y)`` of ``dynamics._bogoliubov_rhs``: its row at the one time
+    ``t`` applied to ``y``."""
+    coef, apply = dynamics._bogoliubov_rhs(pump, freqs, carrier)
+    return lambda t, y: apply(coef([t])[0], y)
+
+
 def trajectory(pump, omega: float, t_in: float, t_fin: float, tol: float = 1e-10,
                samples: int = 2001):
     """``(times, u, v)`` of the per-mode system from ``(1, 0)``, sampled on
     ``samples`` uniform times by one DOP853 solve (no knot splitting)."""
     times = np.linspace(t_in, t_fin, samples)
-    sol = solve_ivp(dynamics._bogoliubov_rhs(pump, (omega, omega)), (t_in, t_fin),
+    sol = solve_ivp(plain_rhs(pump, (omega, omega)), (t_in, t_fin),
                     [1.0, 0.0, 0.0, 0.0], method="DOP853", rtol=max(tol, 1e-13),
                     atol=tol, t_eval=times)
     assert sol.success, sol.message
@@ -59,6 +69,45 @@ def closed_form_qm(pump: PumpProfile, omega_s: float, omega_e: float,
         BogoliubovPair(u=np.exp(-1j * omega * dt) * np.cosh(r),
                        v=np.exp(1j * (theta - omega * dt)) * np.sinh(r))
         for omega in (omega_s, omega_e))
+
+
+def hankel_exact_pair(k: float, s: float, tau_in: float, tau_fin: float) -> BogoliubovPair:
+    """Exact ``(u, v)`` of one mode under the power-law pump of strength ``s``.
+
+    The pump ``PumpProfile.de_sitter(s)``, ``g = -i s/tau``, is the mode
+    equation of a scale factor ``a ~ (-tau)^(-s)``: ``F = u - conj(v)`` obeys
+    ``F'' + (k^2 - s(s+1)/tau^2) F = 0``, solved by ``sqrt(-tau) H_nu(-k tau)``
+    with ``nu = s + 1/2`` and its conjugate (Birrell & Davies, Quantum Fields
+    in Curved Space, 5.4).  ``F`` is matched to the vacuum ``F = 1``,
+    ``F' = -i k - s/tau_in`` at ``tau_in`` and propagated to ``tau_fin``;
+    ``P = u + conj(v) = i (F' + s F/tau)/k`` gives the pair.  Evaluated in
+    mpmath at 40 digits, so the result is exact to double precision.
+    ``s = 1`` is :func:`dynamics.desitter_exact_pair`.
+    """
+    if not (k > 0 and tau_in <= tau_fin < 0):
+        raise ValueError("needs k > 0 and tau_in <= tau_fin < 0")
+    with mpmath.workdps(40):
+        k, s = mpmath.mpf(k), mpmath.mpf(s)
+        nu = s + mpmath.mpf(1) / 2
+
+        def mode(tau):
+            # phi = sqrt(-tau) H1_nu(-k tau) and d phi / d tau, through
+            # H1_nu'(x) = H1_{nu-1}(x) - nu H1_nu(x) / x
+            tau = mpmath.mpf(tau)
+            x, root = -k * tau, mpmath.sqrt(-tau)
+            h, h_lower = mpmath.hankel1(nu, x), mpmath.hankel1(nu - 1, x)
+            return root * h, -h / (2 * root) - k * root * (h_lower - nu * h / x)
+
+        phi, dphi = mode(tau_in)
+        det = phi * mpmath.conj(dphi) - mpmath.conj(phi) * dphi
+        df_in = -1j * k - s / tau_in
+        a = (mpmath.conj(dphi) - mpmath.conj(phi) * df_in) / det
+        b = (phi * df_in - dphi) / det
+        phi, dphi = mode(tau_fin)
+        f = a * phi + b * mpmath.conj(phi)
+        df = a * dphi + b * mpmath.conj(dphi)
+        p = 1j * (df + s * f / tau_fin) / k
+        return BogoliubovPair(u=complex((f + p) / 2), v=complex(mpmath.conj((p - f) / 2)))
 
 
 def reconstruct_pair(triple: SqueezeTriple) -> BogoliubovPair:

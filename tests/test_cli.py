@@ -696,3 +696,46 @@ print(json.dumps(loaded))
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[], [], [], [], []]
+
+
+# a command around one negative value in exponent notation, which argparse
+# alone reads as an unknown option: (before, flag, value, after)
+NEGATIVE_EXPONENTS = {
+    "check": (["check", "--nbar", "1", "--nq", "0.5", "--omega", "1", "--T", "1"],
+              "--mu", "-1e-3", []),
+    "map": (["map", "--plane", "omegaT_vs_r", "--x-min", "0.5", "--x-max", "2",
+             "--x-points", "3"], "--y-min", "-1e-1",
+            ["--y-max", "1e-1", "--y-points", "3", "--y-scale", "linear"]),
+    "spectrum": (["spectrum", "--T", "1", "--k-min", "0.5", "--k-max", "2",
+                  "--k-points", "3", "--tau-fin", "-0.5"], "--tau-in", "-5e1", [])}
+
+
+def negative_argv(pump_file, command, value, joined):
+    """``NEGATIVE_EXPONENTS[command]`` with ``value``, as its own token or
+    joined to its flag by ``=``; spectrum gets a de Sitter pump."""
+    before, flag, _, after = NEGATIVE_EXPONENTS[command]
+    argv = before + ([f"{flag}={value}"] if joined else [flag, value]) + after
+    if command == "spectrum":
+        argv += ["--pump", pump_file({"kind": "de_sitter"})]
+    return argv
+
+
+class TestNegativeNumbers:
+    @pytest.mark.parametrize("command", NEGATIVE_EXPONENTS)
+    def test_exponent_spelling_is_the_joined_one(self, pump_file, capsys, command):
+        value = NEGATIVE_EXPONENTS[command][2]
+        results = []
+        for joined in (False, True):
+            code = main(negative_argv(pump_file, command, value, joined))
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results[0] == results[1]
+        assert results[0][0] in (0, 2) and results[0][1] and not results[0][2]
+
+    @pytest.mark.parametrize("command", NEGATIVE_EXPONENTS)
+    def test_negative_infinity_is_one_error_line(self, pump_file, capsys, command):
+        code = main(negative_argv(pump_file, command, "-inf", joined=False))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

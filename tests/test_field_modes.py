@@ -208,9 +208,9 @@ class TestBatchedSpectrum:
                 assert res == alone
 
     def test_pump_calls_of_one_mode(self, desitter_one_mode):
-        # one pump call per stage serves every mode: the 50-mode grid costs
-        # less than twice its slowest mode, where one solve per mode cost
-        # the sum over modes, about 12 times as much
+        # one pump call per step attempt serves every mode: the 50-mode grid
+        # costs less than twice its slowest mode, where one solve per mode
+        # cost the sum over modes, about 12 times as much
         pump = CountingPump(dynamics.PumpProfile.de_sitter())
         spectrum(DESITTER_KS, pump, T, MU, *DESITTER_SPAN, tol=1e-10)
         assert pump.calls < 2 * max(desitter_one_mode[1])
