@@ -499,8 +499,8 @@ def integrate_modes(pump, omegas, t_in: float, t_fin: float,
     """Integrate the per-mode systems of several frequencies in one solve.
 
     Each frequency is an independent block ``(u, v)`` of one stacked system,
-    so the pump is evaluated once per step attempt for all of them.  ``tol`` holds
-    per mode: it is divided by ``sqrt(len(omegas))`` (see :func:`_solve`),
+    so the pump is evaluated once per step attempt for all of them.  ``tol``
+    holds per mode: it is divided by ``sqrt(len(omegas))`` (see :func:`_solve`),
     and a single frequency gives :func:`integrate_uv` bit for bit.  A pump,
     span or integrator failure, or any one pair's unitarity guard, raises
     for the whole batch.  Returns one pair per frequency, in order.
@@ -522,9 +522,9 @@ def integrate_uv(pump, omega: float, t_in: float, t_fin: float,
     ----------
     pump : callable
         ``pump(ts) -> complex array``, called with a 1-d array of times and
-        returning ``g`` at each of them (the 11 distinct stage times of one step
-        attempt at once); a :class:`PumpProfile` accepts arrays and is
-        validated against the interval first.
+        returning ``g`` at each of them: all 11 distinct stage times of one
+        step attempt in one call.  A :class:`PumpProfile` accepts arrays and
+        is validated against the interval first.
     omega : float
         Mode frequency entering the free rotation.
     """
