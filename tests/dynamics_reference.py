@@ -74,7 +74,7 @@ def closed_form_qm(pump: PumpProfile, omega_s: float, omega_e: float,
 def hankel_exact_pair(k: float, s: float, tau_in: float, tau_fin: float) -> BogoliubovPair:
     """Exact ``(u, v)`` of one mode under the power-law pump of strength ``s``.
 
-    The pump ``PumpProfile.de_sitter(s)``, ``g = -i s/tau``, is the mode
+    The pump ``PumpProfile.de_sitter(s)``, ``g = -i s/tau``, gives the mode
     equation of a scale factor ``a ~ (-tau)^(-s)``: ``F = u - conj(v)`` obeys
     ``F'' + (k^2 - s(s+1)/tau^2) F = 0``, solved by ``sqrt(-tau) H_nu(-k tau)``
     with ``nu = s + 1/2`` and its conjugate (Birrell & Davies, Quantum Fields
