@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ampbound import analytic, cli
 from ampbound.cli import ScanConfig, main, scan_csv
@@ -698,8 +700,9 @@ print(json.dumps(loaded))
     assert json.loads(result.stdout) == [[], [], [], [], []]
 
 
-# a command around one negative value in exponent notation, which argparse
-# alone reads as an unknown option: (before, flag, value, after)
+# a command around one negative value that argparse alone reads as an
+# unknown option, a number in exponent notation or a verify point:
+# (before, flag, value, after)
 NEGATIVE_EXPONENTS = {
     "check": (["check", "--nbar", "1", "--nq", "0.5", "--omega", "1", "--T", "1"],
               "--mu", "-1e-3", []),
@@ -707,7 +710,10 @@ NEGATIVE_EXPONENTS = {
              "--x-points", "3"], "--y-min", "-1e-1",
             ["--y-max", "1e-1", "--y-points", "3", "--y-scale", "linear"]),
     "spectrum": (["spectrum", "--T", "1", "--k-min", "0.5", "--k-max", "2",
-                  "--k-points", "3", "--tau-fin", "-0.5"], "--tau-in", "-5e1", [])}
+                  "--k-points", "3", "--tau-fin", "-0.5"], "--tau-in", "-5e1", []),
+    "verify": (["verify"], "--point", "-0.5,1", [])}
+# the negative infinity of each command's value, where it is not -inf
+NEGATIVE_INFINITY = {"verify": "-inf,1"}
 
 
 def negative_argv(pump_file, command, value, joined):
@@ -734,8 +740,66 @@ class TestNegativeNumbers:
 
     @pytest.mark.parametrize("command", NEGATIVE_EXPONENTS)
     def test_negative_infinity_is_one_error_line(self, pump_file, capsys, command):
-        code = main(negative_argv(pump_file, command, "-inf", joined=False))
+        value = NEGATIVE_INFINITY.get(command, "-inf")
+        code = main(negative_argv(pump_file, command, value, joined=False))
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def assert_prints_as_fmt(values):
+    values = np.asarray(values, dtype=np.float64)
+    expected = [cli._fmt(x).encode() for x in values.tolist()]
+    assert cli._fmt_array(values).tolist() == expected
+
+
+def with_neighbours(values):
+    """The values, one ulp to either side, and all of those negated."""
+    values = np.asarray(values, dtype=np.float64)
+    near = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+    return np.concatenate([near, -near])
+
+
+class TestFmtArray:
+    """``_fmt_array`` prints every finite double as ``_fmt`` does, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_any_finite_floats(self, values):
+        assert_prints_as_fmt(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(19).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert_prints_as_fmt(values[np.isfinite(values)])
+
+    def test_powers_of_ten(self):
+        # float(1e-14), among others, lies below 10**-14 yet prints as 1e-14
+        assert_prints_as_fmt(with_neighbours([float(f"1e{k}") for k in range(-300, 301)]))
+
+    def test_exact_ties(self):
+        # M / 2**f with M odd has the digits of M 5**f; with 18 of them the
+        # 17-digit rounding is an exact tie, which rounds half to even
+        ties = [m / 2**f for f in range(1, 26) for m in range(10**17 // 5**f | 1, 2**53, 2)[:40]
+                if len(str(m * 5**f)) == 18]
+        assert len(ties) > 500
+        assert_prints_as_fmt(with_neighbours(ties))
+
+    def test_notation_switch_points(self):
+        assert_prints_as_fmt(with_neighbours([1e-5, 1e-4, 1e16, 1e17]))
+
+    def test_integers_subnormals_and_zeros(self):
+        integers = np.concatenate([2.0**53 + np.arange(0, 2000, 2),
+                                   2.0**53 * 10.0 ** np.arange(11)])
+        assert_prints_as_fmt(with_neighbours(integers))
+        assert_prints_as_fmt(with_neighbours([5e-324, 1e-310, 2.2250738585072014e-308,
+                                              1e-250, 1e250]))
+        assert_prints_as_fmt([0.0, -0.0, 0.5, 1.0, 0.1, 123456789.0, 0.99999999999999989,
+                              1.7976931348623157e308, -1.7976931348623157e308])
+
+    def test_keeps_the_shape(self):
+        values = np.arange(12.0).reshape(3, 4) - 5.5
+        printed = cli._fmt_array(values)
+        assert printed.shape == (3, 4)
+        assert printed[2, 3].decode() == cli._fmt(values[2, 3])
