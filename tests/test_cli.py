@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampbound import analytic, cli
+from ampbound import analytic, cli, printer
 from ampbound.cli import ScanConfig, main, scan_csv
 from conftest import (
     CHILD_TIMEOUT_S, MALFORMED_PUMPS, NON_FINITE_PUMPS, SRC, run_cli, run_python)
@@ -751,7 +751,7 @@ class TestNegativeNumbers:
 def assert_prints_as_fmt(values):
     values = np.asarray(values, dtype=np.float64)
     expected = [cli._fmt(x).encode() for x in values.tolist()]
-    assert cli._fmt_array(values).tolist() == expected
+    assert printer.fmt_array(values).tolist() == expected
 
 
 def with_neighbours(values):
@@ -762,7 +762,8 @@ def with_neighbours(values):
 
 
 class TestFmtArray:
-    """``_fmt_array`` prints every finite double as ``_fmt`` does, byte for byte."""
+    """``printer.fmt_array`` prints every finite double as ``cli._fmt`` does,
+    byte for byte."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
@@ -800,6 +801,6 @@ class TestFmtArray:
 
     def test_keeps_the_shape(self):
         values = np.arange(12.0).reshape(3, 4) - 5.5
-        printed = cli._fmt_array(values)
+        printed = printer.fmt_array(values)
         assert printed.shape == (3, 4)
         assert printed[2, 3].decode() == cli._fmt(values[2, 3])
