@@ -156,8 +156,8 @@ def scan_csv(config: ScanConfig):
     return _scan_chunks(xs, ys, ratios)
 
 
-# x rows per numpy pass of map: a larger block spreads the printer's
-# per-call cost over more cells but raises the peak memory of the command
+# x rows per numpy pass of map: between 4 and 32 rows a 451 x 451 plane
+# runs at the same speed, and a block's temporaries add to the peak memory
 _BLOCK_ROWS = 8
 
 
@@ -167,7 +167,7 @@ def _scan_chunks(xs: np.ndarray, ys: np.ndarray, ratios: np.ndarray):
     # drops the padding
     from .printer import fmt_array
 
-    heads = np.strings.add(fmt_array(xs), b",")
+    xfields = np.strings.add(fmt_array(xs), b",")
     yfields = np.strings.add(fmt_array(ys), b",")
     yield "x,y,log10_ratio,satisfied\n"
     for start in range(0, len(xs), _BLOCK_ROWS):
@@ -179,7 +179,7 @@ def _scan_chunks(xs: np.ndarray, ys: np.ndarray, ratios: np.ndarray):
                            np.float64, block.size)
         fields = fmt_array(logs.reshape(block.shape))
         fields[zero] = b""
-        lines = np.strings.add(heads[start:start + _BLOCK_ROWS, None], yfields)
+        lines = np.strings.add(xfields[start:start + _BLOCK_ROWS, None], yfields)
         lines = np.strings.add(lines, fields)
         lines = np.strings.add(lines, np.where(block <= 1.0, b",true\n", b",false\n"))
         for row in lines:
