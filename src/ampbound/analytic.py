@@ -147,10 +147,12 @@ def nbar_from_thermal(spec: ThermalSpec) -> float:
 
     Evaluated as ``exp(-x)/(1 - exp(-x))`` with ``x = (omega - mu)/T``,
     which never overflows and underflows gracefully to 0 for a frozen-out
-    mode.
+    mode.  An ``x`` that rounds to 0 or to a subnormal gives ``inf``,
+    without a warning, for the caller's finiteness check to reject.
     """
     x = (spec.omega - spec.mu) / spec.T
-    return float(np.exp(-x) / -np.expm1(-x))
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.exp(-x) / -np.expm1(-x))
 
 
 def pair_occupation(r: float) -> float:

@@ -107,13 +107,14 @@ class ScanConfig:
         return (_axis(*self.x_range), _axis(*self.y_range))
 
 
-def ratio_grid(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarray:
-    """Bound ratio on every cell of a plane, shape ``(len(xs), len(ys))``.
+def _ratio_rows(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float):
+    """The bound ratio of a plane by x rows: ``rows(start, stop)`` is the
+    ratio on ``xs[start:stop]`` against every y, shape ``(stop - start,
+    len(ys))``.
 
-    For the occupation planes the ratio depends only on the occupations
-    themselves, so the chemical potential drops out identically (it only
-    shifts how a given ``n_bar`` arises from bath parameters).  For the
-    omega/T planes ``mu`` is in units of T and shifts the axis value.
+    The plane and the axis checks that span a whole axis raise here; a cell
+    whose ratio cannot be evaluated raises from ``rows``.  The per-axis
+    factors, ``n_bar`` over x and ``n_q`` over y, are computed once.
     """
     if plane == "N_vs_omegaT" and ys.min() - mu <= 0:
         raise CliError("omega/T axis must stay above mu/T")
@@ -123,22 +124,53 @@ def ratio_grid(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndar
         raise CliError(f"unknown plane {plane!r}")
     x, y = xs[:, None], ys[None, :]
     if plane == "N_vs_omegaT":
-        return analytic.ratio_from_temperature(1.0, y, mu, x)
+        return lambda start, stop: analytic.ratio_from_temperature(1.0, y, mu, x[start:stop])
     n_q = y
     if plane.endswith("_r"):
         # scalar per axis value: the array form np.sinh(ys) ** 2 can round
         # differently in the last place, which would move CSV bytes
         n_q = np.array([analytic.pair_occupation(r) for r in ys.tolist()])[None, :]
-    # N_bar = n_q (n_bar + 1) overflows for large axis values; numpy's
-    # warning would name no input, so the product is checked here instead
     with np.errstate(over="ignore"):
         n_bar = x if plane.startswith("nbar") else 1.0 / np.expm1(x - mu)
-        N_bar = n_q * (n_bar + 1.0)
-    if not np.all(np.isfinite(N_bar)):
-        raise CliError("N_bar = n_q (n_bar + 1) is not finite: it overflows on this grid")
-    if plane.startswith("nbar"):
-        return analytic.ratio_from_occupation(x, N_bar)
-    return analytic.ratio_from_temperature(1.0, x, mu, N_bar)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        # N_bar = n_q (n_bar + 1) overflows for large axis values; numpy's
+        # warning would name no input, so the product is checked here instead
+        with np.errstate(over="ignore"):
+            N_bar = n_q * (n_bar[start:stop] + 1.0)
+        if not np.all(np.isfinite(N_bar)):
+            raise CliError("N_bar = n_q (n_bar + 1) is not finite: it overflows on this grid")
+        if plane.startswith("nbar"):
+            return analytic.ratio_from_occupation(x[start:stop], N_bar)
+        return analytic.ratio_from_temperature(1.0, x[start:stop], mu, N_bar)
+    return rows
+
+
+def ratio_grid(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarray:
+    """Bound ratio on every cell of a plane, shape ``(len(xs), len(ys))``.
+
+    For the occupation planes the ratio depends only on the occupations
+    themselves, so the chemical potential drops out identically (it only
+    shifts how a given ``n_bar`` arises from bath parameters).  For the
+    omega/T planes ``mu`` is in units of T and shifts the axis value.
+    The whole plane in one block; :func:`scan_csv` evaluates the same cells
+    in blocks of x rows, with the same bytes.
+    """
+    return _ratio_rows(plane, xs, ys, mu)(0, len(xs))
+
+
+# x rows per ratio block of map, and per numpy pass of its text.  Each
+# analytic call has a fixed cost, so the ratios take the larger blocks: a
+# 451 x 451 plane took about 95 ms in-process with 64-row ratio blocks, 115
+# ms with 8-row ones.  The text runs at the same speed between 4 and 32
+# rows.  A block's temporaries add to the peak memory.
+_GRID_ROWS = 64
+_BLOCK_ROWS = 8
+
+
+def _ratio_blocks(rows, count: int):
+    for start in range(0, count, _GRID_ROWS):
+        yield start, rows(start, start + _GRID_ROWS)
 
 
 def scan_csv(config: ScanConfig):
@@ -146,22 +178,21 @@ def scan_csv(config: ScanConfig):
     with y fastest, as an iterator of chunks: the header line, then one
     chunk per x value.
 
-    The axes and the whole ratio grid are evaluated before this returns, so
-    every input error is raised before any chunk is written.  A vanishing
-    ratio (no amplification) writes an empty log10 field and counts as
-    satisfied.
+    The ratio is evaluated in blocks of ``_GRID_ROWS`` x rows, so the memory
+    follows one block and not the plane.  A first pass over the same blocks
+    keeps nothing and raises every input error before this returns, so
+    before any chunk is written; the chunks evaluate each block again.  A
+    vanishing ratio (no amplification) writes an empty log10 field and
+    counts as satisfied.
     """
     xs, ys = config.axes()
-    ratios = ratio_grid(config.plane, xs, ys, config.mu)
-    return _scan_chunks(xs, ys, ratios)
+    rows = _ratio_rows(config.plane, xs, ys, config.mu)
+    for _ in _ratio_blocks(rows, len(xs)):
+        pass
+    return _scan_chunks(xs, ys, rows)
 
 
-# x rows per numpy pass of map: between 4 and 32 rows a 451 x 451 plane
-# runs at the same speed, and a block's temporaries add to the peak memory
-_BLOCK_ROWS = 8
-
-
-def _scan_chunks(xs: np.ndarray, ys: np.ndarray, ratios: np.ndarray):
+def _scan_chunks(xs: np.ndarray, ys: np.ndarray, rows):
     # map alone imports the printer, so the other commands neither compile
     # nor hold it; the joined S-dtype lines are NUL-padded, and tolist()
     # drops the padding
@@ -170,20 +201,22 @@ def _scan_chunks(xs: np.ndarray, ys: np.ndarray, ratios: np.ndarray):
     xfields = np.strings.add(fmt_array(xs), b",")
     yfields = np.strings.add(fmt_array(ys), b",")
     yield "x,y,log10_ratio,satisfied\n"
-    for start in range(0, len(xs), _BLOCK_ROWS):
-        block = ratios[start:start + _BLOCK_ROWS]
-        zero = block == 0.0
-        # math.log10, not np.log10: the vectorised log10 differs from it in
-        # the last digit on a sizeable share of cells
-        logs = np.fromiter(map(math.log10, np.where(zero, 1.0, block).ravel().tolist()),
-                           np.float64, block.size)
-        fields = fmt_array(logs.reshape(block.shape))
-        fields[zero] = b""
-        lines = np.strings.add(xfields[start:start + _BLOCK_ROWS, None], yfields)
-        lines = np.strings.add(lines, fields)
-        lines = np.strings.add(lines, np.where(block <= 1.0, b",true\n", b",false\n"))
-        for row in lines:
-            yield b"".join(row.tolist()).decode()
+    for grid_start, ratios in _ratio_blocks(rows, len(xs)):
+        for offset in range(0, len(ratios), _BLOCK_ROWS):
+            block = ratios[offset:offset + _BLOCK_ROWS]
+            start = grid_start + offset
+            zero = block == 0.0
+            # math.log10, not np.log10: the vectorised log10 differs from it
+            # in the last digit on a sizeable share of cells
+            logs = np.fromiter(map(math.log10, np.where(zero, 1.0, block).ravel().tolist()),
+                               np.float64, block.size)
+            fields = fmt_array(logs.reshape(block.shape))
+            fields[zero] = b""
+            lines = np.strings.add(xfields[start:start + len(block), None], yfields)
+            lines = np.strings.add(lines, fields)
+            lines = np.strings.add(lines, np.where(block <= 1.0, b",true\n", b",false\n"))
+            for row in lines:
+                yield b"".join(row.tolist()).decode()
 
 
 def spectrum_csv(results, polarizations: int = 1) -> str:

@@ -120,7 +120,7 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
     ------
     ValueError
         If ``n_bar`` or ``r`` is negative or not finite, or the tolerance is
-        outside ``(0, 1)``.
+        outside ``(0, 1)`` or so small that half of it rounds to 0.
     TruncationInfeasibleError
         If the reduction would evaluate more than ``budget`` ladder weights,
         or a cutoff does not fit a float.
@@ -132,6 +132,9 @@ def choose_truncation(n_bar: float, r: float, tolerance: float,
     if n_bar < 0 or r < 0:
         raise ValueError("n_bar and r must be nonnegative")
     half = tolerance / 2.0
+    # a zero tail has no cutoff: log(0) would reach int() as inf
+    if half == 0:
+        raise ValueError(f"tolerance {tolerance} is too small: half of it rounds to 0")
     # N overflows to inf beyond r of about 355, which has no cutoff
     N_bar = analytic.pair_occupation(r) * (n_bar + 1.0)
     M = analytic.geometric_cutoff(n_bar, half)

@@ -1,10 +1,11 @@
 """Cell-by-cell reference for the ``map`` CSV.
 
-``ampbound.cli.scan_csv`` evaluates each plane as one array expression and
-formats it one x row at a time.  This module keeps the per-cell loop it
-replaced: one scalar closed-form call per grid cell, every field formatted on
-its own.  Tests compare the two byte for
-byte, so a change in the array path that moves one ulp of one cell shows.
+``ampbound.cli.scan_csv`` evaluates each plane as array expressions over
+blocks of x rows and formats each block in numpy.  This module keeps the
+per-cell loop they replaced: one scalar closed-form call per grid cell, every
+field formatted on its own.  Tests compare the two byte for byte, so a change
+in the array path that moves one ulp of one cell, or a block edge that drops
+or repeats a row, shows.
 """
 
 import math

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -149,6 +150,18 @@ class TestCheck:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert "ratio underflows" in result.stderr
 
+    def test_degenerate_thermal_occupation_prints_one_error_line(self):
+        # (omega - mu)/T rounds to 0 at T = 1e308 and to a subnormal at
+        # T = 1e303, so n_bar is infinite; numpy's divide or overflow
+        # warning once preceded the error line
+        for T in ("1e308", "1e303"):
+            result = run_cli("check", "--omega", "1e-20", "--T", T, "--from-thermal",
+                             "--nq", "1e-3")
+            assert result.returncode == 1
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+            assert "n_bar=inf" in result.stderr
+
     @pytest.mark.parametrize("argv", [
         ["map", "--json", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2",
          "--y-min", "1", "--y-max", "2"],
@@ -174,6 +187,24 @@ class TestCheck:
         root = run(capsys, "--json", "check", *argv)
         sub = run(capsys, "check", *argv, "--json")
         assert root == sub and json.loads(root[1])["satisfied"] is True
+
+
+@functools.cache
+def streamed_plane(x_points):
+    """Chunks, characters and tracemalloc peak of a ``nbar_vs_r`` plane of
+    ``x_points`` x 451 cells, consumed chunk by chunk."""
+    config = ScanConfig(plane="nbar_vs_r", x_range=(1e-2, 1e2, x_points, "log10"),
+                        y_range=(-2.25, 2.25, 451, "linear"))
+    tracemalloc.start()
+    try:
+        chunks = sizes = 0
+        for chunk in scan_csv(config):
+            chunks += 1
+            sizes += len(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return chunks, sizes, peak
 
 
 class TestMap:
@@ -304,6 +335,25 @@ class TestMap:
         assert result.stderr.count("\n") == 1
         assert not out.exists()
 
+    def test_overflow_past_the_first_block_exits_1(self, tmp_path, capsys):
+        # N_bar = n_q (n_bar + 1) overflows on the last x row only, 100 rows
+        # and one ratio block after the first: the blocks are checked before
+        # the header is written
+        argv = ["map", "--plane", "nbar_vs_nq", "--x-min", "1e-2", "--x-max", "1e109",
+                "--x-points", "101", "--y-min", "1e-2", "--y-max", "1e200"]
+        xs, ys = ScanConfig(plane="nbar_vs_nq", x_range=(1e-2, 1e109, 101, "log10"),
+                            y_range=(1e-2, 1e200, 101, "log10")).axes()
+        assert np.all(np.isfinite(cli.ratio_grid("nbar_vs_nq", xs[:-1], ys, 0.0)))
+        out = tmp_path / "grid.csv"
+        out.write_bytes(b"earlier,output\n")
+        for target in (["--out", str(out)], []):
+            assert main(argv + target) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: N_bar = n_q (n_bar + 1)")
+            assert captured.err.count("\n") == 1
+        assert out.read_bytes() == b"earlier,output\n"
+
     def test_failed_map_leaves_existing_output_untouched(self, tmp_path):
         # the grid is evaluated before the output file is opened
         out = tmp_path / "grid.csv"
@@ -339,22 +389,38 @@ class TestMap:
         assert err == b""
 
     def test_plane_streams_one_chunk_per_x_row(self):
-        # a 451 x 451 plane holds 65 MB of text; streamed, the peak is the
-        # float grid and its temporaries (49 MiB when the text was one string)
-        config = ScanConfig(plane="nbar_vs_r", x_range=(1e-2, 1e2, 451, "log10"),
-                            y_range=(-2.25, 2.25, 451, "linear"))
-        tracemalloc.start()
-        try:
-            chunks = sizes = 0
-            for chunk in scan_csv(config):
-                chunks += 1
-                sizes += len(chunk)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # a 451 x 451 plane holds 65 MB of text and 1.6 MB of ratios;
+        # streamed in blocks of x rows, the peak is one block of ratios and
+        # its text (49 MiB when the text was one string, 4.9 MiB when the
+        # whole ratio grid was held)
+        chunks, sizes, peak = streamed_plane(451)
         assert chunks == 1 + 451
         assert sizes > 451 * 451 * 40
-        assert peak < 8 * 2**20
+        assert peak < 3 * 2**20
+
+    def test_peak_memory_does_not_grow_with_the_plane(self):
+        # 4.4 times the rows of a 451 x 451 plane; with the whole ratio grid
+        # held the peak grew from 4.9 to 21.6 MiB
+        peak_451 = streamed_plane(451)[2]
+        chunks, _, peak_2001 = streamed_plane(2001)
+        assert chunks == 1 + 2001
+        assert peak_2001 <= 1.2 * peak_451
+
+    @pytest.mark.parametrize("x_points", [2, 7, 8, 9, 63, 64, 65])
+    def test_block_edges_match_cell_by_cell_reference(self, x_points):
+        # x counts on either side of the text block (8 rows) and of the
+        # ratio block (64 rows), on every plane
+        for plane, x_range, y_range, mu in [
+                ("N_vs_omegaT", (0.0, 1e3, "linear"), (0.6, 30.0, "log10"), 0.5),
+                ("nbar_vs_nq", (0.0, 2.0, "linear"), (0.0, 3.0, "linear"), 0.0),
+                ("omegaT_vs_nq", (0.6, 20.0, "log10"), (1e-3, 1e3, "log10"), 0.5),
+                ("nbar_vs_r", (0.0, 50.0, "linear"), (-3.0, 3.0, "linear"), 0.0),
+                ("omegaT_vs_r", (0.6, 20.0, "log10"), (-3.0, 3.0, "linear"), 0.5)]:
+            config = ScanConfig(plane=plane, x_range=(*x_range[:2], x_points, x_range[2]),
+                                y_range=(*y_range[:2], 7, y_range[2]), mu=mu)
+            chunks = list(scan_csv(config))
+            assert len(chunks) == 1 + x_points
+            assert "".join(chunks) == reference_csv(config)
 
     def test_temperature_and_occupation_planes_agree(self):
         # omegaT_vs_nq and nbar_vs_nq at n_bar = 1/expm1(omega/T) evaluate
@@ -511,6 +577,16 @@ class TestVerify:
         assert (bad["n_bar"], bad["r"]) == tuple(float(v) for v in point.split(","))
         assert set(bad) == {"n_bar", "r", "error"}
         assert "budget" in bad["error"]
+
+    def test_underflowing_trunc_tolerance_recorded_per_point(self, capsys):
+        # half of 5e-324 rounds to 0, whose cutoff once ended in an
+        # OverflowError traceback with no record
+        assert main(["verify", "--point", "1,0.5", "--trunc-tolerance", "5e-324"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        record, = strict_json(captured.out)["records"]
+        assert record == {"n_bar": 1.0, "r": 0.5, "error": record["error"]}
+        assert "rounds to 0" in record["error"]
 
     @pytest.mark.parametrize("flag", ["--seed", "--threads"])
     def test_removed_flags_rejected(self, capsys, flag):
@@ -698,6 +774,33 @@ print(json.dumps(loaded))
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[], [], [], [], []]
+
+
+# spawns each map command and reports its exit code and ru_maxrss (KiB); the
+# ru_maxrss of a child counts the memory of the process that spawned it, and
+# a small interpreter in between keeps the test process's out of it
+RSS_LAUNCHER = """
+import os, subprocess, sys
+argv = [sys.executable, "-m", "ampbound.cli", "map", "--plane", "nbar_vs_r",
+        "--x-min", "0.01", "--x-max", "100", "--y-min", "-2.25", "--y-max", "2.25",
+        "--y-points", "451", "--y-scale", "linear"]
+for rows in sys.argv[1:]:
+    child = subprocess.Popen(argv + ["--x-points", rows], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_map_peak_rss_does_not_grow_with_the_plane():
+    # cold map commands of 201 and 2001 x rows; with the whole ratio grid
+    # held, the peak RSS grew by 18.7 MB between them
+    result = run_python("-c", RSS_LAUNCHER, "201", "2001")
+    assert result.returncode == 0, result.stderr
+    (code_201, rss_201), (code_2001, rss_2001) = (
+        map(int, line.split()) for line in result.stdout.splitlines())
+    assert code_201 == code_2001 == 0
+    assert abs(rss_2001 - rss_201) < 2 * 1024
 
 
 # a command around one negative value that argparse alone reads as an

@@ -125,6 +125,14 @@ class TestChooseTruncation:
         with pytest.raises(ValueError):
             choose_truncation(1.0, 1.0, 0.0)
 
+    def test_tolerance_whose_half_rounds_to_zero(self):
+        # a zero tail once reached int() as inf, an OverflowError that the
+        # verify sweep did not record per point
+        with pytest.raises(ValueError, match="half of it rounds to 0"):
+            choose_truncation(1.0, 0.5, 5e-324)
+        trunc = choose_truncation(1.0, 0.5, 1e-323)
+        assert trunc.max_thermal < 2000 and trunc.max_squeeze < 2000
+
     @pytest.mark.parametrize("n_bar, r", [(math.nan, 0.3), (1.0, math.inf),
                                           (math.inf, 0.3), (1.0, math.nan)])
     def test_rejects_non_finite_point(self, n_bar, r):
