@@ -43,7 +43,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _axis(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
+def _axis(name: str, lo: float, hi: float, points: int, scale: str) -> np.ndarray:
     if points < 2:
         raise CliError("each axis needs at least 2 points")
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -55,7 +55,13 @@ def _axis(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
     if scale == "log10":
         if lo <= 0:
             raise CliError("log10 scale requires a positive range")
-        return np.logspace(math.log10(lo), math.log10(hi), points)
+        # a top within rounding of the largest double can round above it
+        with np.errstate(over="ignore"):
+            grid = np.logspace(math.log10(lo), math.log10(hi), points)
+        if not np.isfinite(grid[-1]):
+            raise CliError(f"{name} axis overflows: its log10 point at max {hi} rounds "
+                           "past the largest float")
+        return grid
     raise CliError(f"unknown axis scale {scale!r}")
 
 
@@ -104,7 +110,7 @@ class ScanConfig:
                    output_path=field(spec, "output_path", "a string or null", None))
 
     def axes(self):
-        return (_axis(*self.x_range), _axis(*self.y_range))
+        return (_axis("x", *self.x_range), _axis("y", *self.y_range))
 
 
 def _ratio_rows(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float):
@@ -337,7 +343,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     pump = dynamics.PumpProfile.from_config(args.pump)
-    kgrid = _axis(args.k_min, args.k_max, args.k_points, args.k_scale)
+    kgrid = _axis("k", args.k_min, args.k_max, args.k_points, args.k_scale)
     results = field_modes.spectrum(
         kgrid, pump, args.T, args.mu, args.tau_in, args.tau_fin, tol=args.tol,
         convention=args.omega_convention,

@@ -1,27 +1,28 @@
 """Time evolution of the Bogoliubov functions for arbitrary pump profiles.
 
-Every linear system here is one mirror-coupled equation for the complex
-amplitudes ``z``, laid out in independent blocks.  Each pair ``(u, v)``
-starts from ``(1, 0)`` at ``t_in``; each amplitude turns at its own
-frequency and is driven by the conjugate of its mirror within its block::
+Two oscillators under a Hermitian pair-creating coupling make linear
+systems in su(1,1): each pair of amplitudes, one of them conjugated, obeys
 
-    z' = -i freqs z + i g(t) e^{-i carrier t} conj(mirror(z))
+    X' = A(t) X,   A = [[-i f_0, w], [conj(w), i f_1]],   w = i g(t) e^{-i carrier t}
 
-* per mode, a block ``(u, v)`` at one frequency and no carrier, so
-  ``u' = -i omega u + i g(t) conj(v)`` and ``v' = -i omega v + i g(t) conj(u)``;
-  :func:`integrate_uv` solves one such block, :func:`integrate_modes` one per
+and starts from ``X = (1, 0)`` at ``t_in``.  The state is a ``(2, n)``
+complex array with one such pair per column:
+
+* per mode, the column ``(u, conj v)`` at ``f_0 = f_1 = omega`` and no
+  carrier, so ``u' = -i omega u + i g(t) conj(v)``;
+  :func:`integrate_uv` solves one column, :func:`integrate_modes` one per
   frequency of a grid, with one pump call per step attempt for all of them;
-* the resonant two-oscillator system, one block ``(u_s, v_s, u_e, v_e)``
-  under the carrier ``omega_s + omega_e``, so ``u_s`` is driven by ``v_e``
-  and ``v_s`` by ``u_e``.
+* the resonant two-oscillator system under the carrier
+  ``omega_s + omega_e``, the two closed columns ``(u_s, conj v_e)`` and
+  ``(u_e, conj v_s)``.
 
 One DOP853 solve integrates any of them, keeping only the current state,
-and checks, pair by pair, the unitarity ``|u|^2 - |v|^2 = 1`` that holds
+and checks, column by column, the unitarity ``|a|^2 - |b|^2 = 1`` that holds
 along any exact trajectory.  DOP853 measures its error by one norm over the
 whole state, divided by the square root of its size, so the tolerance is
-divided by the square root of the number of blocks: a stack of modes then
-steps about as finely as its hardest mode needs on its own, and a single
-block is solved exactly as it would be alone.  The
+divided by the square root of the number of independent problems: a stack
+of modes then steps about as finely as its hardest mode needs on its own,
+and a single problem is solved exactly as it would be alone.  The
 pair ``(u, v)`` maps to squeeze variables through
 
     u = e^{-i delta} cosh(r),   v = e^{-i (delta - theta)} sinh(r)
@@ -207,12 +208,7 @@ class PumpProfile:
             g = self.q0 * np.exp(1j * self.theta_in)
             return g if np.ndim(t) == 0 else np.full(np.shape(t), g)
         if self.kind == "gaussian_pulse":
-            # float_power squares with libm's pow, as a scalar ``** 2`` does,
-            # on every shape of t; an array's ``** 2`` is an exact square,
-            # which differs in the last bit about once in a thousand times
-            # and would move the steps DOP853 accepts
-            q = self.amplitude * np.exp(-np.float_power(np.asarray(t, dtype=float)
-                                                        - self.center, 2)
+            q = self.amplitude * np.exp(-(np.asarray(t, dtype=float) - self.center) ** 2
                                         / (2.0 * self.width ** 2))
             return q * np.exp(1j * self.theta_in)
         if self.kind == "de_sitter":
@@ -269,54 +265,34 @@ def check_span(t_in: float, t_fin: float, tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _bogoliubov_rhs(pump, freqs, carrier=None):
+def _pair_rhs(pump, freqs, carrier=None):
     """``(coef, apply)``: the right-hand side split into its time and state parts.
 
-    The system is ``z' = -i freqs z + w conj(mirror(z))`` with
-    ``w = i g(t) e^{-i carrier t}``, on the real state vector
-    ``y = (Re z_0, Im z_0, Re z_1, ...)``.  Each row of ``freqs`` is one block
-    of amplitudes and the mirror reverses within a block; a flat sequence is
-    one block.  ``coef(ts)`` calls the pump once for a 1-d array of times and
-    returns one ``(3, size)`` row per time; ``apply(c, y, out=None)`` is the
-    derivative at state ``y`` under row ``c``, so ``apply(coef([t])[0], y)``
-    is ``z'`` at ``t``.  A row does not depend on how many times ``coef``
-    was given.
-
-    Written in real arithmetic, each product rounds once, as in numpy's
-    scalar complex product; its array complex product may fuse
-    multiply-adds, and a last-bit change moves the steps DOP853 accepts on a
-    kinked pump.
+    The state is a ``(2, n)`` complex array whose columns are independent
+    pairs ``X = (a, conj b)``, each obeying ``X' = A(t) X`` with
+    ``A = [[-i f_0, w], [conj w, i f_1]]`` and ``w = i g(t) e^{-i carrier t}``.
+    ``freqs`` is ``(f_0, f_1)``, one frequency per entry of each column.  So
+    ``X' = R X + C(t) X[::-1]`` with the constant ``R = (-i f_0, i f_1)`` and
+    ``C = (w, conj w)``.  ``coef(ts)`` calls the pump once for a 1-d array of
+    times and returns one ``C`` per time; ``apply(c, y, out=None)`` is the
+    derivative at the real view ``y`` of the state, so
+    ``apply(coef([t])[0], y)`` is ``X'`` at ``t``.  A row does not depend on
+    how many times ``coef`` was given.
     """
-    freqs = np.atleast_2d(np.asarray(freqs, dtype=float))
-    parts = np.arange(2 * freqs.size).reshape(*freqs.shape, 2)
-    mirror, swap = parts[:, ::-1].ravel(), parts[:, :, ::-1].ravel()
-    crossed = parts[:, ::-1, ::-1].ravel()
-    # -i freqs z is (freqs Im z, -freqs Re z) and w conj(m) is
-    # (Re w Re m + Im w Im m, -Re w Im m + Im w Re m); y[crossed] holds
-    # (Im m, Re m) at each amplitude's place and y[swap] (Im z, Re z)
-    gather = np.concatenate([mirror, crossed, swap])
-    signs = np.tile([1.0, -1.0], freqs.size)
-    rotation = np.repeat(freqs.ravel(), 2) * signs
+    rotation = np.array([-1j, 1j])[:, None] * np.asarray(freqs, dtype=float)
 
     def coef(ts):
         ts = np.asarray(ts, dtype=float)
         w = 1j * pump(ts)
-        re, im = w.real, w.imag
         if carrier is not None:
-            e = np.exp(-1j * carrier * ts)
-            re, im = re * e.real - im * e.imag, re * e.imag + im * e.real
-        c = np.empty((ts.size, 3, signs.size))
-        # a sign flip is exact, so (Re w signs) y rounds as Re w (signs y)
-        np.multiply.outer(re, signs, out=c[:, 0])
-        c[:, 1] = im[:, None]
-        c[:, 2] = rotation
-        return c
+            w = w * np.exp(-1j * carrier * ts)
+        return np.stack([w, w.conj()], axis=1)[:, :, None]
 
     def apply(c, y, out=None):
-        p = y[gather].reshape(3, -1)
-        p *= c
-        out = np.add(p[0], p[1], out=out)
-        out += p[2]
+        out = np.empty_like(y) if out is None else out
+        x, dx = y.view(complex).reshape(2, -1), out.view(complex).reshape(2, -1)
+        np.multiply(rotation, x, out=dx)
+        dx += c * x[::-1]
         return out
     return coef, apply
 
@@ -382,7 +358,7 @@ def _rms(x):
 def _dop853(rhs, t0, y0, t_bound, rtol, atol):
     """Step DOP853 from ``t0`` to ``t_bound >= t0``; return ``(y, accepted_steps)``.
 
-    ``rhs`` is the ``(coef, apply)`` pair of :func:`_bogoliubov_rhs`.  The
+    ``rhs`` is the ``(coef, apply)`` pair of :func:`_pair_rhs`.  The
     arithmetic is that of scipy's ``DOP853`` stepped to the end (scipy 1.17,
     no ``max_step``) on ``fun(t, y) = apply(coef([t])[0], y)``, operation for
     operation, so the state comes out bit for bit and ``apply`` runs as
@@ -443,21 +419,20 @@ def _dop853(rhs, t0, y0, t_bound, rtol, atol):
     return y, steps
 
 
-def _solve(pump, freqs, t_in, t_fin, tol, carrier=None):
-    """Integrate the mirror-coupled system from the vacuum ``(1, 0, ...)``.
+def _solve(pump, freqs, t_in, t_fin, tol, carrier=None, systems=1):
+    """Integrate the pair columns of :func:`_pair_rhs` from ``X = (1, 0)``.
 
-    ``freqs`` is ``(blocks, width)``: one row per independent block, one
-    frequency per amplitude, the pairs ``(u, v)`` of a block laid out one
-    after the other.  Returns the complex amplitudes at ``t_fin``, block after
-    block.  ``rtol`` and ``atol`` are ``tol`` divided by ``sqrt(blocks)``.
-    DOP853 pools every component into one error norm, normalized by the
-    square root of the state's size, so the scaling gives each block the
-    share of that budget it would have alone.  The norm combines a 5th- and
-    a 3rd-order estimate and is not a plain root mean square, so the
-    per-block bound is measured by the tests, not implied.  Every pair
-    passes the unitarity guard at ``t_fin``, over the accepted steps of the
-    whole span.  The solver's state is the only one kept: no trajectory is
-    stored.
+    ``freqs`` is ``(f_0, f_1)``, one frequency per column in each; returns
+    the ``(2, n)`` state at ``t_fin``.  The columns form ``systems``
+    independent problems, and ``rtol`` and ``atol`` are ``tol`` divided by
+    ``sqrt(systems)``.  DOP853 pools every component into one error norm,
+    normalized by the square root of the state's size, so the scaling gives
+    each problem the share of that budget it would have alone.  The norm
+    combines a 5th- and a 3rd-order estimate and is not a plain root mean
+    square, so the per-problem bound is measured by the tests, not implied.
+    Every column ``(a, conj b)`` passes the unitarity guard
+    ``|a|^2 - |b|^2 = 1`` at ``t_fin``, over the accepted steps of the whole
+    span.  The solver's state is the only one kept: no trajectory is stored.
 
     A tabulated pump is kinked at its knots, where DOP853's error estimate
     does not hold, so the span is split at its interior knots and the
@@ -472,15 +447,15 @@ def _solve(pump, freqs, t_in, t_fin, tol, carrier=None):
         pump.validate_interval(t_in, t_fin)
         # only a tabulated profile has knots
         knots = [t for t in pump.times if t_in < t < t_fin]
-    z0 = np.zeros(np.size(freqs), dtype=complex)
-    z0[::2] = 1.0
+    x = np.zeros(np.shape(freqs), dtype=complex)
+    x[0] = 1.0
     if t_fin == t_in:
-        return z0
+        return x
     bounds = (t_in, *knots, t_fin)
-    rhs = _bogoliubov_rhs(pump, freqs, carrier)
+    rhs = _pair_rhs(pump, freqs, carrier)
     # an empty stack, with nothing to integrate, keeps the plain tolerance
-    scale = max(len(freqs), 1) ** 0.5
-    y, steps = z0.view(float), 0
+    scale = max(systems, 1) ** 0.5
+    y, steps = x.view(float).ravel(), 0
     with np.errstate(all="ignore"):
         for a, b in zip(bounds, bounds[1:]):
             # the floor keeps rtol above 100 eps, where DOP853's error
@@ -488,25 +463,25 @@ def _solve(pump, freqs, t_in, t_fin, tol, carrier=None):
             y, taken = _dop853(rhs, float(a), y, float(b), max(tol / scale, 1e-13),
                                tol / scale)
             steps += taken
-    end = np.ascontiguousarray(y).view(complex)
-    for u, v in zip(end[::2], end[1::2]):
-        _check_unitarity(BogoliubovPair(u, v), tol, steps)
-    return end
+    x = y.view(complex).reshape(2, -1)
+    for a, b in x.T:
+        _check_unitarity(BogoliubovPair(a, b.conjugate()), tol, steps)
+    return x
 
 
 def integrate_modes(pump, omegas, t_in: float, t_fin: float,
                     tol: float = 1e-10) -> list[BogoliubovPair]:
     """Integrate the per-mode systems of several frequencies in one solve.
 
-    Each frequency is an independent block ``(u, v)`` of one stacked system,
-    so the pump is evaluated once per step attempt for all of them.  ``tol``
+    Each frequency is one column ``(u, conj v)`` of one stacked system, so
+    the pump is evaluated once per step attempt for all of them.  ``tol``
     holds per mode: it is divided by ``sqrt(len(omegas))`` (see :func:`_solve`),
     and a single frequency gives :func:`integrate_uv` bit for bit.  A pump,
     span or integrator failure, or any one pair's unitarity guard, raises
     for the whole batch.  Returns one pair per frequency, in order.
     """
-    z = _solve(pump, [(omega, omega) for omega in omegas], t_in, t_fin, tol)
-    return [BogoliubovPair(u=complex(u), v=complex(v)) for u, v in zip(z[::2], z[1::2])]
+    x = _solve(pump, (omegas, omegas), t_in, t_fin, tol, systems=len(omegas))
+    return [BogoliubovPair(u=complex(u), v=complex(v).conjugate()) for u, v in x.T]
 
 
 def integrate_uv(pump, omega: float, t_in: float, t_fin: float,
@@ -536,14 +511,18 @@ def integrate_qm(pump, omega_s: float, omega_e: float, t_in: float,
                  t_fin: float, tol: float = 1e-10):
     """Integrate the resonant two-oscillator system as written.
 
-    The pump enters through the carrier ``exp(-i (omega_s + omega_e) t)``.
-    Returns ``(pair_s, pair_e)`` relating each late-time operator to the
-    initial pair.
+    The pump enters through the carrier ``exp(-i (omega_s + omega_e) t)``,
+    and ``u_s`` is driven by ``conj(v_e)``, ``u_e`` by ``conj(v_s)``: the
+    system is the two closed columns ``(u_s, conj v_e)`` and
+    ``(u_e, conj v_s)``, solved as one problem at ``tol``.  Returns
+    ``(pair_s, pair_e)`` relating each late-time operator to the initial
+    pair.
     """
-    u_s, v_s, u_e, v_e = _solve(pump, [(omega_s, omega_s, omega_e, omega_e)],
-                                t_in, t_fin, tol, carrier=omega_s + omega_e)
-    return (BogoliubovPair(u=complex(u_s), v=complex(v_s)),
-            BogoliubovPair(u=complex(u_e), v=complex(v_e)))
+    (u_s, u_e), (conj_v_e, conj_v_s) = _solve(
+        pump, ((omega_s, omega_e), (omega_e, omega_s)), t_in, t_fin, tol,
+        carrier=omega_s + omega_e)
+    return (BogoliubovPair(u=complex(u_s), v=complex(conj_v_s).conjugate()),
+            BogoliubovPair(u=complex(u_e), v=complex(conj_v_e).conjugate()))
 
 
 def extract_squeeze(pair: BogoliubovPair) -> SqueezeTriple:

@@ -3,11 +3,11 @@
 ``closed_form_qm`` solves the resonant two-oscillator system for a constant
 pump in closed form, and ``hankel_exact_pair`` the per-mode system for a
 power-law pump in Hankel functions.  ``reconstruct_pair`` inverts
-``dynamics.extract_squeeze``.  ``plain_rhs`` is the right-hand side as one
-``fun(t, y)`` for scipy's integrators.  ``trajectory`` samples one per-mode
-solve on a uniform grid, and ``squeeze_flow_rhs`` is the flow that the squeeze
-variables of such a trajectory obey when the pump is purely imaginary,
-``g = i q``, with ``H = -q``::
+``dynamics.extract_squeeze``.  ``plain_rhs`` is the written ``(u, v)``
+system as one ``fun(t, y)`` for scipy's integrators.  ``trajectory`` samples
+one per-mode solve on a uniform grid, and ``squeeze_flow_rhs`` is the flow
+that the squeeze variables of such a trajectory obey when the pump is purely
+imaginary, ``g = i q``, with ``H = -q``::
 
     r'     = H cos(2 delta - theta)
     delta' = omega - H tanh(r) sin(2 delta - theta)
@@ -20,15 +20,40 @@ import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ampbound import dynamics
 from ampbound.dynamics import BogoliubovPair, PumpError, PumpProfile, SqueezeTriple
 
 
-def plain_rhs(pump, freqs, carrier=None):
-    """``fun(t, y)`` of ``dynamics._bogoliubov_rhs``: its row at the one time
-    ``t`` applied to ``y``."""
-    coef, apply = dynamics._bogoliubov_rhs(pump, freqs, carrier)
-    return lambda t, y: apply(coef([t])[0], y)
+def plain_rhs(pump, omegas, carrier=None):
+    """``fun(t, y)`` of the written ``(u, v)`` system, in complex arithmetic.
+
+    ``y`` holds ``(Re u, Im u, Re v, Im v)`` of each pair in turn.  Without a
+    carrier each of ``omegas`` is one mode::
+
+        u' = -i omega u + i g(t) conj(v),   v' = -i omega v + i g(t) conj(u)
+
+    With one, ``omegas`` is ``(omega_s, omega_e)``, the resonant system, in
+    which ``u_s`` is driven by ``v_e`` and ``v_s`` by ``u_e``, under
+    ``w = i g(t) e^{-i carrier t}``::
+
+        u_s' = -i omega_s u_s + w conj(v_e),   v_s' = -i omega_s v_s + w conj(u_e)
+        u_e' = -i omega_e u_e + w conj(v_s),   v_e' = -i omega_e v_e + w conj(u_s)
+    """
+    omegas = np.asarray(omegas, dtype=float)
+
+    def fun(t, y):
+        z = np.array(y, dtype=float).view(complex)
+        u, v = z[0::2], z[1::2]
+        w = 1j * complex(pump(t))
+        if carrier is not None:
+            w *= np.exp(-1j * carrier * t)
+            u_drive, v_drive = u[::-1], v[::-1]
+        else:
+            u_drive, v_drive = u, v
+        dz = np.empty_like(z)
+        dz[0::2] = -1j * omegas * u + w * np.conj(v_drive)
+        dz[1::2] = -1j * omegas * v + w * np.conj(u_drive)
+        return dz.view(float)
+    return fun
 
 
 def trajectory(pump, omega: float, t_in: float, t_fin: float, tol: float = 1e-10,
@@ -36,7 +61,7 @@ def trajectory(pump, omega: float, t_in: float, t_fin: float, tol: float = 1e-10
     """``(times, u, v)`` of the per-mode system from ``(1, 0)``, sampled on
     ``samples`` uniform times by one DOP853 solve (no knot splitting)."""
     times = np.linspace(t_in, t_fin, samples)
-    sol = solve_ivp(plain_rhs(pump, (omega, omega)), (t_in, t_fin),
+    sol = solve_ivp(plain_rhs(pump, [omega]), (t_in, t_fin),
                     [1.0, 0.0, 0.0, 0.0], method="DOP853", rtol=max(tol, 1e-13),
                     atol=tol, t_eval=times)
     assert sol.success, sol.message

@@ -741,6 +741,29 @@ class TestSpectrum:
         assert all(r[-1] != "" for r in rows)
 
 
+@pytest.mark.parametrize("command", ["map", "spectrum"])
+def test_log_axis_topping_out_at_the_largest_float_exits_1(pump_file, tmp_path, command):
+    # the last log10 point of an axis ending at DBL_MAX rounds to inf;
+    # numpy warned of the overflow and the error blamed N_bar or k
+    out = tmp_path / "out.csv"
+    top = "1.7976931348623157e308"
+    if command == "map":
+        argv = ["map", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", top,
+                "--x-points", "3", "--y-min", "1", "--y-max", "2", "--y-points", "2"]
+        axis = "x"
+    else:
+        argv = ["spectrum", "--pump", pump_file({"kind": "constant", "q0": 0.1}),
+                "--T", "1", "--k-min", "1", "--k-max", top, "--k-points", "3",
+                "--tau-in", "0", "--tau-fin", "1"]
+        axis = "k"
+    result = run_cli(*argv, "--out", str(out))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {axis} axis overflows")
+    assert result.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_no_subcommand_loads_scipy(tmp_path):
     # every subcommand pays the package import before it starts, and all
     # four need only numpy: no scipy module may load, neither on import nor
