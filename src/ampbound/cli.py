@@ -50,6 +50,9 @@ def _axis(name: str, lo: float, hi: float, points: int, scale: str) -> np.ndarra
         raise CliError(f"axis bounds must be finite, got [{lo}, {hi}]")
     if lo >= hi:
         raise CliError(f"axis range must have min < max, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise CliError(f"{name} axis overflows: the length of [{lo}, {hi}] is past the "
+                       "largest float")
     if scale == "linear":
         return np.linspace(lo, hi, points)
     if scale == "log10":

@@ -11,19 +11,18 @@ complex array with one such pair per column:
 * per mode, the column ``(u, conj v)`` at ``f_0 = f_1 = omega`` and no
   carrier, so ``u' = -i omega u + i g(t) conj(v)``;
   :func:`integrate_uv` solves one column, :func:`integrate_modes` one per
-  frequency of a grid, with one pump call per step attempt for all of them;
+  frequency of a grid, with one pump call per block of steps for all of them;
 * the resonant two-oscillator system under the carrier
   ``omega_s + omega_e``, the two closed columns ``(u_s, conj v_e)`` and
   ``(u_e, conj v_s)``.
 
-One DOP853 solve integrates any of them, keeping only the current state,
-and checks, column by column, the unitarity ``|a|^2 - |b|^2 = 1`` that holds
-along any exact trajectory.  DOP853 measures its error by one norm over the
-whole state, divided by the square root of its size, so the tolerance is
-divided by the square root of the number of independent problems: a stack
-of modes then steps about as finely as its hardest mode needs on its own,
-and a single problem is solved exactly as it would be alone.  The
-pair ``(u, v)`` maps to squeeze variables through
+One order-6 Magnus solve integrates any of them (A. Iserles and S. P.
+Norsett, Phil. Trans. R. Soc. A 357, 983 (1999)), keeping only the current
+state.  Each step's propagator is an exponential in su(1,1), up to a phase,
+so it keeps ``|a|^2 - |b|^2 = 1`` to rounding, which the solve checks per
+column; every column's error estimate meets the tolerance on its own, so a
+stack of modes steps as finely as its hardest mode alone.  The pair
+``(u, v)`` maps to squeeze variables through
 
     u = e^{-i delta} cosh(r),   v = e^{-i (delta - theta)} sinh(r)
 
@@ -115,8 +114,8 @@ class PumpProfile:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise PumpError(f"unknown pump kind {self.kind!r}")
-        # a NaN or infinite parameter gives a non-finite right-hand side,
-        # which keeps DOP853's step-size control from ever finishing
+        # a NaN or infinite parameter gives a non-finite generator, which no
+        # step grid can resolve
         for name in ("q0", "theta_in", "amplitude", "center", "width", "strength"):
             if not np.isfinite(getattr(self, name)):
                 raise PumpError(f"pump {name} must be finite, got {getattr(self, name)}")
@@ -250,196 +249,188 @@ class SqueezeTriple:
 
 
 def check_span(t_in: float, t_fin: float, tol: float) -> None:
-    """Reject a span or tolerance the adaptive integrator cannot finish.
-
-    The bounds must be finite with ``t_fin >= t_in`` and the tolerance finite
-    and positive.  A NaN bound or tolerance, an infinite one or a zero
-    tolerance leaves DOP853's step-size control without an end, so the
-    solve would never return.
-    """
+    """Reject a span or tolerance no step grid can meet: the bounds and the
+    span's length must be finite with ``t_fin >= t_in``, and the tolerance
+    finite and positive."""
     if not (np.isfinite(t_in) and np.isfinite(t_fin)):
         raise ValueError(f"integration bounds must be finite, got [{t_in}, {t_fin}]")
+    if not np.isfinite(float(t_fin) - float(t_in)):
+        raise ValueError(f"integration span must have a finite length, got [{t_in}, {t_fin}]")
     if t_fin < t_in:
         raise ValueError(f"t_fin must not precede t_in, got [{t_in}, {t_fin}]")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _pair_rhs(pump, freqs, carrier=None):
-    """``(coef, apply)``: the right-hand side split into its time and state parts.
-
-    The state is a ``(2, n)`` complex array whose columns are independent
-    pairs ``X = (a, conj b)``, each obeying ``X' = A(t) X`` with
-    ``A = [[-i f_0, w], [conj w, i f_1]]`` and ``w = i g(t) e^{-i carrier t}``.
-    ``freqs`` is ``(f_0, f_1)``, one frequency per entry of each column.  So
-    ``X' = R X + C(t) X[::-1]`` with the constant ``R = (-i f_0, i f_1)`` and
-    ``C = (w, conj w)``.  ``coef(ts)`` calls the pump once for a 1-d array of
-    times and returns one ``C`` per time; ``apply(c, y, out=None)`` is the
-    derivative at the real view ``y`` of the state, so
-    ``apply(coef([t])[0], y)`` is ``X'`` at ``t``.  A row does not depend on
-    how many times ``coef`` was given.
-    """
-    rotation = np.array([-1j, 1j])[:, None] * np.asarray(freqs, dtype=float)
-
-    def coef(ts):
-        ts = np.asarray(ts, dtype=float)
-        w = 1j * pump(ts)
-        if carrier is not None:
-            w = w * np.exp(-1j * carrier * ts)
-        return np.stack([w, w.conj()], axis=1)[:, :, None]
-
-    def apply(c, y, out=None):
-        out = np.empty_like(y) if out is None else out
-        x, dx = y.view(complex).reshape(2, -1), out.view(complex).reshape(2, -1)
-        np.multiply(rotation, x, out=dx)
-        dx += c * x[::-1]
-        return out
-    return coef, apply
-
-
 def _check_unitarity(pair, tol, steps):
     # guard against broken integrations, not a certification of accuracy:
-    # local errors of order tol accumulate over the accepted steps and the
-    # invariant is quadratic in the moduli, so the window scales with both;
-    # the 1e-10 floor absorbs roundoff at extreme tolerances
+    # local errors of order tol accumulate over the steps and the invariant
+    # is quadratic in the moduli, so the window scales with both; the 1e-10
+    # floor absorbs roundoff.  A NaN or infinite pair's relative defect is
+    # NaN, which fails, as no comparison with NaN holds
     defect = pair.unitarity_defect()
-    scale = max(1.0, abs(pair.u) ** 2 + abs(pair.v) ** 2)
-    if defect > max(10.0 * tol * steps, 1e-10) * scale:
+    scale = max(abs(pair.u) ** 2 + abs(pair.v) ** 2, 1.0)
+    if not defect / scale <= max(10.0 * tol * steps, 1e-10):
         raise IntegrationError(
             f"unitarity broken: | |u|^2 - |v|^2 - 1 | = {defect:.3e} "
             f"at solution scale {scale:.3e} after {steps} steps"
         )
 
 
-# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.10): the
-# 12 stages, the 8th-order weights and the 5th- and 3rd-order error weights,
-# whose last entry multiplies the derivative at the new point
-_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-               0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
-_A = np.zeros((12, 12))
-for _i, _row in enumerate([
-        [0.05260015195876773],
-        [0.0197250569845379, 0.0591751709536137],
-        [0.02958758547680685, 0.0, 0.08876275643042054],
-        [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
-        [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
-        [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
-         -0.017578125],
-        [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
-         -0.015319437748624402, 0.008273789163814023],
-        [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
-         27.59209969944671, 20.154067550477894, -43.48988418106996],
-        [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
-         21.230051448181193, 15.279233632882423, -33.28821096898486,
-         -0.020331201708508627],
-        [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
-         -8.149787010746927, -18.52006565999696, 22.739487099350505,
-         2.4936055526796523, -3.0467644718982196],
-        [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
-         -17.9589318631188, 27.94888452941996, -2.8589982771350235,
-         -8.87285693353063, 12.360567175794303, 0.6433927460157636]], start=1):
-    _A[_i, :_i] = _row
-_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
-               1.8915178993145003, -5.801203960010585, 0.3111643669578199,
-               -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
-_E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
-                1.8915178993145003, -5.801203960010585, -0.4226823213237919,
-                -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
-_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
-                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
-                0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
+# the step ends and the three Gauss-Legendre nodes, on [0, 1]
+_ENDS_AND_NODES = 0.5 + np.array([-5.0, -15.0 ** 0.5, 0.0, 15.0 ** 0.5, 5.0]) / 10.0
+_NODES = _ENDS_AND_NODES[1:4]
+# steps per pump call (a temporary of 50 columns is about 50 kB), the most
+# steps of one solve, and the most pieces a round cuts one step into
+_BLOCK, _MAX_STEPS, _MAX_SPLIT = 64, 2 ** 17, 64
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _coupling(pump, carrier=None):
+    """``coupling(t0, h, nodes)``: ``w = i g(t) e^{-i carrier t}`` at the
+    times ``t0 + h * nodes`` of every step, as an ``(n, len(nodes))`` array
+    from one pump call with a 1-d array of times."""
+    def coupling(t0, h, nodes):
+        ts = (t0[:, None] + h[:, None] * nodes).ravel()
+        w = 1j * pump(ts)
+        if carrier is not None:
+            w = w * np.exp(-1j * carrier * ts)
+        return w.reshape(-1, nodes.size)
+    return coupling
 
 
-def _dop853(rhs, t0, y0, t_bound, rtol, atol):
-    """Step DOP853 from ``t0`` to ``t_bound >= t0``; return ``(y, accepted_steps)``.
+def _magnus(q, h):
+    """``(omega_6, omega_6 - omega_4)`` of steps of length ``h``.
 
-    ``rhs`` is the ``(coef, apply)`` pair of :func:`_pair_rhs`.  The
-    arithmetic is that of scipy's ``DOP853`` stepped to the end (scipy 1.17,
-    no ``max_step``) on ``fun(t, y) = apply(coef([t])[0], y)``, operation for
-    operation, so the state comes out bit for bit and ``apply`` runs as
-    often as scipy calls ``fun``: the initial step of Hairer, Norsett &
-    Wanner (II.4) for an error of order 7, the step factor
-    ``0.9 err^(-1/8)`` clipped to ``[0.2, 10]`` and to 1 after a rejection,
-    and the error norm that weighs the 5th-order estimate against the
-    3rd-order one.  ``coef`` is called once per step attempt, at the stage
-    times ``t + C h`` (``C[0] = 0`` reuses the last derivative and
-    ``C[11] = 1`` is the new point), and once for each of the two trial
-    derivatives of the initial step.  A step that must shrink below ten
-    spacings of ``t`` raises :class:`IntegrationError`.
+    Column ``j`` has the generator ``A = (phi_j, q(t))``, standing for
+    ``[[i phi_j, q], [conj q, -i phi_j]]``; ``q`` is shared by all columns
+    and given at the three Gauss-Legendre nodes of each step, ``(n, 3)``.
+    With ``A_k`` at node ``k``, ``a1 = h A_2``, ``a2 = (sqrt(15) h/3)(A_3 -
+    A_1)`` and ``a3 = (10 h/3)(A_3 - 2 A_2 + A_1)`` (S. Blanes, F. Casas,
+    J. A. Oteo and J. Ros, Phys. Rep. 470, 151 (2009))::
+
+        omega_4 = a1 + a3/12 - [a1, a2]/12
+        omega_6 = omega_4 + [a2, a3 - [a1, a2]]/240 + [a1, [a1, 2 a3 + [a1, a2]]]/720
+
+    with ``[x, y] = (2 Im(q_x conj q_y), 2i (phi_x q_y - phi_y q_x))``.
+    Only ``a1 = (a, p1)`` has a diagonal, ``a = h phi``, so each part of
+    both is a polynomial in ``a`` with coefficients of the step alone: each
+    comes back as ``(phi, q)`` coefficient lists, lowest degree first, of
+    ``(n, 1)`` arrays, which :func:`_horner` evaluates.
     """
-    coef, apply = rhs
-    y = np.asarray(y0, dtype=float)
-    if y.size == 0 or t_bound == t0:
-        return y, 0
-    K = np.empty((13, y.size))
-    # K[0] holds the derivative at the current point; only an accepted
-    # step moves the new point's derivative there
-    f = K[0] = apply(coef([t0])[0], y)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_bound - t0)
-    d2 = _rms((apply(coef([t0 + h0])[0], y + h0 * f) - f) / scale) / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** 0.125)
-    h_abs = min(100 * h0, h1, t_bound - t0)
-    t, steps = t0, 0
-    while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs, rejected = max(h_abs, min_step), False
-        while True:
-            if h_abs < min_step:
-                raise IntegrationError("integrator failed: Required step size "
-                                       "is less than spacing between numbers.")
-            t_new = min(t + h_abs, t_bound)
-            h_abs = h = t_new - t
-            rows = coef(t + _C[1:] * h)
-            for s in range(1, 12):
-                apply(rows[s - 1], y + np.dot(K[:s].T, _A[s, :s]) * h, out=K[s])
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            apply(rows[-1], y_new, out=K[-1])
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
-            error = (0.0 if err5 == 0 and err3 == 0
-                     else h * err5 / np.sqrt((err5 + 0.01 * err3) * y.size))
-            if error < 1:
-                factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * error ** -0.125)
-            rejected = True
-        K[0] = K[-1]
-        t, y, steps = t_new, y_new, steps + 1
-    return y, steps
+    h = h[:, None]
+    p1 = h * q[:, 1:2]
+    p2 = 15.0 ** 0.5 / 3.0 * h * (q[:, 2:] - q[:, :1])
+    p3 = 10.0 / 3.0 * h * (q[:, 2:] - 2.0 * q[:, 1:2] + q[:, :1])
+    r12, r13 = p1 * np.conj(p2), p1 * np.conj(p3)
+    # [a1, a2] = (c, 2i a p2)
+    c = 2.0 * r12.imag
+    e_phi = [(p2 * np.conj(p3)).imag / 120.0 + c * abs(p1) ** 2 / 180.0,
+             abs(p2) ** 2 / 60.0 - r13.real / 90.0, -c / 180.0]
+    e_q = [1j * (c * p2 / 120.0 - r13.imag * p1 / 90.0),
+           (c + 2j * r12.real) * p1 / 180.0, -p3 / 90.0, -1j * p2 / 90.0]
+    omega_6 = ([e_phi[0] - c / 12.0, e_phi[1] + 1.0, e_phi[2]],
+               [e_q[0] + p1 + p3 / 12.0, e_q[1] - 1j * p2 / 6.0, *e_q[2:]])
+    return omega_6, (e_phi, e_q)
 
 
-def _solve(pump, freqs, t_in, t_fin, tol, carrier=None, systems=1):
-    """Integrate the pair columns of :func:`_pair_rhs` from ``X = (1, 0)``.
+def _horner(coefs, a):
+    """``sum_k coefs[k] a^k`` for ``(n, 1)`` coefficients and ``(n, c)`` ``a``."""
+    out = coefs[-1] * a
+    for coef in coefs[-2:0:-1]:
+        out += coef
+        out *= a
+    out += coefs[0]
+    return out
 
-    ``freqs`` is ``(f_0, f_1)``, one frequency per column in each; returns
-    the ``(2, n)`` state at ``t_fin``.  The columns form ``systems``
-    independent problems, and ``rtol`` and ``atol`` are ``tol`` divided by
-    ``sqrt(systems)``.  DOP853 pools every component into one error norm,
-    normalized by the square root of the state's size, so the scaling gives
-    each problem the share of that budget it would have alone.  The norm
-    combines a 5th- and a 3rd-order estimate and is not a plain root mean
-    square, so the per-problem bound is measured by the tests, not implied.
-    Every column ``(a, conj b)`` passes the unitarity guard
-    ``|a|^2 - |b|^2 = 1`` at ``t_fin``, over the accepted steps of the whole
-    span.  The solver's state is the only one kept: no trajectory is stored.
 
-    A tabulated pump is kinked at its knots, where DOP853's error estimate
-    does not hold, so the span is split at its interior knots and the
-    segments are chained, each starting from the state the last one ended
-    in.  Floating-point overflow inside the solve raises no warning: a pump
-    large enough to cause it fails DOP853's step-size control, which raises
-    :class:`IntegrationError`.
+def _step_error(coupling, phi, t0, h):
+    """Each step's order-4 local error estimate, the largest over columns:
+    the 2-norm ``|phi| + |q|`` of ``omega_6 - omega_4`` for the commutators,
+    plus Simpson's rule against the Gauss rule for the integral of ``A``
+    that both share, the only error of a one-phase pump at no frequency."""
+    q = coupling(t0, h, _ENDS_AND_NODES)
+    _, (e_phi, e_q) = _magnus(q[:, 1:4], h)
+    a = h[:, None] * phi
+    quadrature = h * ((q[:, 0] + q[:, 4]) / 6.0 + q[:, 2] * (2.0 / 9.0)
+                      - (q[:, 1] + q[:, 3]) * (5.0 / 18.0))
+    return (np.abs(_horner(e_phi, a)) + np.abs(_horner(e_q, a))).max(axis=1) + np.abs(quadrature)
+
+
+def _expm(phi, q):
+    """``(alpha, beta)`` with ``exp M = [[alpha, beta], [conj beta, conj
+    alpha]]`` for ``M = [[i phi, q], [conj q, -i phi]]``: ``M^2 = s^2 I``
+    with ``s^2 = |q|^2 - phi^2`` real, so ``exp M = cosh(s) I + sinh(s)/s M``,
+    which is ``cos(t) I + sin(t)/t M`` at ``s = i t``."""
+    aq, ap = np.abs(q), np.abs(phi)
+    s2 = (aq - ap) * (aq + ap)
+    s = np.sqrt(np.abs(s2))
+    c, sn = np.cos(s), np.sin(s)
+    grow = s2 > 0
+    if grow.any():
+        c[grow], sn[grow] = np.cosh(s[grow]), np.sinh(s[grow])
+    ratio = np.divide(sn, s, out=np.ones_like(s), where=s > 0)
+    return c + 1j * ratio * phi, ratio * q
+
+
+def _chain(alpha, beta):
+    """The product of the propagators ``(alpha, beta)`` along axis 0, the
+    last one leftmost, multiplied in pairwise rounds."""
+    while len(alpha) > 1:
+        n = len(alpha) // 2 * 2
+        a0, a1, b0, b1 = alpha[0:n:2], alpha[1:n:2], beta[0:n:2], beta[1:n:2]
+        alpha = np.concatenate([a1 * a0 + b1 * np.conj(b0), alpha[n:]])
+        beta = np.concatenate([a1 * b0 + b1 * np.conj(a0), beta[n:]])
+    return alpha[0], beta[0]
+
+
+def _step_grid(coupling, phi, bounds, tol):
+    """Edges from ``bounds[0]`` to ``bounds[-1]``, all of ``bounds`` among
+    them, on which :func:`_step_error` is at most ``tol`` in every step.
+
+    Each round estimates the steps not yet accepted and cuts each one over
+    ``tol`` into as many equal pieces as the ``h^5`` scaling of the
+    estimate asks for, 2 to ``_MAX_SPLIT`` (the most for a NaN estimate).
+    A grid past ``_MAX_STEPS`` steps raises :class:`IntegrationError`.
+    """
+    edges = np.asarray(bounds, dtype=float)
+    todo = np.ones(edges.size - 1, dtype=bool)
+    while todo.any():
+        idx = np.flatnonzero(todo)
+        t0, h = edges[idx], edges[idx + 1] - edges[idx]
+        ratio = np.concatenate([
+            _step_error(coupling, phi, t0[i:i + _BLOCK], h[i:i + _BLOCK])
+            for i in range(0, idx.size, _BLOCK)]) / tol
+        # the piece counts stay floats: integer arithmetic would page in
+        # numpy kernels that a spectrum uses nowhere else
+        pieces = np.ones(todo.size)
+        pieces[idx] = np.where(ratio <= 1.0, 1.0, np.fmax(np.fmin(
+            np.ceil(ratio ** 0.2), _MAX_SPLIT), 2.0))
+        if pieces.sum() > _MAX_STEPS:
+            raise IntegrationError(f"integrator failed: tolerance {tol:.3e} needs more "
+                                   f"than {_MAX_STEPS} steps")
+        # piece j of m of step i starts at edges[i] + j (edges[i+1] - edges[i]) / m
+        counts = pieces.astype(np.intp)
+        step = np.repeat(np.arange(todo.size), counts)
+        j = np.arange(float(step.size)) - np.repeat(np.cumsum(pieces) - pieces, counts)
+        cut = edges[step] + (edges[step + 1] - edges[step]) * (j / pieces[step])
+        edges = np.append(np.minimum(cut, edges[step + 1]), edges[-1])
+        todo = np.repeat(pieces > 1.0, counts)
+    return edges
+
+
+def _solve(pump, freqs, t_in, t_fin, tol, carrier=None):
+    """Integrate ``X' = A(t) X`` for pair columns ``X`` from ``X = (1, 0)``.
+
+    ``freqs`` is ``(f_0, f_1)``, one frequency per column in each: column
+    ``j`` has ``A = [[-i f_0j, w], [conj w, i f_1j]]``, whose trace is a
+    phase, factored out exactly, which leaves ``phi_j = -(f_0j + f_1j)/2``.
+    Returns the ``(2, n)`` state at ``t_fin``, with the propagators of
+    ``_BLOCK`` steps at a time multiplied into it; no trajectory is kept.
+    One grid (:func:`_step_grid`) serves every column, with each interior
+    knot of a tabulated pump an edge, and every column passes the unitarity
+    guard over its steps.  Overflow raises no warning: it leaves a NaN
+    state, which fails the guard, or a NaN estimate, which runs into the
+    step budget.
     """
     check_span(t_in, t_fin, tol)
     knots = []
@@ -447,25 +438,29 @@ def _solve(pump, freqs, t_in, t_fin, tol, carrier=None, systems=1):
         pump.validate_interval(t_in, t_fin)
         # only a tabulated profile has knots
         knots = [t for t in pump.times if t_in < t < t_fin]
-    x = np.zeros(np.shape(freqs), dtype=complex)
+    f0, f1 = np.asarray(freqs, dtype=float)
+    x = np.zeros((2, f0.size), dtype=complex)
     x[0] = 1.0
-    if t_fin == t_in:
+    if t_fin == t_in or f0.size == 0:
         return x
-    bounds = (t_in, *knots, t_fin)
-    rhs = _pair_rhs(pump, freqs, carrier)
-    # an empty stack, with nothing to integrate, keeps the plain tolerance
-    scale = max(systems, 1) ** 0.5
-    y, steps = x.view(float).ravel(), 0
+    coupling = _coupling(pump, carrier)
     with np.errstate(all="ignore"):
-        for a, b in zip(bounds, bounds[1:]):
-            # the floor keeps rtol above 100 eps, where DOP853's error
-            # control stops meaning anything
-            y, taken = _dop853(rhs, float(a), y, float(b), max(tol / scale, 1e-13),
-                               tol / scale)
-            steps += taken
-    x = y.view(complex).reshape(2, -1)
-    for a, b in x.T:
-        _check_unitarity(BogoliubovPair(a, b.conjugate()), tol, steps)
+        # phi = -(f_0 + f_1)/2 and the trace over 2i, without overflowing
+        half = 0.5 * (f1 - f0)
+        phi = -(f0 + half)[None, :]
+        edges = _step_grid(coupling, phi, (t_in, *knots, t_fin), tol)
+        t0, h = edges[:-1], edges[1:] - edges[:-1]
+        for i in range(0, t0.size, _BLOCK):
+            b = slice(i, i + _BLOCK)
+            (w_phi, w_q), _ = _magnus(coupling(t0[b], h[b], _NODES), h[b])
+            a = h[b, None] * phi
+            alpha, beta = _chain(*_expm(_horner(w_phi, a), _horner(w_q, a)))
+            x = np.array([alpha * x[0] + beta * x[1],
+                          np.conj(beta) * x[0] + np.conj(alpha) * x[1]])
+        if np.any(half):
+            x *= np.exp(1j * half * (t_fin - t_in))
+        for a, b in x.T:
+            _check_unitarity(BogoliubovPair(a, b.conjugate()), tol, edges.size - 1)
     return x
 
 
@@ -474,13 +469,13 @@ def integrate_modes(pump, omegas, t_in: float, t_fin: float,
     """Integrate the per-mode systems of several frequencies in one solve.
 
     Each frequency is one column ``(u, conj v)`` of one stacked system, so
-    the pump is evaluated once per step attempt for all of them.  ``tol``
-    holds per mode: it is divided by ``sqrt(len(omegas))`` (see :func:`_solve`),
-    and a single frequency gives :func:`integrate_uv` bit for bit.  A pump,
+    the pump is evaluated once per block of steps for all of them.  ``tol``
+    bounds every mode's error estimate on its own (see :func:`_solve`), and
+    a single frequency gives :func:`integrate_uv` bit for bit.  A pump,
     span or integrator failure, or any one pair's unitarity guard, raises
     for the whole batch.  Returns one pair per frequency, in order.
     """
-    x = _solve(pump, (omegas, omegas), t_in, t_fin, tol, systems=len(omegas))
+    x = _solve(pump, (omegas, omegas), t_in, t_fin, tol)
     return [BogoliubovPair(u=complex(u), v=complex(v).conjugate()) for u, v in x.T]
 
 
@@ -488,20 +483,15 @@ def integrate_uv(pump, omega: float, t_in: float, t_fin: float,
                  tol: float = 1e-10) -> BogoliubovPair:
     """Integrate the per-mode system from ``(1, 0)`` over ``[t_in, t_fin]``.
 
-    Adaptive 8th-order Runge-Kutta with relative and absolute tolerance
-    ``tol``.  The unitarity defect is checked at the endpoint against
-    ``10*tol`` times the solution scale (the invariant is quadratic in the
-    moduli, so the admissible drift grows with them).
+    Order-6 Magnus steps, each with an order-4 error estimate of at most
+    ``tol`` relative to the state, so the result lands far inside ``tol``;
+    more than ``_MAX_STEPS`` steps raise :class:`IntegrationError`.  The
+    unitarity defect at the end is checked against ``10*tol`` times the
+    solution scale and the steps.
 
-    Parameters
-    ----------
-    pump : callable
-        ``pump(ts) -> complex array``, called with a 1-d array of times and
-        returning ``g`` at each of them: all 11 distinct stage times of one
-        step attempt in one call.  A :class:`PumpProfile` accepts arrays and
-        is validated against the interval first.
-    omega : float
-        Mode frequency entering the free rotation.
+    ``pump(ts)`` returns ``g`` at a 1-d array of times, the nodes of up to
+    ``_BLOCK`` steps in one call; a :class:`PumpProfile` is validated
+    against the interval first.  ``omega`` is the mode frequency.
     """
     pair, = integrate_modes(pump, [omega], t_in, t_fin, tol)
     return pair

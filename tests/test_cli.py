@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampbound import analytic, cli, printer
+from ampbound import analytic, cli, dynamics, printer
 from ampbound.cli import ScanConfig, main, scan_csv
 from conftest import (
     CHILD_TIMEOUT_S, MALFORMED_PUMPS, NON_FINITE_PUMPS, SRC, run_cli, run_python)
@@ -694,8 +695,8 @@ class TestSpectrum:
         ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf"), ("--tau-in", "nan"),
         ("--tau-fin", "nan"), ("--tau-fin", "inf")])
     def test_unsolvable_span_exits_1_without_solving(self, pump_file, tmp_path, flag, value):
-        # each of these would keep DOP853 stepping forever, so it must be
-        # rejected before any mode is solved
+        # no step grid can meet these, so each must be rejected before any
+        # mode is solved
         path = pump_file({"kind": "constant", "q0": 0.5})
         out = tmp_path / "spectrum.csv"
         args = {"--pump": path, "--T": "1", "--k-min": "0.5", "--k-max": "2",
@@ -720,6 +721,8 @@ class TestSpectrum:
         assert not out.exists()
 
     def test_huge_pump_error_rows_without_warnings(self, pump_file, tmp_path):
+        # the error estimate overflows to NaN, and the grid outgrows the
+        # step budget
         path = pump_file({"kind": "constant", "q0": 1e300})
         out = tmp_path / "spectrum.csv"
         result = run_cli("spectrum", "--pump", path, "--T", "1", "--k-min", "0.1",
@@ -729,7 +732,53 @@ class TestSpectrum:
         assert result.stderr == ""
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 2
-        assert all(row.endswith("less than spacing between numbers.") for row in rows)
+        assert all(row.endswith(f"needs more than {dynamics._MAX_STEPS} steps") for row in rows)
+
+    def test_span_whose_length_overflows_exits_1(self, pump_file, tmp_path):
+        # both bounds are finite, but the span is not: no step has a size
+        out = tmp_path / "spectrum.csv"
+        result = run_cli("spectrum", "--pump", pump_file({"kind": "constant", "q0": 0.5}),
+                         "--T", "1", "--k-min", "0.5", "--k-max", "2", "--k-points", "2",
+                         "--tau-in", "-1e308", "--tau-fin", "1e308", "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: integration span must have a finite length")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_unrepresentable_modes_get_error_rows(self, pump_file, tmp_path):
+        # k up to the largest float once hung the scan; now the modes whose
+        # numbers leave the float range end in their own error rows
+        out = tmp_path / "spectrum.csv"
+        result = run_cli("spectrum", "--pump", pump_file({"kind": "constant", "q0": 0.1}),
+                         "--T", "1", "--k-min", "1", "--k-max", "1.7e308", "--k-points", "3",
+                         "--tau-in", "0", "--tau-fin", "1", "--out", str(out), timeout=10)
+        assert result.returncode == 0
+        assert result.stderr == ""
+        errors = [row.rsplit(",", 1)[1] for row in out.read_text().splitlines()[1:]]
+        assert errors[0] == ""
+        assert all(errors[1:]) and len(errors) == 3
+
+    def test_large_k_constant_pump_is_one_step(self, pump_file, capsys):
+        # the generator commutes with itself, so any k takes one exact
+        # step; DOP853 took 26 s at --k-max 1e4 and never finished 1e5
+        path = pump_file({"kind": "constant", "q0": 0.1})
+        start = time.perf_counter()
+        code, out = run(capsys, "spectrum", "--pump", path, "--T", "1", "--k-min", "1",
+                        "--k-max", "1e5", "--k-points", "3", "--tau-in", "0",
+                        "--tau-fin", "10")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert all(row.endswith(",") for row in out.strip().split("\n")[1:])
+
+    def test_unreachable_tolerance_ends_at_the_step_budget(self, pump_file, tmp_path):
+        out = tmp_path / "spectrum.csv"
+        result = run_cli("spectrum", "--pump", pump_file({"kind": "de_sitter"}), "--T", "1",
+                         "--k-min", "1", "--k-max", "2", "--k-points", "2", "--tau-in", "-10",
+                         "--tau-fin", "-1", "--tol", "5e-324", "--out", str(out), timeout=10)
+        assert result.returncode == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.endswith(f"needs more than {dynamics._MAX_STEPS} steps") for row in rows)
 
     def test_singular_pump_isolated_per_mode(self, pump_file, capsys):
         path = pump_file({"kind": "de_sitter"})
@@ -762,6 +811,27 @@ def test_log_axis_topping_out_at_the_largest_float_exits_1(pump_file, tmp_path, 
     assert result.stderr.startswith(f"error: {axis} axis overflows")
     assert result.stderr.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["map", "spectrum"])
+def test_linear_axis_whose_length_overflows_exits_1(pump_file, command):
+    # np.linspace warned of the overflow, and the error blamed N_bar or the
+    # order of the k grid
+    if command == "map":
+        argv = ["map", "--plane", "nbar_vs_r", "--x-scale", "linear", "--x-min", "0",
+                "--x-max", "1", "--x-points", "3", "--y-scale", "linear",
+                "--y-min", "-1.7e308", "--y-max", "1.7e308", "--y-points", "3"]
+        axis = "y"
+    else:
+        argv = ["spectrum", "--pump", pump_file({"kind": "constant", "q0": 0.1}),
+                "--T", "1", "--k-scale", "linear", "--k-min", "-1.7e308",
+                "--k-max", "1.7e308", "--k-points", "3", "--tau-in", "0", "--tau-fin", "1"]
+        axis = "k"
+    result = run_cli(*argv)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {axis} axis overflows")
+    assert result.stderr.count("\n") == 1
 
 
 def test_no_subcommand_loads_scipy(tmp_path):

@@ -158,8 +158,8 @@ class TestSpectrum:
         def never(*args, **kwargs):
             raise AssertionError("a mode ran")
 
-        # every solve, batched or one-mode, steps through the one stepper
-        monkeypatch.setattr(dynamics, "_dop853", never)
+        # every solve, batched or one-mode, builds its step grid first
+        monkeypatch.setattr(dynamics, "_step_grid", never)
         with pytest.raises(ValueError, match="must"):
             spectrum([0.5, 2.0], dynamics.PumpProfile.constant(0.5), T, mu, 0.0,
                      tau_fin, tol=tol)
@@ -208,9 +208,9 @@ class TestBatchedSpectrum:
                 assert res == alone
 
     def test_pump_calls_of_one_mode(self, desitter_one_mode):
-        # one pump call per step attempt serves every mode: the 50-mode grid
-        # costs less than twice its slowest mode, where one solve per mode
-        # cost the sum over modes, about 12 times as much
+        # one pump call per block of steps serves every mode: the 50-mode
+        # grid costs less than twice its slowest mode, where one solve per
+        # mode costs the sum over modes, about 19 times as much
         pump = CountingPump(dynamics.PumpProfile.de_sitter())
         spectrum(DESITTER_KS, pump, T, MU, *DESITTER_SPAN, tol=1e-10)
         assert pump.calls < 2 * max(desitter_one_mode[1])
