@@ -451,16 +451,16 @@ def _solve(pump, freqs, t_in, t_fin, tol, carrier=None):
         edges = _step_grid(coupling, phi, (t_in, *knots, t_fin), tol)
         t0, h = edges[:-1], edges[1:] - edges[:-1]
         for i in range(0, t0.size, _BLOCK):
-            b = slice(i, i + _BLOCK)
-            (w_phi, w_q), _ = _magnus(coupling(t0[b], h[b], _NODES), h[b])
-            a = h[b, None] * phi
+            block = slice(i, i + _BLOCK)
+            (w_phi, w_q), _ = _magnus(coupling(t0[block], h[block], _NODES), h[block])
+            a = h[block, None] * phi
             alpha, beta = _chain(*_expm(_horner(w_phi, a), _horner(w_q, a)))
             x = np.array([alpha * x[0] + beta * x[1],
                           np.conj(beta) * x[0] + np.conj(alpha) * x[1]])
         if np.any(half):
             x *= np.exp(1j * half * (t_fin - t_in))
-        for a, b in x.T:
-            _check_unitarity(BogoliubovPair(a, b.conjugate()), tol, edges.size - 1)
+        for first, second in x.T:
+            _check_unitarity(BogoliubovPair(first, second.conjugate()), tol, edges.size - 1)
     return x
 
 
