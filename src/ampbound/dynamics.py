@@ -345,7 +345,7 @@ def _horner(coefs, a):
 
 def _step_error(coupling, phi, t0, h):
     """Each step's order-4 local error estimate, the largest over columns:
-    the 2-norm ``|phi| + |q|`` of ``omega_6 - omega_4`` for the commutators,
+    the spectral norm ``|phi| + |q|`` of ``omega_6 - omega_4`` for the commutators,
     plus Simpson's rule against the Gauss rule for the integral of ``A``
     that both share, the only error of a one-phase pump at no frequency."""
     q = coupling(t0, h, _ENDS_AND_NODES)
@@ -427,17 +427,21 @@ def _solve(pump, freqs, t_in, t_fin, tol, carrier=None):
     Returns the ``(2, n)`` state at ``t_fin``, with the propagators of
     ``_BLOCK`` steps at a time multiplied into it; no trajectory is kept.
     One grid (:func:`_step_grid`) serves every column, with each interior
-    knot of a tabulated pump an edge, and every column passes the unitarity
-    guard over its steps.  Overflow raises no warning: it leaves a NaN
-    state, which fails the guard, or a NaN estimate, which runs into the
-    step budget.
+    knot of a tabulated pump, or the centre and flanks of a gaussian pulse,
+    an edge, and every column passes the unitarity guard over its steps.
+    Overflow raises no warning: it leaves a NaN state, which fails the
+    guard, or a NaN estimate, which runs into the step budget.
     """
     check_span(t_in, t_fin, tol)
     knots = []
     if isinstance(pump, PumpProfile):
         pump.validate_interval(t_in, t_fin)
-        # only a tabulated profile has knots
-        knots = [t for t in pump.times if t_in < t < t_fin]
+        # where a tabulated pump's slope jumps, or a pulse's centre and its
+        # flanks, which the five samples of a wide first step could all miss
+        marks = pump.times
+        if pump.kind == "gaussian_pulse":
+            marks = [pump.center + n * pump.width for n in (-4.0, 0.0, 4.0)]
+        knots = sorted({t for t in marks if t_in < t < t_fin})
     f0, f1 = np.asarray(freqs, dtype=float)
     x = np.zeros((2, f0.size), dtype=complex)
     x[0] = 1.0
@@ -491,7 +495,9 @@ def integrate_uv(pump, omega: float, t_in: float, t_fin: float,
 
     ``pump(ts)`` returns ``g`` at a 1-d array of times, the nodes of up to
     ``_BLOCK`` steps in one call; a :class:`PumpProfile` is validated
-    against the interval first.  ``omega`` is the mode frequency.
+    against the interval first; any other callable is seen only at the
+    samples of the steps, which can miss a pulse narrower than a first
+    step.  ``omega`` is the mode frequency.
     """
     pair, = integrate_modes(pump, [omega], t_in, t_fin, tol)
     return pair

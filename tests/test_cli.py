@@ -758,15 +758,21 @@ class TestSpectrum:
         assert errors[0] == ""
         assert all(errors[1:]) and len(errors) == 3
 
-    def test_large_k_constant_pump_is_one_step(self, pump_file, capsys):
+    def test_large_k_constant_pump_is_one_step(self, pump_file, capsys, monkeypatch):
         # the generator commutes with itself, so any k takes one exact
         # step; DOP853 took 26 s at --k-max 1e4 and never finished 1e5
+        grids, make = [], dynamics._step_grid
+        monkeypatch.setattr(dynamics, "_step_grid",
+                            lambda *args: grids.append(make(*args)) or grids[-1])
         path = pump_file({"kind": "constant", "q0": 0.1})
         start = time.perf_counter()
         code, out = run(capsys, "spectrum", "--pump", path, "--T", "1", "--k-min", "1",
                         "--k-max", "1e5", "--k-points", "3", "--tau-in", "0",
                         "--tau-fin", "10")
-        assert time.perf_counter() - start < 1.0
+        # one grid of one step for all three modes; the time bound only
+        # catches a hang, the step takes milliseconds
+        assert [edges.tolist() for edges in grids] == [[0.0, 10.0]]
+        assert time.perf_counter() - start < 10.0
         assert code == 0
         assert all(row.endswith(",") for row in out.strip().split("\n")[1:])
 

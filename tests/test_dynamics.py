@@ -63,10 +63,11 @@ def spy_guard(monkeypatch):
     return seen
 
 
-def reference(pump, omegas, span, carrier=None):
+def reference(pump, omegas, span, carrier=None, max_step=np.inf):
     """``(u, v)`` arrays of the written system from scipy's DOP853 at 1e-13."""
     z = solve_ivp(plain_rhs(pump, omegas, carrier), span, [1.0, 0.0, 0.0, 0.0] * len(omegas),
-                  method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1].view(complex)
+                  method="DOP853", rtol=1e-13, atol=1e-13,
+                  max_step=max_step).y[:, -1].view(complex)
     return z[0::2], z[1::2]
 
 
@@ -288,6 +289,45 @@ class TestTabulatedKnots:
         (bounds, edges), = grids
         assert bounds == KNOT_TIMES.tolist()
         assert seen == [edges.size - 1]
+
+
+class TestPulseEdges:
+    @pytest.mark.parametrize("pump, omega, span", [
+        # the first grid's five samples fell where |q| < 1e-37, and the
+        # solve returned v = 3e-74 for |v| = 1.0
+        (PumpProfile.gaussian_pulse(0.5, 30.0, 1.0), 0.5, (0.0, 100.0)),
+        (PumpProfile.gaussian_pulse(0.5, 0.3, 0.01), 0.0, (0.0, 1.0)),
+        (PumpProfile.gaussian_pulse(0.5, 0.3, 0.01), 3.0, (0.0, 1.0)),
+        (PumpProfile.gaussian_pulse(0.5, 0.5, 0.01), 0.0, (0.0, 1.0))])
+    def test_off_centre_pulse_is_within_tol(self, pump, omega, span):
+        # the reference may not step over the pulse either
+        tol = 1e-10
+        (u,), (v,) = reference(pump, [omega], span, max_step=pump.width)
+        pair = integrate_uv(pump, omega, *span, tol)
+        assert abs(v) > 1e-2
+        assert max(abs(pair.u - u), abs(pair.v - v)) <= tol * abs(u)
+
+    def test_off_centre_pulse_under_the_carrier(self):
+        pump, span = PumpProfile.gaussian_pulse(0.4, 17.0, 0.5), (0.0, 50.0)
+        tol = 1e-10
+        u, v = reference(pump, [1.3, 0.9], span, carrier=2.2, max_step=pump.width)
+        pairs = integrate_qm(pump, 1.3, 0.9, *span, tol)
+        assert abs(v).min() > 1e-1
+        for pair, u_x, v_x in zip(pairs, u, v):
+            assert max(abs(pair.u - u_x), abs(pair.v - v_x)) <= tol * abs(u_x)
+
+    @pytest.mark.parametrize("center, width, span", [
+        (30.0, 1.0, (0.0, 100.0)), (0.3, 0.1, (0.0, 1.0)), (-5.0, 1.0, (0.0, 1.0))])
+    def test_centre_and_flanks_inside_the_span_are_edges(self, monkeypatch, center, width,
+                                                        span):
+        grids = spy_grids(monkeypatch)
+        integrate_uv(PumpProfile.gaussian_pulse(0.5, center, width), 0.5, *span, 1e-10)
+        (bounds, edges), = grids
+        # the flanks lie four widths out
+        inside = [t for t in (center - 4.0 * width, center, center + 4.0 * width)
+                  if span[0] < t < span[1]]
+        assert bounds == [span[0], *inside, span[1]]
+        assert set(bounds) <= set(edges.tolist())
 
 
 def desitter_error(pair, k):
