@@ -1,26 +1,21 @@
 """Time evolution of the Bogoliubov functions for arbitrary pump profiles.
 
-Two oscillators under a Hermitian pair-creating coupling make linear
-systems in su(1,1): each pair of amplitudes, one of them conjugated, obeys
+A mode of frequency ``omega`` under a Hermitian pair-creating coupling
+``g(t)`` is a linear system in su(1,1) for the column ``X = (u, conj v)``:
 
-    X' = A(t) X,   A = [[-i f_0, w], [conj(w), i f_1]],   w = i g(t) e^{-i carrier t}
+    X' = A(t) X,   A = [[-i omega, w], [conj(w), i omega]],   w = i g(t)
 
-and starts from ``X = (1, 0)`` at ``t_in``.  The state is a ``(2, n)``
-complex array with one such pair per column:
+from ``X = (1, 0)`` at ``t_in``.  :func:`integrate_uv` solves one column,
+:func:`integrate_modes` one per frequency of a grid, stacked in a ``(2, n)``
+array with one pump call per block of steps for all of them, and
+:func:`integrate_qm` the resonant two-oscillator system, the column at
+``omega = 0`` in the frame that turns each oscillator at its own frequency.
 
-* per mode, the column ``(u, conj v)`` at ``f_0 = f_1 = omega`` and no
-  carrier, so ``u' = -i omega u + i g(t) conj(v)``;
-  :func:`integrate_uv` solves one column, :func:`integrate_modes` one per
-  frequency of a grid, with one pump call per block of steps for all of them;
-* the resonant two-oscillator system under the carrier
-  ``omega_s + omega_e``, the two closed columns ``(u_s, conj v_e)`` and
-  ``(u_e, conj v_s)``.
-
-One order-6 Magnus solve integrates any of them (A. Iserles and S. P.
-Norsett, Phil. Trans. R. Soc. A 357, 983 (1999)), keeping only the current
-state.  Each step's propagator is an exponential in su(1,1), up to a phase,
-so it keeps ``|a|^2 - |b|^2 = 1`` to rounding, which the solve checks per
-column; every column's error estimate meets the tolerance on its own, so a
+One order-6 Magnus solve integrates them (A. Iserles and S. P. Norsett,
+Phil. Trans. R. Soc. A 357, 983 (1999)), keeping only the current state.
+Each step's propagator is an exponential in su(1,1), so it keeps
+``|a|^2 - |b|^2 = 1`` to rounding, which the solve checks per column;
+every column's error estimate meets the tolerance on its own, so a
 stack of modes steps as finely as its hardest mode alone.  The pair
 ``(u, v)`` maps to squeeze variables through
 
@@ -121,11 +116,12 @@ class PumpProfile:
                 raise PumpError(f"pump {name} must be finite, got {getattr(self, name)}")
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.values))):
             raise PumpError("tabulated pump times and values must be finite")
-        if self.kind == "gaussian_pulse" and self.width <= 0:
-            raise PumpError("gaussian_pulse width must be positive")
+        w = self.width  # a pulse divides by 2 w^2, which must not round to 0 or inf
+        if self.kind == "gaussian_pulse" and not (w > 0 and 0 < 2.0 * w * w < np.inf):
+            raise PumpError(f"gaussian_pulse width {w} must be positive with 2 width^2 in range")
         if self.kind == "tabulated":
             t = np.asarray(self.times, dtype=float)
-            if t.size < 2 or np.any(np.diff(t) <= 0):
+            if t.size < 2 or np.any(t[1:] <= t[:-1]):
                 raise PumpError("tabulated times must be at least two, strictly increasing")
             if len(self.values) != t.size:
                 raise PumpError("tabulated times and values must have equal length")
@@ -285,17 +281,11 @@ _NODES = _ENDS_AND_NODES[1:4]
 _BLOCK, _MAX_STEPS, _MAX_SPLIT = 64, 2 ** 17, 64
 
 
-def _coupling(pump, carrier=None):
-    """``coupling(t0, h, nodes)``: ``w = i g(t) e^{-i carrier t}`` at the
-    times ``t0 + h * nodes`` of every step, as an ``(n, len(nodes))`` array
-    from one pump call with a 1-d array of times."""
-    def coupling(t0, h, nodes):
-        ts = (t0[:, None] + h[:, None] * nodes).ravel()
-        w = 1j * pump(ts)
-        if carrier is not None:
-            w = w * np.exp(-1j * carrier * ts)
-        return w.reshape(-1, nodes.size)
-    return coupling
+def _coupling(pump, t0, h, nodes):
+    """``w = i g(t)`` at the times ``t0 + h * nodes`` of every step, as an
+    ``(n, len(nodes))`` array from one pump call with a 1-d array of times."""
+    ts = (t0[:, None] + h[:, None] * nodes).ravel()
+    return (1j * pump(ts)).reshape(-1, nodes.size)
 
 
 def _magnus(q, h):
@@ -343,12 +333,12 @@ def _horner(coefs, a):
     return out
 
 
-def _step_error(coupling, phi, t0, h):
+def _step_error(pump, phi, t0, h):
     """Each step's order-4 local error estimate, the largest over columns:
     the spectral norm ``|phi| + |q|`` of ``omega_6 - omega_4`` for the commutators,
     plus Simpson's rule against the Gauss rule for the integral of ``A``
     that both share, the only error of a one-phase pump at no frequency."""
-    q = coupling(t0, h, _ENDS_AND_NODES)
+    q = _coupling(pump, t0, h, _ENDS_AND_NODES)
     _, (e_phi, e_q) = _magnus(q[:, 1:4], h)
     a = h[:, None] * phi
     quadrature = h * ((q[:, 0] + q[:, 4]) / 6.0 + q[:, 2] * (2.0 / 9.0)
@@ -383,7 +373,7 @@ def _chain(alpha, beta):
     return alpha[0], beta[0]
 
 
-def _step_grid(coupling, phi, bounds, tol):
+def _step_grid(pump, phi, bounds, tol):
     """Edges from ``bounds[0]`` to ``bounds[-1]``, all of ``bounds`` among
     them, on which :func:`_step_error` is at most ``tol`` in every step.
 
@@ -398,7 +388,7 @@ def _step_grid(coupling, phi, bounds, tol):
         idx = np.flatnonzero(todo)
         t0, h = edges[idx], edges[idx + 1] - edges[idx]
         ratio = np.concatenate([
-            _step_error(coupling, phi, t0[i:i + _BLOCK], h[i:i + _BLOCK])
+            _step_error(pump, phi, t0[i:i + _BLOCK], h[i:i + _BLOCK])
             for i in range(0, idx.size, _BLOCK)]) / tol
         # the piece counts stay floats: integer arithmetic would page in
         # numpy kernels that a spectrum uses nowhere else
@@ -418,12 +408,11 @@ def _step_grid(coupling, phi, bounds, tol):
     return edges
 
 
-def _solve(pump, freqs, t_in, t_fin, tol, carrier=None):
+def _solve(pump, omegas, t_in, t_fin, tol):
     """Integrate ``X' = A(t) X`` for pair columns ``X`` from ``X = (1, 0)``.
 
-    ``freqs`` is ``(f_0, f_1)``, one frequency per column in each: column
-    ``j`` has ``A = [[-i f_0j, w], [conj w, i f_1j]]``, whose trace is a
-    phase, factored out exactly, which leaves ``phi_j = -(f_0j + f_1j)/2``.
+    Column ``j`` has ``A = [[-i omega_j, w], [conj w, i omega_j]]``, so
+    ``phi_j = -omega_j``; a non-finite frequency raises ``ValueError``.
     Returns the ``(2, n)`` state at ``t_fin``, with the propagators of
     ``_BLOCK`` steps at a time multiplied into it; no trajectory is kept.
     One grid (:func:`_step_grid`) serves every column, with each interior
@@ -433,6 +422,9 @@ def _solve(pump, freqs, t_in, t_fin, tol, carrier=None):
     guard, or a NaN estimate, which runs into the step budget.
     """
     check_span(t_in, t_fin, tol)
+    omegas = np.asarray(omegas, dtype=float)
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError(f"frequencies must be finite, got {omegas.tolist()}")
     knots = []
     if isinstance(pump, PumpProfile):
         pump.validate_interval(t_in, t_fin)
@@ -442,27 +434,21 @@ def _solve(pump, freqs, t_in, t_fin, tol, carrier=None):
         if pump.kind == "gaussian_pulse":
             marks = [pump.center + n * pump.width for n in (-4.0, 0.0, 4.0)]
         knots = sorted({t for t in marks if t_in < t < t_fin})
-    f0, f1 = np.asarray(freqs, dtype=float)
-    x = np.zeros((2, f0.size), dtype=complex)
+    x = np.zeros((2, omegas.size), dtype=complex)
     x[0] = 1.0
-    if t_fin == t_in or f0.size == 0:
+    if t_fin == t_in or omegas.size == 0:
         return x
-    coupling = _coupling(pump, carrier)
+    phi = -omegas[None, :]
     with np.errstate(all="ignore"):
-        # phi = -(f_0 + f_1)/2 and the trace over 2i, without overflowing
-        half = 0.5 * (f1 - f0)
-        phi = -(f0 + half)[None, :]
-        edges = _step_grid(coupling, phi, (t_in, *knots, t_fin), tol)
+        edges = _step_grid(pump, phi, (t_in, *knots, t_fin), tol)
         t0, h = edges[:-1], edges[1:] - edges[:-1]
         for i in range(0, t0.size, _BLOCK):
             block = slice(i, i + _BLOCK)
-            (w_phi, w_q), _ = _magnus(coupling(t0[block], h[block], _NODES), h[block])
+            (w_phi, w_q), _ = _magnus(_coupling(pump, t0[block], h[block], _NODES), h[block])
             a = h[block, None] * phi
             alpha, beta = _chain(*_expm(_horner(w_phi, a), _horner(w_q, a)))
             x = np.array([alpha * x[0] + beta * x[1],
                           np.conj(beta) * x[0] + np.conj(alpha) * x[1]])
-        if np.any(half):
-            x *= np.exp(1j * half * (t_fin - t_in))
         for first, second in x.T:
             _check_unitarity(BogoliubovPair(first, second.conjugate()), tol, edges.size - 1)
     return x
@@ -479,7 +465,7 @@ def integrate_modes(pump, omegas, t_in: float, t_fin: float,
     span or integrator failure, or any one pair's unitarity guard, raises
     for the whole batch.  Returns one pair per frequency, in order.
     """
-    x = _solve(pump, (omegas, omegas), t_in, t_fin, tol)
+    x = _solve(pump, omegas, t_in, t_fin, tol)
     return [BogoliubovPair(u=complex(u), v=complex(v).conjugate()) for u, v in x.T]
 
 
@@ -505,20 +491,33 @@ def integrate_uv(pump, omega: float, t_in: float, t_fin: float,
 
 def integrate_qm(pump, omega_s: float, omega_e: float, t_in: float,
                  t_fin: float, tol: float = 1e-10):
-    """Integrate the resonant two-oscillator system as written.
+    """Integrate the resonant two-oscillator system.
 
-    The pump enters through the carrier ``exp(-i (omega_s + omega_e) t)``,
-    and ``u_s`` is driven by ``conj(v_e)``, ``u_e`` by ``conj(v_s)``: the
-    system is the two closed columns ``(u_s, conj v_e)`` and
-    ``(u_e, conj v_s)``, solved as one problem at ``tol``.  Returns
-    ``(pair_s, pair_e)`` relating each late-time operator to the initial
-    pair.
+    As written, with ``c = omega_s + omega_e`` and ``w = i g(t)``, the
+    column ``(u_s, conj v_e)`` obeys ``X' = A X`` with
+
+        A = [[-i omega_s, w e^{-i c t}], [conj(w e^{-i c t}), i omega_e]]
+
+    and ``(u_e, conj v_s)`` the same with ``s`` and ``e`` swapped.  Factoring
+    out the trace ``-i (omega_s - omega_e)`` and rotating by ``diag(e^{-i c
+    (t - t_in)/2}, e^{+i c (t - t_in)/2})`` leaves ``w e^{-i c t_in}`` off the
+    diagonal and zero on it: the per-mode system at ``omega = 0`` but for a
+    constant phase, which conjugation moves onto ``v``.  So with ``(u, v)``
+    of :func:`integrate_uv` at ``omega = 0`` and ``d = t_fin - t_in``::
+
+        u_s = e^{-i omega_s d} u,   v_s = e^{-i (omega_s d + c t_in)} v
+
+    and the same with ``s`` and ``e`` swapped.  Returns ``(pair_s, pair_e)``,
+    or raises ``ValueError`` if a frequency or phase is not finite.
     """
-    (u_s, u_e), (conj_v_e, conj_v_s) = _solve(
-        pump, ((omega_s, omega_e), (omega_e, omega_s)), t_in, t_fin, tol,
-        carrier=omega_s + omega_e)
-    return (BogoliubovPair(u=complex(u_s), v=complex(conj_v_s).conjugate()),
-            BogoliubovPair(u=complex(u_e), v=complex(conj_v_e).conjugate()))
+    check_span(t_in, t_fin, tol)
+    d, c = t_fin - t_in, omega_s + omega_e
+    phases = [(omega * d, omega * d + c * t_in) for omega in (omega_s, omega_e)]
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"frequencies and phases must be finite, got {omega_s}, {omega_e}")
+    pair = integrate_uv(pump, 0.0, t_in, t_fin, tol)
+    return tuple(BogoliubovPair(u=complex(pair.u * np.exp(-1j * a)),
+                                v=complex(pair.v * np.exp(-1j * b))) for a, b in phases)
 
 
 def extract_squeeze(pair: BogoliubovPair) -> SqueezeTriple:

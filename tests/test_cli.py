@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -6,10 +8,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ampbound import analytic, cli, dynamics, printer
@@ -795,6 +798,63 @@ class TestSpectrum:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert all(r[-1] != "" for r in rows)
 
+
+# a gaussian pulse whose width squared overflows: PumpProfile.__call__
+# raised OverflowError, which ended the run in a traceback
+WIDE_PULSE = {"kind": "gaussian_pulse", "amplitude": 0.5, "center": 1e300, "width": 1e300}
+# the numbers a pump config and the span are drawn from: zero, the edges of
+# the floats' range and ordinary values
+EDGE_NUMBERS = st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                                1.7976931348623157e308, -1.7976931348623157e308])
+NUMBERS = EDGE_NUMBERS | st.floats(-10.0, 10.0)
+PUMP_CONFIGS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"), "q0": NUMBERS, "theta_in": NUMBERS}),
+    st.fixed_dictionaries({"kind": st.just("gaussian_pulse"), "amplitude": NUMBERS,
+                           "center": NUMBERS, "width": NUMBERS, "theta_in": NUMBERS}),
+    st.fixed_dictionaries({"kind": st.just("de_sitter"), "strength": NUMBERS}),
+    st.fixed_dictionaries({"kind": st.just("tabulated"), "theta_in": NUMBERS, "samples": st.lists(
+        st.lists(NUMBERS, min_size=2, max_size=2), min_size=2, max_size=3)}))
+
+
+def test_wide_gaussian_pulse_exits_1(pump_file, capsys):
+    code = main(["spectrum", "--pump", pump_file(WIDE_PULSE), "--T", "3", "--k-min", "1",
+                 "--k-max", "2", "--k-points", "2", "--tau-in", "0", "--tau-fin", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: gaussian_pulse width")
+    assert captured.err.count("\n") == 1
+
+
+@settings(max_examples=40, deadline=10_000)
+@example(pump=WIDE_PULSE, tau_in=0.0, tau_fin=1.0)
+# the times' difference overflowed in the strictly-increasing check, which
+# warned above the rows
+@example(pump={"kind": "tabulated", "samples": [[-1e300, 0.0], [1.7976931348623157e308, 0.0]],
+               "theta_in": 0.0}, tau_in=0.0, tau_fin=0.0)
+@given(pump=PUMP_CONFIGS, tau_in=NUMBERS, tau_fin=NUMBERS)
+def test_spectrum_keeps_the_exit_contract_over_pump_configs(tmp_path_factory, pump, tau_in,
+                                                            tau_fin):
+    # any pump config and span exits 0 with rows, some of them perhaps
+    # error rows, or 1 with exactly one error line; never a traceback,
+    # which in-process is an exception out of main, and never a warning
+    path = tmp_path_factory.getbasetemp() / "fuzz_pump.json"
+    path.write_text(json.dumps(pump))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["spectrum", "--pump", str(path), "--T", "3", "--k-min", "1",
+                     "--k-max", "2", "--k-points", "2", f"--tau-in={tau_in!r}",
+                     f"--tau-fin={tau_fin!r}"])
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and len(out.getvalue().splitlines()) == 3
 
 @pytest.mark.parametrize("command", ["map", "spectrum"])
 def test_log_axis_topping_out_at_the_largest_float_exits_1(pump_file, tmp_path, command):
