@@ -856,6 +856,7 @@ def test_spectrum_keeps_the_exit_contract_over_pump_configs(tmp_path_factory, pu
     else:
         assert err.getvalue() == "" and len(out.getvalue().splitlines()) == 3
 
+
 @pytest.mark.parametrize("command", ["map", "spectrum"])
 def test_log_axis_topping_out_at_the_largest_float_exits_1(pump_file, tmp_path, command):
     # the last log10 point of an axis ending at DBL_MAX rounds to inf;
