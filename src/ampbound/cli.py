@@ -53,19 +53,18 @@ def _axis(name: str, lo: float, hi: float, points: int, scale: str) -> np.ndarra
     if not math.isfinite(hi - lo):
         raise CliError(f"{name} axis overflows: the length of [{lo}, {hi}] is past the "
                        "largest float")
-    if scale == "linear":
-        return np.linspace(lo, hi, points)
-    if scale == "log10":
-        if lo <= 0:
-            raise CliError("log10 scale requires a positive range")
-        # a top within rounding of the largest double can round above it
-        with np.errstate(over="ignore"):
-            grid = np.logspace(math.log10(lo), math.log10(hi), points)
-        if not np.isfinite(grid[-1]):
-            raise CliError(f"{name} axis overflows: its log10 point at max {hi} rounds "
-                           "past the largest float")
-        return grid
-    raise CliError(f"unknown axis scale {scale!r}")
+    if scale not in ("linear", "log10"):
+        raise CliError(f"unknown axis scale {scale!r}")
+    if scale == "log10" and lo <= 0:
+        raise CliError("log10 scale requires a positive range")
+    # a top within rounding of the largest double can round above it
+    with np.errstate(over="ignore"):
+        grid = (np.linspace(lo, hi, points) if scale == "linear"
+                else np.logspace(math.log10(lo), math.log10(hi), points))
+    if not np.all(np.isfinite(grid)):
+        raise CliError(f"{name} axis overflows: its {scale} point at max {hi} rounds "
+                       "past the largest float")
+    return grid
 
 
 class ScanConfig:
@@ -143,9 +142,10 @@ def _ratio_rows(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float):
         n_bar = x if plane.startswith("nbar") else 1.0 / np.expm1(x - mu)
 
     def rows(start: int, stop: int) -> np.ndarray:
-        # N_bar = n_q (n_bar + 1) overflows for large axis values; numpy's
-        # warning would name no input, so the product is checked here instead
-        with np.errstate(over="ignore"):
+        # N_bar = n_q (n_bar + 1) overflows for large axis values, and is
+        # 0 * inf where n_q is 0 and n_bar overflowed; numpy's warning would
+        # name no input, so the product is checked here instead
+        with np.errstate(over="ignore", invalid="ignore"):
             N_bar = n_q * (n_bar[start:stop] + 1.0)
         if not np.all(np.isfinite(N_bar)):
             raise CliError("N_bar = n_q (n_bar + 1) is not finite: it overflows on this grid")
@@ -460,8 +460,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError, dynamics.PumpError,
-            dynamics.IntegrationError, fock_oracle.TruncationError) as exc:
+    except (CliError, ValueError, OSError, dynamics.IntegrationError,
+            fock_oracle.TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -155,7 +155,7 @@ def spectrum(kgrid, pump, T: float, mu: float, tau_in: float, tau_fin: float,
     if any(k2 <= k1 for k1, k2 in zip(kgrid, kgrid[1:])):
         raise ValueError("kgrid must be sorted ascending with distinct entries")
     modes = [make_mode(k, convention=convention) for k in kgrid]
-    failures = (dynamics.PumpError, dynamics.IntegrationError, ValueError)
+    failures = (dynamics.IntegrationError, ValueError)
 
     def solve(omegas):
         return dynamics.integrate_modes(pump, omegas, tau_in, tau_fin, tol)

@@ -16,8 +16,8 @@ each reduced state is an occupation distribution: a probability vector
 indexed by number label, whose entries are its eigenvalues.  Only the
 weights ``pbar_m |<l, m+l|psi_m>|**2`` reach the reductions, and
 :func:`reduce_joint_state` adds each tile of :func:`ampbound.su11.ladder_tiles`
-into both distributions and the purity as it is made, without storing the
-joint state.
+into the purity and, by number label, into both distributions as it is
+made, without storing the joint state.
 """
 
 from __future__ import annotations
@@ -155,42 +155,35 @@ def reduce_joint_state(n_bar: float, r: float, trunc: TruncationSpec) -> JointRe
     The weights ``pbar_m C(m+l, l) tanh(r)^(2l) / cosh(r)^(2(m+1))`` arrive
     in the tiles of :func:`ampbound.su11.ladder_tiles`.  Each tile adds its
     row sums to the sector masses, its column sums to the system
-    distribution (label ``l``) and each of its rows, at offset ``m``, to the
-    environment distribution (label ``m + l``), in ascending ``m``; then the
-    next tile overwrites it.  Sectors never mix and each is rank one, so the
-    purity is the sum of the squared sector masses.  The total dropped mass
-    must stay within ``trunc.tolerance``.
+    distribution (label ``l``) and its weights, binned by label ``m + l``,
+    to the environment distribution; then the next tile overwrites it.
+    ``np.bincount`` adds the weights of each label in ascending ``m``.
+    Sectors never mix and each is rank one, so the purity is the sum of the
+    squared sector masses.  The total dropped mass, the thermal tail beyond
+    the last sector plus the ladder tails, must stay within
+    ``trunc.tolerance``.
     """
     if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
     M, L = trunc.max_thermal, trunc.max_squeeze
     t_tail = analytic.geometric_tail(n_bar, M + 1)
-    if t_tail > trunc.tolerance:
-        raise TruncationError(
-            f"thermal cutoff {M} leaves tail mass {t_tail:.3e} "
-            f"above tolerance {trunc.tolerance:.3e} for n_bar={n_bar}"
-        )
     pbar = analytic.geometric_weights(n_bar, M + 1)
     norms = np.zeros(M + 1)
     p_s = np.zeros(L + 1)
     p_e = np.zeros(M + L + 1)
+    labels = None
     for m, first_rung, w in su11.ladder_tiles(r, np.arange(M + 1), L):
+        rows, cols = w.shape
         norms[m] += w.sum(axis=1)
         w *= pbar[m, None]
-        p_s[first_rung:first_rung + w.shape[1]] += w.sum(axis=0)
-        # environment label m + l, in ascending m (a tile's sectors are
-        # consecutive): row i of the zero-padded tile, read with rows one
-        # entry shorter, starts i places to the right, so one sum over axis 0
-        # adds each label's entries in ascending m.  A tile taller than wide
-        # is skewed along its reversed columns instead, and its sums reversed
-        tall = w.shape[0] > w.shape[1]
-        lines = w[::-1, ::-1].T if tall else w
-        n, width = lines.shape[0], lines.shape[0] + lines.shape[1] - 1
-        padded = np.zeros((n, width + 1))
-        padded[:, :lines.shape[1]] = lines
-        sums = padded.ravel()[:n * width].reshape(n, width).sum(axis=0)
-        label = m[0] + first_rung
-        p_e[label:label + width] += sums[::-1] if tall else sums
+        p_s[first_rung:first_rung + cols] += w.sum(axis=0)
+        # environment label m + l less the tile's first label; the first tile
+        # is the largest, so its labels cover every later tile's
+        if labels is None:
+            labels = np.add.outer(np.arange(rows), np.arange(cols))
+        sums = np.bincount(labels[:rows, :cols].ravel(), w.ravel())
+        first = m[0] + first_rung
+        p_e[first:first + sums.size] += sums
     dropped = t_tail + float(np.sum(pbar * (1.0 - norms)))
     if dropped > trunc.tolerance:
         raise TruncationError(

@@ -804,8 +804,9 @@ class TestSpectrum:
 WIDE_PULSE = {"kind": "gaussian_pulse", "amplitude": 0.5, "center": 1e300, "width": 1e300}
 # the numbers a pump config and the span are drawn from: zero, the edges of
 # the floats' range and ordinary values
-EDGE_NUMBERS = st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
-                                1.7976931348623157e308, -1.7976931348623157e308])
+EDGE_VALUES = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+               1.7976931348623157e308, -1.7976931348623157e308]
+EDGE_NUMBERS = st.sampled_from(EDGE_VALUES)
 NUMBERS = EDGE_NUMBERS | st.floats(-10.0, 10.0)
 PUMP_CONFIGS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("constant"), "q0": NUMBERS, "theta_in": NUMBERS}),
@@ -899,6 +900,150 @@ def test_linear_axis_whose_length_overflows_exits_1(pump_file, command):
     assert result.stdout == ""
     assert result.stderr.startswith(f"error: {axis} axis overflows")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["map", "spectrum"])
+def test_linear_axis_topping_out_at_the_largest_float_does_not_warn(pump_file, command):
+    # the last linear point, 6 (max - min) / 6, overflows inside np.linspace
+    # before numpy sets it to max, and numpy warned of the overflow
+    top = "1.7976931348623157e308"
+    if command == "map":
+        argv = ["map", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2",
+                "--y-min", "0.5", "--y-max", top, "--x-points", "2", "--y-points", "7",
+                "--x-scale", "linear", "--y-scale", "linear"]
+    else:
+        argv = ["spectrum", "--pump", pump_file({"kind": "constant", "q0": 0.1}),
+                "--T", "1", "--k-min", "0.5", "--k-max", top, "--k-points", "7",
+                "--k-scale", "linear", "--tau-in", "0", "--tau-fin", "1"]
+    result = run_cli(*argv)
+    if command == "map":
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == ("error: N_bar = n_q (n_bar + 1) is not finite: it "
+                                 "overflows on this grid\n")
+    else:
+        assert (result.returncode, result.stderr) == (0, "")
+        assert len(result.stdout.splitlines()) == 8
+
+
+# the values the exit-contract tests draw each number from: the pump
+# configs' edge values, the non-finite ones and ordinary values, with
+# ordinary positive values drawn often enough that many argv pass the
+# boundary checks and reach the computation
+VALUES = (st.sampled_from(EDGE_VALUES + [math.inf, -math.inf, math.nan])
+          | st.floats(-10.0, 10.0) | st.floats(1e-3, 10.0))
+# a flag left out, as often as one given a drawn value
+OPTIONAL_VALUES = st.booleans().flatmap(lambda given: VALUES if given else st.none())
+# an axis: its bounds in order, points and scale
+AXES = st.tuples(st.lists(VALUES, min_size=2, max_size=2).map(sorted), st.integers(1, 7),
+                 st.sampled_from(["log10", "linear"]))
+
+
+def number_flags(**values):
+    """``--name=value`` for each value that is not None, ``_`` read as ``-``."""
+    return [f"--{name.replace('_', '-')}={value!r}"
+            for name, value in values.items() if value is not None]
+
+
+def run_contract(argv):
+    """Run ``main(argv)`` in-process and check the exit contract every
+    subcommand keeps: no traceback, which in-process is an exception out of
+    ``main``, no warning, an exit code in {0, 1, 2}, and on exit 1 an empty
+    stdout above argparse's usage or exactly one error line.  Returns the
+    code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage: ") or (
+            err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1)
+    else:
+        assert err.getvalue() == ""
+    return code, out.getvalue()
+
+
+def assert_finite_numbers(value):
+    """Every number in a parsed JSON value is finite; strings may name inf."""
+    if isinstance(value, dict):
+        for item in value.values():
+            assert_finite_numbers(item)
+    elif isinstance(value, list):
+        for item in value:
+            assert_finite_numbers(item)
+    elif isinstance(value, float):
+        assert math.isfinite(value)
+
+
+@settings(max_examples=100, deadline=10_000)
+@given(from_thermal=st.booleans(), squeeze=st.sampled_from(["nq", "r"]), nbar=VALUES,
+       amount=VALUES, omega=VALUES, T=VALUES, mu=OPTIONAL_VALUES, as_json=st.booleans())
+def test_check_keeps_the_exit_contract(from_thermal, squeeze, nbar, amount, omega, T, mu,
+                                       as_json):
+    argv = (["check"] + ["--json"] * as_json
+            + (["--from-thermal"] if from_thermal else [f"--nbar={nbar!r}"])
+            + number_flags(**{squeeze: amount}, omega=omega, T=T, mu=mu))
+    code, out = run_contract(argv)
+    if code == 1:
+        return
+    if as_json:
+        payload = strict_json(out)
+    else:
+        payload = dict(line.split(" = ") for line in out.splitlines())
+        payload = {key: value if value in ("true", "false") else float(value)
+                   for key, value in payload.items()}
+    assert_finite_numbers(payload)
+    # exit 2 is a finite ratio above 1, and nothing else
+    assert (code == 2) == (payload["ratio"] > 1.0)
+
+
+@settings(max_examples=100, deadline=10_000)
+# the last linear point of the y axis overflowed inside np.linspace, and
+# numpy warned above the error line
+@example(plane="nbar_vs_nq", x=([1.0, 2.0], 2, "linear"),
+         y=([0.5, 1.7976931348623157e308], 7, "linear"), mu=None)
+# n_bar = 1/expm1(5e-324) overflows, and n_q (n_bar + 1) was 0 * inf: numpy
+# warned of the invalid value above the error line
+@example(plane="omegaT_vs_nq", x=([5e-324, 1e-300], 2, "log10"),
+         y=([0.0, 5e-324], 2, "linear"), mu=None)
+@given(plane=st.sampled_from(cli.PLANES), x=AXES, y=AXES, mu=OPTIONAL_VALUES)
+def test_map_keeps_the_exit_contract(plane, x, y, mu):
+    (x_min, x_max), x_points, x_scale = x
+    (y_min, y_max), y_points, y_scale = y
+    argv = ["map", "--plane", plane, "--x-scale", x_scale, "--y-scale", y_scale] + number_flags(
+        x_min=x_min, x_max=x_max, x_points=x_points, y_min=y_min, y_max=y_max,
+        y_points=y_points, mu=mu)
+    code, out = run_contract(argv)
+    assert code in (0, 1)
+    if code == 0:
+        rows = out.splitlines()
+        assert rows[0] == "x,y,log10_ratio,satisfied"
+        assert len(rows) == 1 + x_points * y_points
+        for row in rows[1:]:
+            *numbers, satisfied = row.split(",")
+            # the log10 field is empty where the ratio vanishes
+            assert all(math.isfinite(float(field)) for field in numbers if field)
+            assert satisfied in ("true", "false")
+
+
+@settings(max_examples=60, deadline=10_000)
+@given(points=st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=2),
+       tolerance=OPTIONAL_VALUES, trunc_tolerance=OPTIONAL_VALUES, omega=OPTIONAL_VALUES)
+def test_verify_keeps_the_exit_contract(points, tolerance, trunc_tolerance, omega):
+    argv = (["verify"] + [f"--point={n_bar!r},{r!r}" for n_bar, r in points]
+            + number_flags(tolerance=tolerance, trunc_tolerance=trunc_tolerance, omega=omega))
+    code, out = run_contract(argv)
+    if code == 1:
+        return
+    report = strict_json(out)
+    assert_finite_numbers(report)
+    # exit 2 is a failing record, and nothing else
+    failing = [rec for rec in report["records"] if not rec.get("pass", False)]
+    assert report["pass"] == (code == 0) == (not failing)
 
 
 def test_no_subcommand_loads_scipy(tmp_path):

@@ -160,6 +160,15 @@ class TestPumpProfile:
             warnings.simplefilter("error")
             assert PumpProfile.gaussian_pulse(0.5, 0.0, width)(0.0) == 0.5
 
+    @pytest.mark.parametrize("center, t", [
+        (1e300, 0.0), (1e300, np.array([0.0, 1.0])), (-1.7e308, np.array([1.7e308]))])
+    def test_pulse_far_from_its_centre_is_zero_without_warning(self, center, t):
+        # the exponent's power, square or difference overflowed, and numpy
+        # warned, although the pulse there is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(PumpProfile.gaussian_pulse(0.5, center, 1.0)(t) == 0.0)
+
 
 class TestIntegrateUv:
     def test_free_evolution(self):
