@@ -11,7 +11,6 @@ from .analytic import (
     BoundReport,
     Multiplicities,
     ThermalSpec,
-    asymptotic_ratio,
     bound_ratio,
     delta_N,
     delta_Q,
@@ -26,9 +25,6 @@ from .analytic import (
 from .dynamics import (
     BogoliubovPair,
     PumpProfile,
-    SqueezeTriple,
-    desitter_exact_pair,
-    extract_squeeze,
     integrate_qm,
     integrate_uv,
 )

@@ -25,7 +25,6 @@ command line front end.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "Multiplicities",
     "ThermalSpec",
     "BoundReport",
-    "RegimeValidityWarning",
     "nbar_from_thermal",
     "pair_occupation",
     "geometric_weights",
@@ -48,13 +46,7 @@ __all__ = [
     "ratio_from_occupation",
     "ratio_from_temperature",
     "bound_ratio",
-    "asymptotic_ratio",
-    "ASYMPTOTIC_REGIMES",
 ]
-
-
-class RegimeValidityWarning(UserWarning):
-    """An asymptotic expression was evaluated outside its validity regime."""
 
 
 @dataclass(frozen=True)
@@ -347,54 +339,3 @@ def bound_ratio(spec: ThermalSpec, m: Multiplicities) -> BoundReport:
         satisfied=bool(ratio <= 1.0),
     )
 
-
-# validity predicate per regime, evaluated on (n_bar, N_bar)
-ASYMPTOTIC_REGIMES = {
-    "largeN_general": lambda nb, N: N > 1,
-    "largeN_large_nbar": lambda nb, N: N > 1 and nb > 1,
-    "largeN_small_nbar": lambda nb, N: N > 1 and nb < 1,
-    "smallN_general": lambda nb, N: N < 1,
-    "smallN_small_nbar": lambda nb, N: N < 1 and nb < 1,
-    "smallN_large_nbar": lambda nb, N: N < 1 and nb > 1,
-}
-
-
-def asymptotic_ratio(regime: str, spec: ThermalSpec, m: Multiplicities) -> float:
-    """Leading-order expansions of the bound ratio in the six regimes.
-
-    ``largeN_*`` expand in powers of ``1/N_bar`` (amplification effective),
-    ``smallN_*`` expand around the unamplified limit.  The expression is
-    evaluated even when the regime's validity condition fails; a
-    ``RegimeValidityWarning`` is emitted in that case.
-
-    Regimes and expressions:
-
-    * ``largeN_general``     ``(1 + ln N) / (N ln(1 + 1/n_bar))``
-    * ``largeN_large_nbar``  ``(1 + ln(n_q n_bar)) / n_q``
-    * ``largeN_small_nbar``  ``(T/(omega-mu)) (1 + ln N) / N``
-    * ``smallN_general``     ``(1 - ln N) / ln(1 + 1/n_bar)``
-    * ``smallN_small_nbar``  ``(1 - ln n_q) / ln(1/n_bar)``
-    * ``smallN_large_nbar``  ``n_bar (1 - ln(n_q n_bar))``
-    """
-    if regime not in ASYMPTOTIC_REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    nb, nq, N = m.n_bar, m.n_q, m.N_bar
-    if not ASYMPTOTIC_REGIMES[regime](nb, N):
-        warnings.warn(
-            f"regime {regime} evaluated outside its validity domain "
-            f"(n_bar={nb}, N_bar={N})",
-            RegimeValidityWarning,
-            stacklevel=2,
-        )
-    if regime == "largeN_general":
-        return (1.0 + np.log(N)) / (N * np.log1p(1.0 / nb))
-    if regime == "largeN_large_nbar":
-        return (1.0 + np.log(nq * nb)) / nq
-    if regime == "largeN_small_nbar":
-        return (spec.T / (spec.omega - spec.mu)) * (1.0 + np.log(N)) / N
-    if regime == "smallN_general":
-        return (1.0 - np.log(N)) / np.log1p(1.0 / nb)
-    if regime == "smallN_small_nbar":
-        return (1.0 - np.log(nq)) / np.log(1.0 / nb)
-    # smallN_large_nbar
-    return nb * (1.0 - np.log(nq * nb))

@@ -33,6 +33,9 @@ PLANES = ("N_vs_omegaT", "nbar_vs_nq", "omegaT_vs_nq", "nbar_vs_r", "omegaT_vs_r
 # JSON types a scan-config field may hold; a bool is never a number
 _CONFIG_KINDS = {"a number": (int, float), "an integer": int, "a string": str,
                  "a string or null": (str, type(None)), "a JSON object": dict}
+# the fields a scan config and each of its axes may hold
+_CONFIG_FIELDS = ("plane", "x", "y", "mu", "output_path")
+_AXIS_FIELDS = ("min", "max", "points", "scale")
 
 
 class CliError(Exception):
@@ -86,11 +89,18 @@ class ScanConfig:
     def from_dict(cls, spec: dict) -> "ScanConfig":
         """Build from the documented config schema (see the README).
 
-        A config that is not a JSON object, lacks a required field or holds
-        one of the wrong type raises :class:`CliError` naming the field.
+        A config that is not a JSON object, lacks a required field, holds
+        one of the wrong type or one not in the schema raises
+        :class:`CliError` naming the field.
         """
         if not isinstance(spec, dict):
             raise CliError(f"scan config must be a JSON object, got {type(spec).__name__}")
+
+        def known(obj, prefix, fields):
+            for key in obj:
+                if key not in fields:
+                    raise CliError(f"scan config field {prefix + str(key)!r} is unknown; "
+                                   f"expected one of {', '.join(fields)}")
 
         def field(obj, name, kind, *default):
             key = name.rpartition(".")[2]
@@ -103,10 +113,12 @@ class ScanConfig:
 
         def rng(axis):
             d = field(spec, axis, "a JSON object")
+            known(d, f"{axis}.", _AXIS_FIELDS)
             return (field(d, f"{axis}.min", "a number"), field(d, f"{axis}.max", "a number"),
                     field(d, f"{axis}.points", "an integer"),
                     field(d, f"{axis}.scale", "a string", "linear"))
 
+        known(spec, "", _CONFIG_FIELDS)
         return cls(plane=field(spec, "plane", "a string"), x_range=rng("x"),
                    y_range=rng("y"), mu=field(spec, "mu", "a number", 0.0),
                    output_path=field(spec, "output_path", "a string or null", None))

@@ -21,16 +21,18 @@ stack of modes steps as finely as its hardest mode alone.  The pair
 
     u = e^{-i delta} cosh(r),   v = e^{-i (delta - theta)} sinh(r)
 
-The flow of these variables is singular at ``r = 0``, where ``theta'``
-carries ``1/sinh(r)``, which is why the linear ``(u, v)`` system is what
-gets integrated and the squeeze variables are extraction-only.
+of which the bound needs only the amplitude ``r = asinh|v|``, which
+``field_modes.spectrum`` takes from each pair.  The flow of these
+variables is singular at ``r = 0``, where ``theta'`` carries
+``1/sinh(r)``, which is why the linear ``(u, v)`` system is what gets
+integrated.
 
 For the quasi-de Sitter pump (``g = i * strength * (-1/tau)`` on ``tau < 0``)
 with the canonical normalization ``strength = 1`` the system is solved in
 closed form by the standard massless mode functions
 ``e^{-i k tau} (1 - i/(k tau))``; :func:`desitter_exact_pair` evaluates that
 solution by matching at ``tau_in`` and serves as the independent oracle for
-the integrator.
+the integrator and for the benchmark's spectrum check.
 """
 
 from __future__ import annotations
@@ -46,16 +48,12 @@ __all__ = [
     "IntegrationError",
     "PumpProfile",
     "BogoliubovPair",
-    "SqueezeTriple",
     "check_span",
     "integrate_uv",
     "integrate_modes",
     "integrate_qm",
-    "extract_squeeze",
     "desitter_exact_pair",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 
 class PumpError(ValueError):
@@ -68,6 +66,13 @@ class SingularPumpError(PumpError):
 
 class IntegrationError(RuntimeError):
     """The adaptive integrator failed or the solution broke unitarity."""
+
+
+# the config fields of each pump kind besides ``kind``
+_CONFIG_FIELDS = {"constant": ("q0", "theta_in"),
+                  "gaussian_pulse": ("amplitude", "center", "width", "theta_in"),
+                  "de_sitter": ("strength",),
+                  "tabulated": ("samples", "theta_in")}
 
 
 def _config_number(value, field):
@@ -104,7 +109,7 @@ class PumpProfile:
     times: tuple = ()
     values: tuple = ()
 
-    KINDS = ("constant", "gaussian_pulse", "de_sitter", "tabulated")
+    KINDS = tuple(_CONFIG_FIELDS)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -151,18 +156,25 @@ class PumpProfile:
     def from_dict(cls, spec: dict) -> "PumpProfile":
         """Build from the documented config schema (see the README).
 
-        A config that is not a mapping, lacks a required field or holds a
-        non-numeric one raises :class:`PumpError` naming the field.
+        A config that is not a mapping, lacks a required field, holds a
+        non-numeric one or a field its kind does not take raises
+        :class:`PumpError` naming the field.
         """
         if not isinstance(spec, dict):
             raise PumpError(f"pump config must be a JSON object, got {type(spec).__name__}")
+        kind = spec.get("kind")
+        if kind not in cls.KINDS:
+            raise PumpError(f"unknown pump kind {kind!r}")
+        for name in spec:
+            if name != "kind" and name not in _CONFIG_FIELDS[kind]:
+                raise PumpError(f"pump config field {name!r} is not a field of a {kind} "
+                                f"pump, which takes {', '.join(_CONFIG_FIELDS[kind])}")
 
         def number(field, default=None):
             if field not in spec and default is None:
                 raise PumpError(f"pump config needs the field {field!r}")
             return _config_number(spec.get(field, default), field)
 
-        kind = spec.get("kind")
         if kind == "constant":
             return cls.constant(number("q0"), number("theta_in", 0.0))
         if kind == "gaussian_pulse":
@@ -170,14 +182,12 @@ class PumpProfile:
                                       number("width"), number("theta_in", 0.0))
         if kind == "de_sitter":
             return cls.de_sitter(number("strength", 1.0))
-        if kind == "tabulated":
-            samples = spec.get("samples")
-            if not isinstance(samples, list) or not all(
-                    isinstance(row, list) and len(row) == 2 for row in samples):
-                raise PumpError("pump field 'samples' must be a list of [time, value] pairs")
-            table = [_config_number(x, "samples") for row in samples for x in row]
-            return cls.tabulated(table[0::2], table[1::2], number("theta_in", 0.0))
-        raise PumpError(f"unknown pump kind {kind!r}")
+        samples = spec.get("samples")
+        if not isinstance(samples, list) or not all(
+                isinstance(row, list) and len(row) == 2 for row in samples):
+            raise PumpError("pump field 'samples' must be a list of [time, value] pairs")
+        table = [_config_number(x, "samples") for row in samples for x in row]
+        return cls.tabulated(table[0::2], table[1::2], number("theta_in", 0.0))
 
     @classmethod
     def from_config(cls, path) -> "PumpProfile":
@@ -225,26 +235,6 @@ class BogoliubovPair:
     def unitarity_defect(self) -> float:
         return float(abs(abs(self.u) ** 2 - abs(self.v) ** 2 - 1.0))
 
-    @property
-    def n_pairs(self) -> float:
-        """Produced-quanta number ``|v|^2``."""
-        return float(abs(self.v) ** 2)
-
-
-@dataclass(frozen=True)
-class SqueezeTriple:
-    """Squeeze amplitude and the two phases of the (u, v) parametrization."""
-
-    r: float
-    delta: float
-    theta: float
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("r must be nonnegative")
-        object.__setattr__(self, "delta", self.delta % TWO_PI)
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
-
 
 def check_span(t_in: float, t_fin: float, tol: float) -> None:
     """Reject a span or tolerance no step grid can meet: the bounds and the
@@ -260,7 +250,7 @@ def check_span(t_in: float, t_fin: float, tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _check_unitarity(pair, tol, steps):
+def _check_unitarity(pair, tol, steps, omega):
     # guard against broken, NaN or overflowed integrations, not a
     # certification of accuracy: each step's propagator is an exact su(1,1)
     # exponential, so the invariant drifts by rounding only, and the window
@@ -271,7 +261,7 @@ def _check_unitarity(pair, tol, steps):
     if not defect / scale <= max(10.0 * tol * steps, 1e-10):
         raise IntegrationError(
             f"unitarity broken: | |u|^2 - |v|^2 - 1 | = {defect:.3e} "
-            f"at solution scale {scale:.3e} after {steps} steps"
+            f"at solution scale {scale:.3e} after {steps} steps (omega = {float(omega)})"
         )
 
 
@@ -451,8 +441,8 @@ def _solve(pump, omegas, t_in, t_fin, tol):
             alpha, beta = _chain(*_expm(_horner(w_phi, a), _horner(w_q, a)))
             x = np.array([alpha * x[0] + beta * x[1],
                           np.conj(beta) * x[0] + np.conj(alpha) * x[1]])
-        for first, second in x.T:
-            _check_unitarity(BogoliubovPair(first, second.conjugate()), tol, edges.size - 1)
+        for (first, second), omega in zip(x.T, omegas):
+            _check_unitarity(BogoliubovPair(first, second.conjugate()), tol, edges.size - 1, omega)
     return x
 
 
@@ -520,21 +510,6 @@ def integrate_qm(pump, omega_s: float, omega_e: float, t_in: float,
     pair = integrate_uv(pump, 0.0, t_in, t_fin, tol)
     return tuple(BogoliubovPair(u=complex(pair.u * np.exp(-1j * a)),
                                 v=complex(pair.v * np.exp(-1j * b))) for a, b in phases)
-
-
-def extract_squeeze(pair: BogoliubovPair) -> SqueezeTriple:
-    """Invert ``u = e^{-i delta} cosh r``, ``v = e^{-i(delta-theta)} sinh r``.
-
-    ``r = asinh|v|`` (exact on unitarity-satisfying pairs), ``delta = -arg u``
-    and ``theta = arg v - arg u``; ``v = 0`` returns ``theta = 0`` by
-    convention.  Rebuilding ``(u, v)`` from the triple round-trips to
-    floating-point accuracy.
-    """
-    av = abs(pair.v)
-    r = float(np.arcsinh(av))
-    delta = float(-np.angle(pair.u))
-    theta = float(np.angle(pair.v) - np.angle(pair.u)) if av > 0 else 0.0
-    return SqueezeTriple(r=r, delta=delta, theta=theta)
 
 
 def desitter_exact_pair(k: float, tau_in: float, tau_fin: float,

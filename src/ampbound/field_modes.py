@@ -175,7 +175,7 @@ def spectrum(kgrid, pump, T: float, mu: float, tau_in: float, tau_fin: float,
         try:
             if pair is None:
                 pair, = solve([modes[i].omega_k])
-            r_k = dynamics.extract_squeeze(pair).r
+            r_k = float(np.arcsinh(abs(pair.v)))
             results[i] = mode_result_from_multiplicities(modes[i], T, mu, n_bar_k, r_k)
         except failures as exc:
             results[i] = ModeResult.failed(modes[i], str(exc))

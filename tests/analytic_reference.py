@@ -7,6 +7,9 @@ the two parametrizations against it.  Its two terms cancel increasingly below
 ``N ~ 1e-6`` (relative error 5e-11 there, 1e-2 at ``N = 1e-15``), so it is a
 reference only where ``N`` is not small.
 
+``EXPANSIONS`` holds the paper's six leading-order expansions of the bound
+ratio, each valid deep in its regime of ``(n_bar, N_bar)``.
+
 The ``mp_*`` functions are 50-digit mpmath references on the exact values of
 their float arguments.
 
@@ -30,6 +33,18 @@ def written_ratio(T: float, omega: float, mu: float, N: float) -> float:
     if N == 0:
         return 0.0
     return (T / (omega - mu)) * (math.log(N) / N + (1.0 + 1.0 / N) * math.log1p(1.0 / N))
+
+
+# each a function of (n_bar, n_q, N_bar, T/(omega - mu)): largeN_* expand in
+# powers of 1/N_bar, smallN_* about the unamplified limit N_bar = 0
+EXPANSIONS = {
+    "largeN_general": lambda nb, nq, N, t: (1 + math.log(N)) / (N * math.log1p(1 / nb)),
+    "largeN_large_nbar": lambda nb, nq, N, t: (1 + math.log(nq * nb)) / nq,
+    "largeN_small_nbar": lambda nb, nq, N, t: t * (1 + math.log(N)) / N,
+    "smallN_general": lambda nb, nq, N, t: (1 - math.log(N)) / math.log1p(1 / nb),
+    "smallN_small_nbar": lambda nb, nq, N, t: (1 - math.log(nq)) / math.log(1 / nb),
+    "smallN_large_nbar": lambda nb, nq, N, t: nb * (1 - math.log(nq * nb)),
+}
 
 
 def _mpf(x):

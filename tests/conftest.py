@@ -41,6 +41,9 @@ MALFORMED_PUMPS = [  # (config, what the message names)
     ({"kind": "tabulated"}, "'samples'"),
     ({"kind": "tabulated", "samples": [[0, 1], [1]]}, "'samples'"),
     ({"kind": "tabulated", "samples": [[0, 1], [1, "x"]]}, "'samples'"),
+    # a misspelled field, and a field of another kind, once ran silently
+    ({"kind": "de_sitter", "strenght": 0.5}, "'strenght'"),
+    ({"kind": "constant", "q0": 0.5, "width": 1.0}, "'width'"),
 ]
 
 # the 50 de Sitter modes of the spectrum benchmark: a log grid over

@@ -2,12 +2,13 @@
 
 ``closed_form_qm`` solves the resonant two-oscillator system for a constant
 pump in closed form, and ``hankel_exact_pair`` the per-mode system for a
-power-law pump in Hankel functions.  ``reconstruct_pair`` inverts
-``dynamics.extract_squeeze``.  ``plain_rhs`` is the written ``(u, v)``
-system as one ``fun(t, y)`` for scipy's integrators.  ``trajectory`` samples
-one per-mode solve on a uniform grid, and ``squeeze_flow_rhs`` is the flow
-that the squeeze variables of such a trajectory obey when the pump is purely
-imaginary, ``g = i q``, with ``H = -q``::
+power-law pump in Hankel functions.  ``squeeze_variables`` reads the
+squeeze variables of a pair and ``reconstruct_pair`` inverts it.
+``plain_rhs`` is the written ``(u, v)`` system as one ``fun(t, y)`` for
+scipy's integrators.  ``trajectory`` samples one per-mode solve on a
+uniform grid, and ``squeeze_flow_rhs`` is the flow that the squeeze
+variables of such a trajectory obey when the pump is purely imaginary,
+``g = i q``, with ``H = -q``::
 
     r'     = H cos(2 delta - theta)
     delta' = omega - H tanh(r) sin(2 delta - theta)
@@ -20,7 +21,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ampbound.dynamics import BogoliubovPair, PumpError, PumpProfile, SqueezeTriple
+from ampbound.dynamics import BogoliubovPair, PumpError, PumpProfile
 
 
 def plain_rhs(pump, omegas, carrier=None):
@@ -135,12 +136,21 @@ def hankel_exact_pair(k: float, s: float, tau_in: float, tau_fin: float) -> Bogo
         return BogoliubovPair(u=complex((f + p) / 2), v=complex(mpmath.conj((p - f) / 2)))
 
 
-def reconstruct_pair(triple: SqueezeTriple) -> BogoliubovPair:
+def squeeze_variables(pair):
+    """``(r, delta, theta)`` of ``u = e^{-i delta} cosh r``,
+    ``v = e^{-i (delta - theta)} sinh r``: ``r = asinh|v|``, ``delta = -arg u``
+    and ``theta = arg v - arg u``, both phases in ``[0, 2 pi)``, with
+    ``theta = 0`` where ``v = 0``.  ``pair.u`` and ``pair.v`` may be arrays.
+    """
+    u, v = np.asarray(pair.u), np.asarray(pair.v)
+    theta = np.where(v == 0, 0.0, np.angle(v) - np.angle(u))
+    return np.arcsinh(np.abs(v)), -np.angle(u) % (2 * np.pi), theta % (2 * np.pi)
+
+
+def reconstruct_pair(r: float, delta: float, theta: float) -> BogoliubovPair:
     """Rebuild (u, v) from the squeeze variables."""
-    return BogoliubovPair(
-        u=np.exp(-1j * triple.delta) * np.cosh(triple.r),
-        v=np.exp(-1j * (triple.delta - triple.theta)) * np.sinh(triple.r),
-    )
+    return BogoliubovPair(u=np.exp(-1j * delta) * np.cosh(r),
+                          v=np.exp(-1j * (delta - theta)) * np.sinh(r))
 
 
 def squeeze_flow_rhs(r, delta, theta, omega, hub):

@@ -6,6 +6,8 @@
 grid.  Tests hold the batched rows against it.
 """
 
+import numpy as np
+
 from ampbound import analytic, dynamics
 from ampbound.field_modes import ModeResult, ModeSpec, mode_result_from_multiplicities
 
@@ -19,5 +21,4 @@ def mode_bound(mode: ModeSpec, pump, T: float, mu: float, tau_in: float,
     """
     n_bar_k = analytic.nbar_from_thermal(analytic.ThermalSpec(T, mode.omega_k, mu))
     pair = dynamics.integrate_uv(pump, mode.omega_k, tau_in, tau_fin, tol)
-    triple = dynamics.extract_squeeze(pair)
-    return mode_result_from_multiplicities(mode, T, mu, n_bar_k, triple.r)
+    return mode_result_from_multiplicities(mode, T, mu, n_bar_k, float(np.arcsinh(abs(pair.v))))

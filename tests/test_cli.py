@@ -481,6 +481,10 @@ class TestMap:
         ([SCAN], "JSON object"),
         ({**SCAN, "x": {**SCAN["x"], "min": "0.1"}}, "'x.min'"),
         ({**SCAN, "mu": "0"}, "'mu'"),
+        # misspelled fields once fell back to mu = 0, stdout or a linear axis
+        ({**SCAN, "Mu": 0.5}, "'Mu'"),
+        ({**SCAN, "output": "grid.csv"}, "'output'"),
+        ({**SCAN, "y": {**SCAN["y"], "scal": "log10"}}, "'y.scal'"),
     ])
     def test_malformed_config_exits_1(self, tmp_path, capsys, cfg, field):
         # each of these once ended in a KeyError or TypeError traceback
@@ -722,6 +726,17 @@ class TestSpectrum:
         assert result.stderr.startswith("error: ") and "pump" in result.stderr
         assert result.stderr.count("\n") == 1
         assert not out.exists()
+
+    def test_misspelled_pump_field_exits_1(self, pump_file, capsys):
+        # it once ran silently at strength 1, r_k 2.32 at k = 1 for 0.96
+        code = main(["spectrum", "--pump", pump_file({"kind": "de_sitter", "strenght": 0.5}),
+                     "--T", "1", "--k-min", "0.5", "--k-max", "1", "--k-points", "2",
+                     "--tau-in", "-50", "--tau-fin", "-0.1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: pump config field 'strenght'")
+        assert captured.err.count("\n") == 1
 
     def test_huge_pump_error_rows_without_warnings(self, pump_file, tmp_path):
         # the error estimate overflows to NaN, and the grid outgrows the

@@ -17,9 +17,7 @@ from ampbound.dynamics import (
     PumpError,
     PumpProfile,
     SingularPumpError,
-    SqueezeTriple,
     desitter_exact_pair,
-    extract_squeeze,
     integrate_modes,
     integrate_qm,
     integrate_uv,
@@ -27,7 +25,7 @@ from ampbound.dynamics import (
 from conftest import (DESITTER_KS, DESITTER_SPAN, MALFORMED_PUMPS, NON_FINITE_PUMPS,
                       CountingPump, run_python)
 from dynamics_reference import (closed_form_qm, hankel_exact_pair, plain_rhs, reconstruct_pair,
-                                squeeze_flow_rhs, trajectory)
+                                squeeze_flow_rhs, squeeze_variables, trajectory)
 
 # the relative distance within which two accurate solves of one system end
 # when they differ only in rounding: 87 steps of a stacked gaussian solve
@@ -59,7 +57,8 @@ def spy_guard(monkeypatch):
     """Record the step count that each unitarity guard is given."""
     seen, guard = [], dyn._check_unitarity
     monkeypatch.setattr(dyn, "_check_unitarity",
-                        lambda pair, tol, steps: seen.append(steps) or guard(pair, tol, steps))
+                        lambda pair, tol, steps, omega: seen.append(steps)
+                        or guard(pair, tol, steps, omega))
     return seen
 
 
@@ -116,6 +115,8 @@ class TestPumpProfile:
         specs = [
             {"kind": "constant", "q0": 0.5, "theta_in": 0.25},
             {"kind": "gaussian_pulse", "amplitude": 1.0, "center": 0.0, "width": 2.0},
+            {"kind": "gaussian_pulse", "amplitude": 1.0, "center": 0.0, "width": 2.0,
+             "theta_in": 0.25},
             {"kind": "de_sitter", "strength": 0.5},
             {"kind": "tabulated", "samples": [[0.0, 0.1], [1.0, 0.2]], "theta_in": 0.0},
         ]
@@ -179,8 +180,8 @@ class TestIntegrateUv:
     def test_resonant_constant_pump(self):
         # at omega = 0 the constant pump is exactly resonant: |v| = sinh(q dt)
         pair = integrate_uv(PumpProfile.constant(0.5), 0.0, 0.0, 2.0, tol=1e-12)
-        assert pair.n_pairs == pytest.approx(math.sinh(1.0) ** 2, abs=1e-8)
-        assert extract_squeeze(pair).r == pytest.approx(1.0, abs=1e-9)
+        assert abs(pair.v) ** 2 == pytest.approx(math.sinh(1.0) ** 2, abs=1e-8)
+        assert math.asinh(abs(pair.v)) == pytest.approx(1.0, abs=1e-9)
 
     def test_unitarity_drift(self):
         pair = integrate_uv(PumpProfile.constant(0.5), 0.7, 0.0, 5.0, tol=1e-10)
@@ -252,7 +253,7 @@ print(json.dumps(raised))
         # a NaN defect compares false with any window; the guard must not
         # read that as a pass
         with pytest.raises(IntegrationError, match="unitarity"):
-            dyn._check_unitarity(pair, 1e-10, 100)
+            dyn._check_unitarity(pair, 1e-10, 100, 1.0)
 
     def test_time_reversal_returns_to_vacuum(self):
         # reflect the trajectory: negated pump and frequency, run forward
@@ -436,6 +437,12 @@ class TestHugePump:
         # defect must not pass the guard as it once did
         with pytest.raises(IntegrationError, match="unitarity broken: .* = nan"):
             integrate_uv(PumpProfile.constant(100.0), 0.0, 0.0, 10.0)
+
+    def test_nan_pair_names_its_frequency(self):
+        # the step's exponential squares omega, which overflows to a NaN pair
+        message = r"^unitarity broken: .* = nan .* after 1 steps \(omega = 1e\+155\)$"
+        with pytest.raises(IntegrationError, match=message):
+            integrate_uv(PumpProfile.constant(0.1), 1e155, 0.0, 1.0)
 
 
 def scipy_dop853(fun, t0, y0, t_bound, rtol, atol):
@@ -654,9 +661,9 @@ class TestQmSystem:
         # q dt = 1 with theta_in = 0 gives r = 1 and squeeze phase pi/2
         pump = PumpProfile.constant(0.5)
         pair_s, _ = closed_form_qm(pump, 1.0, 1.0, 0.0, 2.0)
-        triple = extract_squeeze(pair_s)
-        assert triple.r == pytest.approx(1.0, rel=1e-12)
-        assert triple.theta == pytest.approx(math.pi / 2.0, rel=1e-10)
+        r, _, theta = squeeze_variables(pair_s)
+        assert r == pytest.approx(1.0, rel=1e-12)
+        assert theta == pytest.approx(math.pi / 2.0, rel=1e-10)
 
     def test_squeeze_phase_is_quadrature_shifted(self):
         pump = PumpProfile.constant(0.5)
@@ -688,7 +695,7 @@ class TestQmSystem:
         pump = PumpProfile.gaussian_pulse(amplitude, center, width)
         pair_s, _ = integrate_qm(pump, 1.2, 0.8, 0.0, 3.0, tol=1e-12)
         r_expected = pulse_area(amplitude, center, width, 0.0, 3.0)
-        assert extract_squeeze(pair_s).r == pytest.approx(r_expected, abs=1e-9)
+        assert math.asinh(abs(pair_s.v)) == pytest.approx(r_expected, abs=1e-9)
 
     def test_tabulated_pump_tracks_its_source(self):
         # a finely sampled table of the gaussian rate reproduces the smooth
@@ -699,7 +706,7 @@ class TestQmSystem:
         table = PumpProfile.tabulated(times, np.real(smooth(times)))
         pair_s, _ = integrate_qm(table, 1.2, 0.8, 0.0, 3.0, tol=1e-10)
         r_expected = pulse_area(amplitude, center, width, 0.0, 3.0)
-        assert extract_squeeze(pair_s).r == pytest.approx(r_expected, abs=1e-6)
+        assert math.asinh(abs(pair_s.v)) == pytest.approx(r_expected, abs=1e-6)
 
 
     @pytest.mark.parametrize("omegas", [(1.3, 0.9), (50.0, 30.0)])
@@ -729,14 +736,12 @@ class TestQmSystem:
 
 class TestExtractSqueeze:
     def test_identity_pair(self):
-        triple = extract_squeeze(BogoliubovPair(1.0, 0.0))
-        assert (triple.r, triple.delta, triple.theta) == (0.0, 0.0, 0.0)
+        assert squeeze_variables(BogoliubovPair(1.0, 0.0)) == (0.0, 0.0, 0.0)
 
     def test_real_positive_pair(self):
-        triple = extract_squeeze(BogoliubovPair(math.cosh(1.0), math.sinh(1.0)))
-        assert triple.r == pytest.approx(1.0, rel=1e-12)
-        assert triple.delta == 0.0
-        assert triple.theta == 0.0
+        r, delta, theta = squeeze_variables(BogoliubovPair(math.cosh(1.0), math.sinh(1.0)))
+        assert r == pytest.approx(1.0, rel=1e-12)
+        assert (delta, theta) == (0.0, 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -745,8 +750,8 @@ class TestExtractSqueeze:
         theta=st.floats(min_value=0.0, max_value=2 * math.pi - 1e-9),
     )
     def test_roundtrip(self, r, delta, theta):
-        pair = reconstruct_pair(SqueezeTriple(r=r, delta=delta, theta=theta))
-        back = reconstruct_pair(extract_squeeze(pair))
+        pair = reconstruct_pair(r, delta, theta)
+        back = reconstruct_pair(*squeeze_variables(pair))
         assert abs(back.u - pair.u) < 1e-10
         assert abs(back.v - pair.v) < 1e-10
 
@@ -760,12 +765,12 @@ class TestDeSitter:
         for (k, ti, tf) in [(1.0, -100.0, -0.01), (1.0, -50.0, -0.1), (2.0, -40.0, -0.05)]:
             exact = desitter_exact_pair(k, ti, tf)
             num = integrate_uv(PumpProfile.de_sitter(), k, ti, tf, tol=1e-12)
-            assert num.n_pairs == pytest.approx(exact.n_pairs, rel=1e-6)
+            assert abs(num.v) ** 2 == pytest.approx(abs(exact.v) ** 2, rel=1e-6)
 
     def test_sub_horizon_mode_stays_empty(self):
         # mode that never crosses the horizon barely feels the pump
         pair = desitter_exact_pair(50.0, -10.0, -2.0)
-        assert pair.n_pairs < 1e-3
+        assert abs(pair.v) ** 2 < 1e-3
 
     def test_long_oscillatory_run_passes_the_guard(self):
         # thousands of oscillation periods accumulate honest drift; the
@@ -773,7 +778,7 @@ class TestDeSitter:
         k, ti, tf = 11.6, -400.0, -0.02
         num = integrate_uv(PumpProfile.de_sitter(), k, ti, tf, tol=1e-10)
         exact = desitter_exact_pair(k, ti, tf)
-        assert num.n_pairs == pytest.approx(exact.n_pairs, rel=1e-6)
+        assert abs(num.v) ** 2 == pytest.approx(abs(exact.v) ** 2, rel=1e-6)
 
     def test_strength_restriction(self):
         with pytest.raises(ValueError):
@@ -821,9 +826,8 @@ class TestSqueezeFlow:
     @staticmethod
     def residuals(pump, omega, t0, t1, samples=60001):
         times, u, v = trajectory(pump, omega, t0, t1, tol=1e-12, samples=samples)
-        r = np.arcsinh(np.abs(v))
-        delta = np.unwrap(-np.angle(u))
-        theta = np.unwrap(np.angle(v) - np.angle(u))
+        r, delta, theta = squeeze_variables(BogoliubovPair(u, v))
+        delta, theta = np.unwrap(delta), np.unwrap(theta)
         h = times[1] - times[0]
 
         def diff5(f):

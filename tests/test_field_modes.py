@@ -5,7 +5,8 @@ import pytest
 
 from ampbound import analytic, dynamics
 from ampbound.analytic import Multiplicities, ThermalSpec
-from ampbound.cli import spectrum_csv
+from ampbound.cli import main, spectrum_csv
+from ampbound.fock_oracle import verify_grid
 from conftest import DESITTER_KS, DESITTER_SPAN, CountingPump
 from ampbound.field_modes import (
     ModeResult,
@@ -108,7 +109,7 @@ class TestModeBound:
                          -10.0, -2.0, tol=1e-12)
         exact = dynamics.desitter_exact_pair(50.0, -10.0, -2.0)
         assert res.n_q_k < 1e-3
-        assert res.n_q_k == pytest.approx(exact.n_pairs, rel=1e-6)
+        assert res.n_q_k == pytest.approx(abs(exact.v) ** 2, rel=1e-6)
 
     def test_monotone_constant_pump_response(self):
         # resonance-dominated regime (rate above the mode frequency): the
@@ -163,6 +164,34 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="must"):
             spectrum([0.5, 2.0], dynamics.PumpProfile.constant(0.5), T, mu, 0.0,
                      tau_fin, tol=tol)
+
+    def test_nan_row_names_its_frequency(self):
+        # the step's exponential squares omega, which overflows to a NaN pair
+        res, = spectrum([1e155], dynamics.PumpProfile.constant(0.1), T, MU, 0.0, 1.0)
+        assert res.error.startswith("unitarity broken: ")
+        assert res.error.endswith(" scale nan after 1 steps (omega = 1e+155)")
+
+    def test_desitter_rows_agree_with_the_static_oracle(self, pump_file, tmp_path):
+        # the benchmark's 50 de Sitter modes: each row's closed forms are the
+        # oracle record's at (n_bar_k, r_k, omega = k), the oracle meets
+        # verify_grid's default gate and the graviton CSV doubles the row.
+        # Below k = 0.5 the truncation outgrows the oracle's budget
+        results = spectrum(DESITTER_KS, dynamics.PumpProfile.de_sitter(), T, MU,
+                           *DESITTER_SPAN, tol=1e-10)
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--graviton", "--pump", pump_file({"kind": "de_sitter"}),
+                     "--T", "1", "--k-min", "0.1", "--k-max", "10", "--k-points", "50",
+                     "--tau-in", "-50", "--tau-fin", "-0.1", "--out", str(out)]) == 0
+        rows = csv_columns(out.read_text())
+        checked = [(res, row) for res, row in zip(results, rows) if res.k >= 0.5]
+        assert len(rows) == 50 and len(checked) == 32
+        for res, row in checked:
+            assert float(row["k"]) == res.k
+            rec, = verify_grid([(res.n_bar_k, res.r_k)], omega=res.k)["records"]
+            assert rec["pass"], rec
+            for name in EXTENSIVE:
+                assert rec[name[:-2] + "_analytic"] == getattr(res, name)
+                assert float(row[name]) == 2.0 * getattr(res, name)
 
     def test_mode_errors_are_isolated(self):
         # with mu > 0 the low-k mode has omega_k below the chemical potential

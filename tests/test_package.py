@@ -5,6 +5,7 @@ stale string until ``from ampbound.x import *`` fails."""
 import ast
 import importlib
 import pkgutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,10 @@ def test_package_reexports_public_names():
         for alias in node.names:
             assert getattr(ampbound, alias.name) is getattr(module, alias.name)
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
+def test_a_warning_from_the_package_is_an_error():
+    # pyproject's filterwarnings makes any warning that an ampbound module
+    # issues, numpy's included, fail the test that provoked it
+    with pytest.raises(UserWarning, match="probe"):
+        warnings.warn_explicit("probe", UserWarning, "analytic.py", 1, module="ampbound.analytic")
