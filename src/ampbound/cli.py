@@ -26,16 +26,22 @@ import numpy as np
 
 from . import analytic, dynamics, field_modes, fock_oracle
 
-__all__ = ["main", "ScanConfig", "build_parser", "ratio_grid", "scan_csv",
+__all__ = ["main", "ScanConfig", "build_parser", "pump_from_dict", "scan_csv",
            "spectrum_csv"]
 
 PLANES = ("N_vs_omegaT", "nbar_vs_nq", "omegaT_vs_nq", "nbar_vs_r", "omegaT_vs_r")
-# JSON types a scan-config field may hold; a bool is never a number
-_CONFIG_KINDS = {"a number": (int, float), "an integer": int, "a string": str,
-                 "a string or null": (str, type(None)), "a JSON object": dict}
-# the fields a scan config and each of its axes may hold
-_CONFIG_FIELDS = ("plane", "x", "y", "mu", "output_path")
-_AXIS_FIELDS = ("min", "max", "points", "scale")
+# the JSON types a config field may hold, by their name in an error
+# message; a bool is never a number, and no one value is a list of pairs
+_PAIRS = "a list of [time, value] pairs"
+_CONFIG_TYPES = {"a number": (int, float), "an integer": int, "a string": str,
+                 "a string or null": (str, type(None)), "a JSON object": dict, _PAIRS: ()}
+# the fields of a scan config and of each of its axes, ``field: (type,
+# default)``; a default of ``...`` makes the field required
+_SCAN_FIELDS = {"plane": ("a string", ...), "x": ("a JSON object", ...),
+                "y": ("a JSON object", ...), "mu": ("a number", 0.0),
+                "output_path": ("a string or null", None)}
+_AXIS_FIELDS = {"min": ("a number", ...), "max": ("a number", ...),
+                "points": ("an integer", ...), "scale": ("a string", "linear")}
 
 
 class CliError(Exception):
@@ -46,20 +52,76 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _load_config(path: str, what: str):
+    """The JSON value in the file at ``path``; its errors name ``what`` and the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise CliError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def _config_value(value, kind: str, name: str):
+    """``value`` checked as a JSON ``kind``: a number as a float, pairs as two columns."""
+    if kind == _PAIRS and isinstance(value, list) and all(
+            isinstance(row, list) and len(row) == 2 for row in value):
+        return [[_config_value(row[i], "a number", name) for row in value] for i in (0, 1)]
+    if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
+        raise CliError(f"{name} must be {kind}, got {value!r}")
+    try:
+        return float(value) if kind == "a number" else value
+    except OverflowError:
+        raise CliError(f"{name} must be {kind}, got an integer past the largest float") from None
+
+
+def _config_fields(spec, fields: dict, what: str, prefix: str = "") -> dict:
+    """The values of ``fields``, ``{field: (type, default)}``, in the JSON object
+    ``spec``; a field missing, of the wrong type or not in ``fields`` raises
+    :class:`CliError` naming ``what`` and the field, ``prefix`` first."""
+    if not isinstance(spec, dict):
+        raise CliError(f"{what} must be a JSON object, got {type(spec).__name__}")
+    for key in spec:
+        if key not in fields:
+            raise CliError(f"{what} field {prefix + key!r} is not one of {', '.join(fields)}")
+    values = {}
+    for key, (kind, default) in fields.items():
+        if key not in spec and default is ...:
+            raise CliError(f"{what} needs the field {prefix + key!r}")
+        values[key] = (_config_value(spec[key], kind, f"{what} field {prefix + key!r}")
+                       if key in spec else default)
+    return values
+
+
+def pump_from_dict(spec) -> dynamics.PumpProfile:
+    """The pump of a config (see the README), made by the constructor of its
+    ``kind``; a malformed config raises :class:`CliError` naming the field."""
+    kinds = dynamics.PumpProfile.KINDS
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if isinstance(spec, dict) and kind not in list(kinds):
+        raise CliError(f"pump config field 'kind' must be one of {', '.join(kinds)}, got {kind!r}")
+    fields = {name: (_PAIRS if name == "samples" else "a number", default)
+              for name, default in kinds.get(kind, {}).items()}
+    values = _config_fields(spec, {"kind": ("a string", ...), **fields}, "pump config")
+    del values["kind"]
+    if kind == "tabulated":
+        values["times"], values["values"] = values.pop("samples")
+    return getattr(dynamics.PumpProfile, kind)(**values)
+
+
 def _axis(name: str, lo: float, hi: float, points: int, scale: str) -> np.ndarray:
     if points < 2:
-        raise CliError("each axis needs at least 2 points")
+        raise CliError(f"{name} axis needs at least 2 points, got {points}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise CliError(f"axis bounds must be finite, got [{lo}, {hi}]")
+        raise CliError(f"{name} axis bounds must be finite, got [{lo}, {hi}]")
     if lo >= hi:
-        raise CliError(f"axis range must have min < max, got [{lo}, {hi}]")
+        raise CliError(f"{name} axis range must have min < max, got [{lo}, {hi}]")
     if not math.isfinite(hi - lo):
         raise CliError(f"{name} axis overflows: the length of [{lo}, {hi}] is past the "
                        "largest float")
     if scale not in ("linear", "log10"):
-        raise CliError(f"unknown axis scale {scale!r}")
+        raise CliError(f"{name} axis scale {scale!r} is unknown; expected linear or log10")
     if scale == "log10" and lo <= 0:
-        raise CliError("log10 scale requires a positive range")
+        raise CliError(f"{name} axis on the log10 scale needs a positive range")
     # a top within rounding of the largest double can round above it
     with np.errstate(over="ignore"):
         grid = (np.linspace(lo, hi, points) if scale == "linear"
@@ -86,42 +148,12 @@ class ScanConfig:
         self.output_path = output_path
 
     @classmethod
-    def from_dict(cls, spec: dict) -> "ScanConfig":
-        """Build from the documented config schema (see the README).
-
-        A config that is not a JSON object, lacks a required field, holds
-        one of the wrong type or one not in the schema raises
-        :class:`CliError` naming the field.
-        """
-        if not isinstance(spec, dict):
-            raise CliError(f"scan config must be a JSON object, got {type(spec).__name__}")
-
-        def known(obj, prefix, fields):
-            for key in obj:
-                if key not in fields:
-                    raise CliError(f"scan config field {prefix + str(key)!r} is unknown; "
-                                   f"expected one of {', '.join(fields)}")
-
-        def field(obj, name, kind, *default):
-            key = name.rpartition(".")[2]
-            if key not in obj and not default:
-                raise CliError(f"scan config needs the field {name!r}")
-            value = obj.get(key, *default)
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_KINDS[kind]):
-                raise CliError(f"scan config field {name!r} must be {kind}, got {value!r}")
-            return value
-
-        def rng(axis):
-            d = field(spec, axis, "a JSON object")
-            known(d, f"{axis}.", _AXIS_FIELDS)
-            return (field(d, f"{axis}.min", "a number"), field(d, f"{axis}.max", "a number"),
-                    field(d, f"{axis}.points", "an integer"),
-                    field(d, f"{axis}.scale", "a string", "linear"))
-
-        known(spec, "", _CONFIG_FIELDS)
-        return cls(plane=field(spec, "plane", "a string"), x_range=rng("x"),
-                   y_range=rng("y"), mu=field(spec, "mu", "a number", 0.0),
-                   output_path=field(spec, "output_path", "a string or null", None))
+    def from_dict(cls, spec) -> "ScanConfig":
+        """Build from the documented config schema (see the README)."""
+        top = _config_fields(spec, _SCAN_FIELDS, "scan config")
+        x, y = (_config_fields(top[axis], _AXIS_FIELDS, "scan config", f"{axis}.").values()
+                for axis in "xy")
+        return cls(top["plane"], x, y, top["mu"], top["output_path"])
 
     def axes(self):
         return (_axis("x", *self.x_range), _axis("y", *self.y_range))
@@ -165,19 +197,6 @@ def _ratio_rows(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float):
             return analytic.ratio_from_occupation(x[start:stop], N_bar)
         return analytic.ratio_from_temperature(1.0, x[start:stop], mu, N_bar)
     return rows
-
-
-def ratio_grid(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarray:
-    """Bound ratio on every cell of a plane, shape ``(len(xs), len(ys))``.
-
-    For the occupation planes the ratio depends only on the occupations
-    themselves, so the chemical potential drops out identically (it only
-    shifts how a given ``n_bar`` arises from bath parameters).  For the
-    omega/T planes ``mu`` is in units of T and shifts the axis value.
-    The whole plane in one block; :func:`scan_csv` evaluates the same cells
-    in blocks of x rows, with the same bytes.
-    """
-    return _ratio_rows(plane, xs, ys, mu)(0, len(xs))
 
 
 # x rows per ratio block of map, and per numpy pass of its text.  Each
@@ -312,8 +331,7 @@ def cmd_check(args) -> int:
 
 def cmd_map(args) -> int:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = ScanConfig.from_dict(json.load(fh))
+        config = ScanConfig.from_dict(_load_config(args.config, "scan config"))
     else:
         required = (args.plane, args.x_min, args.x_max, args.y_min, args.y_max)
         if any(v is None for v in required):
@@ -357,7 +375,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    pump = dynamics.PumpProfile.from_config(args.pump)
+    pump = pump_from_dict(_load_config(args.pump, "pump config"))
     kgrid = _axis("k", args.k_min, args.k_max, args.k_points, args.k_scale)
     results = field_modes.spectrum(
         kgrid, pump, args.T, args.mu, args.tau_in, args.tau_fin, tol=args.tol,

@@ -37,7 +37,6 @@ the integrator and for the benchmark's spectrum check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,19 +67,6 @@ class IntegrationError(RuntimeError):
     """The adaptive integrator failed or the solution broke unitarity."""
 
 
-# the config fields of each pump kind besides ``kind``
-_CONFIG_FIELDS = {"constant": ("q0", "theta_in"),
-                  "gaussian_pulse": ("amplitude", "center", "width", "theta_in"),
-                  "de_sitter": ("strength",),
-                  "tabulated": ("samples", "theta_in")}
-
-
-def _config_number(value, field):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise PumpError(f"pump field {field!r} must be a number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class PumpProfile:
     """Time-dependent coupling ``g(t)`` driving the amplification.
@@ -109,10 +95,15 @@ class PumpProfile:
     times: tuple = ()
     values: tuple = ()
 
-    KINDS = tuple(_CONFIG_FIELDS)
+    # the parameters of each kind, the arguments of the classmethod of its
+    # name, with defaults (``...``: none); ``samples`` are ``[time, value]`` pairs
+    KINDS = {"constant": {"q0": ..., "theta_in": 0.0},
+             "gaussian_pulse": {"amplitude": ..., "center": ..., "width": ..., "theta_in": 0.0},
+             "de_sitter": {"strength": 1.0},
+             "tabulated": {"samples": ..., "theta_in": 0.0}}
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if not isinstance(self.kind, str) or self.kind not in self.KINDS:
             raise PumpError(f"unknown pump kind {self.kind!r}")
         # a NaN or infinite parameter gives a non-finite generator, which no
         # step grid can resolve
@@ -152,61 +143,19 @@ class PumpProfile:
         return cls(kind="tabulated", times=tuple(float(t) for t in times),
                    values=tuple(float(v) for v in values), theta_in=theta_in)
 
-    @classmethod
-    def from_dict(cls, spec: dict) -> "PumpProfile":
-        """Build from the documented config schema (see the README).
-
-        A config that is not a mapping, lacks a required field, holds a
-        non-numeric one or a field its kind does not take raises
-        :class:`PumpError` naming the field.
-        """
-        if not isinstance(spec, dict):
-            raise PumpError(f"pump config must be a JSON object, got {type(spec).__name__}")
-        kind = spec.get("kind")
-        if kind not in cls.KINDS:
-            raise PumpError(f"unknown pump kind {kind!r}")
-        for name in spec:
-            if name != "kind" and name not in _CONFIG_FIELDS[kind]:
-                raise PumpError(f"pump config field {name!r} is not a field of a {kind} "
-                                f"pump, which takes {', '.join(_CONFIG_FIELDS[kind])}")
-
-        def number(field, default=None):
-            if field not in spec and default is None:
-                raise PumpError(f"pump config needs the field {field!r}")
-            return _config_number(spec.get(field, default), field)
-
-        if kind == "constant":
-            return cls.constant(number("q0"), number("theta_in", 0.0))
-        if kind == "gaussian_pulse":
-            return cls.gaussian_pulse(number("amplitude"), number("center"),
-                                      number("width"), number("theta_in", 0.0))
-        if kind == "de_sitter":
-            return cls.de_sitter(number("strength", 1.0))
-        samples = spec.get("samples")
-        if not isinstance(samples, list) or not all(
-                isinstance(row, list) and len(row) == 2 for row in samples):
-            raise PumpError("pump field 'samples' must be a list of [time, value] pairs")
-        table = [_config_number(x, "samples") for row in samples for x in row]
-        return cls.tabulated(table[0::2], table[1::2], number("theta_in", 0.0))
-
-    @classmethod
-    def from_config(cls, path) -> "PumpProfile":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def validate_interval(self, t0: float, t1: float) -> None:
-        """Check the pump is evaluable and finite on the closed interval."""
-        lo, hi = min(t0, t1), max(t0, t1)
+    def knots(self, t_in: float, t_fin: float) -> list:
+        """The step-grid edges inside ``[t_in, t_fin]``: a table's kinks, a pulse's centre and
+        flanks.  An interval that the pump is singular on or does not cover raises PumpError."""
+        lo, hi = min(t_in, t_fin), max(t_in, t_fin)
         if self.kind == "de_sitter" and lo <= 0.0 <= hi:
-            raise SingularPumpError(
-                f"de Sitter pump is singular at tau=0 inside [{lo}, {hi}]"
-            )
-        if self.kind == "tabulated":
-            if lo < self.times[0] or hi > self.times[-1]:
-                raise PumpError(
-                    f"tabulated pump covers [{self.times[0]}, {self.times[-1]}], "
-                    f"requested [{lo}, {hi}]"
-                )
+            raise SingularPumpError(f"de Sitter pump is singular at tau=0 inside [{lo}, {hi}]")
+        if self.kind == "tabulated" and (lo < self.times[0] or hi > self.times[-1]):
+            raise PumpError(f"tabulated pump covers [{self.times[0]}, {self.times[-1]}], "
+                            f"requested [{lo}, {hi}]")
+        marks = self.times
+        if self.kind == "gaussian_pulse":
+            marks = [self.center + n * self.width for n in (-4.0, 0.0, 4.0)]
+        return sorted({t for t in marks if lo < t < hi})
 
     def __call__(self, t):
         if self.kind == "constant":
@@ -407,9 +356,8 @@ def _solve(pump, omegas, t_in, t_fin, tol):
     ``phi_j = -omega_j``; a non-finite frequency raises ``ValueError``.
     Returns the ``(2, n)`` state at ``t_fin``, with the propagators of
     ``_BLOCK`` steps at a time multiplied into it; no trajectory is kept.
-    One grid (:func:`_step_grid`) serves every column, with each interior
-    knot of a tabulated pump, or the centre and flanks of a gaussian pulse,
-    an edge, and every column passes the unitarity guard over its steps.
+    One grid (:func:`_step_grid`) serves every column, with :meth:`PumpProfile.knots`
+    among its edges, and every column passes the unitarity guard over its steps.
     Overflow raises no warning: it leaves a NaN state, which fails the
     guard, or a NaN estimate, which runs into the step budget.
     """
@@ -417,15 +365,7 @@ def _solve(pump, omegas, t_in, t_fin, tol):
     omegas = np.asarray(omegas, dtype=float)
     if not np.all(np.isfinite(omegas)):
         raise ValueError(f"frequencies must be finite, got {omegas.tolist()}")
-    knots = []
-    if isinstance(pump, PumpProfile):
-        pump.validate_interval(t_in, t_fin)
-        # where a tabulated pump's slope jumps, or a pulse's centre and its
-        # flanks, which the five samples of a wide first step could all miss
-        marks = pump.times
-        if pump.kind == "gaussian_pulse":
-            marks = [pump.center + n * pump.width for n in (-4.0, 0.0, 4.0)]
-        knots = sorted({t for t in marks if t_in < t < t_fin})
+    knots = pump.knots(t_in, t_fin) if isinstance(pump, PumpProfile) else []
     x = np.zeros((2, omegas.size), dtype=complex)
     x[0] = 1.0
     if t_fin == t_in or omegas.size == 0:

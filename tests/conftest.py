@@ -44,6 +44,9 @@ MALFORMED_PUMPS = [  # (config, what the message names)
     # a misspelled field, and a field of another kind, once ran silently
     ({"kind": "de_sitter", "strenght": 0.5}, "'strenght'"),
     ({"kind": "constant", "q0": 0.5, "width": 1.0}, "'width'"),
+    # a JSON integer past the largest float ended in an OverflowError
+    ({"kind": "constant", "q0": 10 ** 400}, "'q0'"),
+    ({"kind": "tabulated", "samples": [[0, 0.1], [10 ** 400, 0.2]]}, "'samples'"),
 ]
 
 # the 50 de Sitter modes of the spectrum benchmark: a log grid over

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ampbound import analytic
+from ampbound import analytic, cli
 
 
 def _fmt(x: float) -> str:
@@ -33,6 +33,11 @@ def ratio_at(plane: str, x: float, y: float, mu: float) -> float:
         n_q = float(np.sinh(y) ** 2)
         return analytic.ratio_from_temperature(1.0, x, mu, n_q * (1.0 / np.expm1(x - mu) + 1.0))
     raise ValueError(f"unknown plane {plane!r}")
+
+
+def ratio_grid(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarray:
+    """The bound ratio of a plane as ``map`` evaluates it, in one block."""
+    return cli._ratio_rows(plane, xs, ys, mu)(0, len(xs))
 
 
 def reference_csv(config) -> str:

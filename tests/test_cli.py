@@ -19,7 +19,7 @@ from ampbound import analytic, cli, dynamics, printer
 from ampbound.cli import ScanConfig, main, scan_csv
 from conftest import (
     CHILD_TIMEOUT_S, MALFORMED_PUMPS, NON_FINITE_PUMPS, SRC, run_cli, run_python)
-from map_reference import reference_csv
+from map_reference import ratio_grid, reference_csv
 
 
 def strict_json(text):
@@ -243,7 +243,7 @@ class TestMap:
 
     @staticmethod
     def cell_ratio(plane, x, y, mu=0.0):
-        return cli.ratio_grid(plane, np.array([x]), np.array([y]), mu)[0, 0]
+        return ratio_grid(plane, np.array([x]), np.array([y]), mu)[0, 0]
 
     def test_boundary_cell_near_log10_zero(self):
         # the satisfied/violated boundary at n_bar = 100 sits near n_q = 7.6
@@ -255,8 +255,8 @@ class TestMap:
         assert ratio < 1.0
 
     def test_grid_shape(self):
-        ratios = cli.ratio_grid("omegaT_vs_r", np.linspace(1.0, 2.0, 3),
-                                np.linspace(0.0, 1.0, 4), 0.5)
+        ratios = ratio_grid("omegaT_vs_r", np.linspace(1.0, 2.0, 3),
+                            np.linspace(0.0, 1.0, 4), 0.5)
         assert ratios.shape == (3, 4)
         assert np.all(ratios[:, 0] == 0.0)
 
@@ -347,7 +347,7 @@ class TestMap:
                 "--x-points", "101", "--y-min", "1e-2", "--y-max", "1e200"]
         xs, ys = ScanConfig(plane="nbar_vs_nq", x_range=(1e-2, 1e109, 101, "log10"),
                             y_range=(1e-2, 1e200, 101, "log10")).axes()
-        assert np.all(np.isfinite(cli.ratio_grid("nbar_vs_nq", xs[:-1], ys, 0.0)))
+        assert np.all(np.isfinite(ratio_grid("nbar_vs_nq", xs[:-1], ys, 0.0)))
         out = tmp_path / "grid.csv"
         out.write_bytes(b"earlier,output\n")
         for target in (["--out", str(out)], []):
@@ -431,8 +431,8 @@ class TestMap:
         # the same cells, down to N_bar = 1e-20
         xs = np.logspace(math.log10(0.05), math.log10(20.0), 201)
         nqs = np.logspace(-20.0, 2.0, 221)
-        by_temperature = cli.ratio_grid("omegaT_vs_nq", xs, nqs, 0.0)
-        by_occupation = cli.ratio_grid("nbar_vs_nq", 1.0 / np.expm1(xs), nqs, 0.0)
+        by_temperature = ratio_grid("omegaT_vs_nq", xs, nqs, 0.0)
+        by_occupation = ratio_grid("nbar_vs_nq", 1.0 / np.expm1(xs), nqs, 0.0)
         rel = np.abs(by_temperature - by_occupation) / by_occupation
         assert rel.max() <= 1e-14
         assert np.array_equal(by_temperature <= 1.0, by_occupation <= 1.0)
@@ -485,6 +485,9 @@ class TestMap:
         ({**SCAN, "Mu": 0.5}, "'Mu'"),
         ({**SCAN, "output": "grid.csv"}, "'output'"),
         ({**SCAN, "y": {**SCAN["y"], "scal": "log10"}}, "'y.scal'"),
+        # a JSON integer past the largest float ended in an OverflowError
+        ({**SCAN, "x": {**SCAN["x"], "max": 10 ** 400}}, "'x.max'"),
+        ({**SCAN, "mu": 10 ** 400}, "'mu'"),
     ])
     def test_malformed_config_exits_1(self, tmp_path, capsys, cfg, field):
         # each of these once ended in a KeyError or TypeError traceback
@@ -812,6 +815,78 @@ class TestSpectrum:
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert all(r[-1] != "" for r in rows)
+
+
+@pytest.mark.parametrize("command, what", [("map", "scan config"), ("spectrum", "pump config")])
+@pytest.mark.parametrize("text", [b"{bad", b"\xff\xfe", b"[" * 200_000],
+                         ids=["syntax", "encoding", "nesting"])
+def test_config_the_json_parser_rejects_exits_1(tmp_path, capsys, command, what, text):
+    # the parser's message once came without the file's name, and a deep
+    # nesting ended in a RecursionError traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    if command == "map":
+        argv = ["map", "--config", str(path)]
+    else:
+        argv = ["spectrum", "--pump", str(path), "--T", "1", "--k-min", "0.5", "--k-max", "2",
+                "--tau-in", "0", "--tau-fin", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {what} {path} is not valid JSON: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, axis", [
+    (["map", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2", "--y-min", "1",
+      "--y-max", "2", "--y-points", "1"], "y"),
+    (["map", "--plane", "nbar_vs_nq", "--x-min", "0", "--x-max", "2", "--y-min", "1",
+      "--y-max", "2"], "x"),
+    (["map", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2", "--y-min", "2",
+      "--y-max", "2"], "y"),
+    (["map", "--config", "SCAN"], "y"),
+    (["spectrum", "--pump", "PUMP", "--T", "1", "--k-min", "2", "--k-max", "1",
+      "--tau-in", "0", "--tau-fin", "1"], "k"),
+])
+def test_axis_errors_name_their_axis(pump_file, tmp_path, capsys, argv, axis):
+    # "each axis needs at least 2 points" and "axis range must have min <
+    # max" named no axis; SCAN is a config whose y axis has an unknown scale
+    files = {"PUMP": pump_file({"kind": "constant", "q0": 0.1}), "SCAN": tmp_path / "scan.json"}
+    files["SCAN"].write_text(json.dumps({**SCAN, "y": {**SCAN["y"], "scale": "log2"}}))
+    assert main([str(files.get(arg, arg)) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {axis} axis ")
+    assert captured.err.count("\n") == 1
+
+
+def readme_json(heading):
+    """Every JSON value in the ``json`` code blocks of README's section ``heading``."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n### {heading}", 1)[1].split("\n#", 1)[0]
+    values, decoder = [], json.JSONDecoder()
+    for block in section.split("```json\n")[1:]:
+        block = block.split("```", 1)[0].strip()
+        while block:
+            value, end = decoder.raw_decode(block)
+            values.append(value)
+            block = block[end:].strip()
+    return values
+
+
+def test_readme_config_examples_match_the_readers():
+    # each documented kind shows every field it takes, and each example is
+    # one that the reader accepts
+    pumps = readme_json("Pump profile config")
+    assert [spec["kind"] for spec in pumps] == list(dynamics.PumpProfile.KINDS)
+    for spec in pumps:
+        assert set(spec) == {"kind", *dynamics.PumpProfile.KINDS[spec["kind"]]}
+        assert cli.pump_from_dict(spec).kind == spec["kind"]
+    scan, = readme_json("Scan config")
+    assert set(scan) == set(cli._SCAN_FIELDS)
+    assert set(scan["x"]) == set(scan["y"]) == set(cli._AXIS_FIELDS)
+    config = ScanConfig.from_dict(scan)
+    assert [len(axis) for axis in config.axes()] == [scan["x"]["points"], scan["y"]["points"]]
 
 
 # a gaussian pulse whose width squared overflows: PumpProfile.__call__

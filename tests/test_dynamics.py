@@ -10,6 +10,7 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import expm
 from scipy.special import roots_legendre
 
+from ampbound import cli
 from ampbound import dynamics as dyn
 from ampbound.dynamics import (
     BogoliubovPair,
@@ -105,12 +106,25 @@ class TestPumpProfile:
         pump = PumpProfile.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         assert pump(0.5) == pytest.approx(0.5)
         with pytest.raises(PumpError):
-            pump.validate_interval(-1.0, 1.0)
+            pump.knots(-1.0, 1.0)
+
+    def test_knots_are_the_interior_edges(self):
+        tabulated = PumpProfile.tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0])
+        assert tabulated.knots(0.5, 3.0) == [1.0, 2.0]
+        assert tabulated.knots(3.0, 1.0) == [2.0]
+        pulse = PumpProfile.gaussian_pulse(1.0, center=2.0, width=0.5)
+        assert pulse.knots(-10.0, 10.0) == [0.0, 2.0, 4.0]
+        assert pulse.knots(2.0, 10.0) == [4.0]
+        assert PumpProfile.de_sitter().knots(-50.0, -0.1) == []
+        with pytest.raises(SingularPumpError):
+            PumpProfile.de_sitter().knots(-1.0, 0.0)
 
     def test_tabulated_requires_increasing_times(self):
         with pytest.raises(PumpError):
             PumpProfile.tabulated([0.0, 0.0], [1.0, 1.0])
 
+    # cli.pump_from_dict reads a pump config through PumpProfile.KINDS and
+    # the constructor of its kind
     def test_config_roundtrip(self, pump_file):
         specs = [
             {"kind": "constant", "q0": 0.5, "theta_in": 0.25},
@@ -121,18 +135,21 @@ class TestPumpProfile:
             {"kind": "tabulated", "samples": [[0.0, 0.1], [1.0, 0.2]], "theta_in": 0.0},
         ]
         for spec in specs:
-            pump = PumpProfile.from_config(pump_file(spec))
+            pump = cli.pump_from_dict(cli._load_config(pump_file(spec), "pump config"))
             assert pump.kind == spec["kind"]
 
     def test_unknown_kind(self):
-        with pytest.raises(PumpError):
-            PumpProfile.from_dict({"kind": "sawtooth"})
+        with pytest.raises(cli.CliError, match="'kind'"):
+            cli.pump_from_dict({"kind": "sawtooth"})
+        for kind in ("sawtooth", ["constant"]):
+            with pytest.raises(PumpError):
+                PumpProfile(kind=kind)
 
     @pytest.mark.parametrize("spec", NON_FINITE_PUMPS)
     def test_non_finite_config_rejected(self, pump_file, spec):
         # json reads NaN and Infinity; either one would stall the integrator
         with pytest.raises(PumpError, match="finite"):
-            PumpProfile.from_config(pump_file(spec))
+            cli.pump_from_dict(cli._load_config(pump_file(spec), "pump config"))
 
     @pytest.mark.parametrize("make", [
         lambda: PumpProfile.constant(math.inf),
@@ -145,8 +162,8 @@ class TestPumpProfile:
 
     @pytest.mark.parametrize("spec, field", MALFORMED_PUMPS)
     def test_malformed_config_names_the_field(self, spec, field):
-        with pytest.raises(PumpError, match=field):
-            PumpProfile.from_dict(spec)
+        with pytest.raises(cli.CliError, match=field):
+            cli.pump_from_dict(spec)
 
     @pytest.mark.parametrize("width", [1e300, 1e154, 1e-162, 5e-324, 0.0, -1.0])
     def test_width_whose_square_leaves_the_floats_rejected(self, width):

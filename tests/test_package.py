@@ -13,6 +13,11 @@ import pytest
 import ampbound
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ampbound.__path__))
+# what only the command line may import: its arguments, files, streams and
+# JSON configs
+CLI_ONLY = {"argparse", "json", "os", "sys"}
+NON_CLI_FILES = sorted(path for path in Path(ampbound.__file__).parent.glob("*.py")
+                       if path.stem != "cli")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -42,3 +47,16 @@ def test_a_warning_from_the_package_is_an_error():
     # issues, numpy's included, fail the test that provoked it
     with pytest.raises(UserWarning, match="probe"):
         warnings.warn_explicit("probe", UserWarning, "analytic.py", 1, module="ampbound.analytic")
+
+
+@pytest.mark.parametrize("path", NON_CLI_FILES, ids=lambda path: path.stem)
+def test_only_cli_imports_the_command_line_modules(path):
+    # the numerics take and return values: reading a config or a file is
+    # cli's work, which is what keeps the configs' readers in one place
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    imported = {name.partition(".")[0] for name in names}
+    assert imported & CLI_ONLY == set()
