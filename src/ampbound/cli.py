@@ -9,9 +9,10 @@ Subcommands:
 
 All numeric output uses 17 significant digits with '.' as decimal separator,
 ``%.17g``: ``_fmt`` prints one number and ``printer.fmt_array``, byte for byte
-the same, the arrays of ``map``.  Identical invocations produce byte-identical
-files.  Exit codes: 0 success (bound satisfied for ``check``, report passing
-for ``verify``), 2 bound violated / report failing, 1 usage or runtime error.
+the same, the arrays of ``map``.  ``_emit`` writes every command's output as
+bytes, unchanged, so identical invocations produce byte-identical files.
+Exit codes: 0 success (bound satisfied for ``check``, report passing for
+``verify``), 2 bound violated / report failing, 1 usage or runtime error.
 """
 
 from __future__ import annotations
@@ -122,10 +123,14 @@ def _axis(name: str, lo: float, hi: float, points: int, scale: str) -> np.ndarra
         raise CliError(f"{name} axis scale {scale!r} is unknown; expected linear or log10")
     if scale == "log10" and lo <= 0:
         raise CliError(f"{name} axis on the log10 scale needs a positive range")
-    # a top within rounding of the largest double can round above it
-    with np.errstate(over="ignore"):
-        grid = (np.linspace(lo, hi, points) if scale == "linear"
-                else np.logspace(math.log10(lo), math.log10(hi), points))
+    # a top within rounding of the largest double can round above it, and
+    # numpy raises ValueError or MemoryError for a count it cannot allocate
+    try:
+        with np.errstate(over="ignore"):
+            grid = (np.linspace(lo, hi, points) if scale == "linear"
+                    else np.logspace(math.log10(lo), math.log10(hi), points))
+    except (ValueError, MemoryError):
+        raise CliError(f"{name} axis of {points} points is too large to allocate") from None
     if not np.all(np.isfinite(grid)):
         raise CliError(f"{name} axis overflows: its {scale} point at max {hi} rounds "
                        "past the largest float")
@@ -199,11 +204,12 @@ def _ratio_rows(plane: str, xs: np.ndarray, ys: np.ndarray, mu: float):
     return rows
 
 
-# x rows per ratio block of map, and per numpy pass of its text.  Each
-# analytic call has a fixed cost, so the ratios take the larger blocks: a
-# 451 x 451 plane took about 95 ms in-process with 64-row ratio blocks, 115
-# ms with 8-row ones.  The text runs at the same speed between 4 and 32
-# rows.  A block's temporaries add to the peak memory.
+# x rows per ratio block of map, and per text buffer.  Each analytic call
+# has a fixed cost, so the ratios take the larger blocks: a 451 x 451 plane
+# took about 95 ms in-process with 64-row ratio blocks, 115 ms with 8-row
+# ones.  The text buffer, about 80 bytes a cell, is as fast at 4 rows as at
+# 8 and outgrows the cache at 16: the cold map main of that plane took 57-59
+# ms at 4 and 8 rows, 64 ms at 16 (2-core VM).
 _GRID_ROWS = 64
 _BLOCK_ROWS = 8
 
@@ -234,13 +240,23 @@ def scan_csv(config: ScanConfig):
 
 def _scan_chunks(xs: np.ndarray, ys: np.ndarray, rows):
     # map alone imports the printer, so the other commands neither compile
-    # nor hold it; the joined S-dtype lines are NUL-padded, and tolist()
-    # drops the padding
+    # nor hold it.  A block's text is one uint64 buffer, per cell the x and
+    # y fields with their commas, NUL-padded to whole words, the log10
+    # field's three words and ",true\n" or ",false\n"; translate drops the NULs
     from .printer import fmt_array
 
-    xfields = np.strings.add(fmt_array(xs), b",")
-    yfields = np.strings.add(fmt_array(ys), b",")
-    yield "x,y,log10_ratio,satisfied\n"
+    def field_words(values):
+        fields = np.strings.add(fmt_array(values), b",")
+        width = -(-int(np.strings.str_len(fields).max()) // 8)
+        return fields.astype(f"S{8 * width}").view("<u8").reshape(len(values), width)
+
+    xwords, ywords = field_words(xs), field_words(ys)
+    wx = xwords.shape[1]
+    # one buffer for every block, which all hold the same y fields
+    buffer = np.empty((_BLOCK_ROWS, len(ys), wx + ywords.shape[1] + 4), "<u8")
+    buffer[:, :, wx:-4] = ywords
+    true, false = np.array([b",true\n", b",false\n"], "S8").view("<u8")
+    yield b"x,y,log10_ratio,satisfied\n"
     for grid_start, ratios in _ratio_blocks(rows, len(xs)):
         for offset in range(0, len(ratios), _BLOCK_ROWS):
             block = ratios[offset:offset + _BLOCK_ROWS]
@@ -250,13 +266,13 @@ def _scan_chunks(xs: np.ndarray, ys: np.ndarray, rows):
             # in the last digit on a sizeable share of cells
             logs = np.fromiter(map(math.log10, np.where(zero, 1.0, block).ravel().tolist()),
                                np.float64, block.size)
-            fields = fmt_array(logs.reshape(block.shape))
-            fields[zero] = b""
-            lines = np.strings.add(xfields[start:start + len(block), None], yfields)
-            lines = np.strings.add(lines, fields)
-            lines = np.strings.add(lines, np.where(block <= 1.0, b",true\n", b",false\n"))
-            for row in lines:
-                yield b"".join(row.tolist()).decode()
+            words = buffer[:len(block)]
+            words[:, :, :wx] = xwords[start:start + len(block), None]
+            words[:, :, -4:-1] = fmt_array(logs).view("<u8").reshape(*block.shape, 3)
+            words[zero, -4:-1] = 0
+            words[:, :, -1] = np.where(block <= 1.0, true, false)
+            for row in words:
+                yield row.tobytes().translate(None, b"\0")
 
 
 def spectrum_csv(results, polarizations: int = 1) -> str:
@@ -286,14 +302,20 @@ def spectrum_csv(results, polarizations: int = 1) -> str:
 
 
 def _emit(chunks, out_path: str | None) -> None:
-    """Write the text chunks, in order, to ``out_path`` or to stdout."""
+    """Write the byte chunks, in order, to ``out_path`` or to stdout."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(out_path, "wb") as fh:
             fh.writelines(chunks)
     else:
         try:
-            sys.stdout.writelines(chunks)
+            # text printed before goes first; a stream with no byte layer,
+            # such as io.StringIO, takes the chunks decoded
             sys.stdout.flush()
+            out = getattr(sys.stdout, "buffer", None)
+            if out is None:
+                out, chunks = sys.stdout, (chunk.decode() for chunk in chunks)
+            out.writelines(chunks)
+            out.flush()
         except BrokenPipeError:
             # the reader closed early, which is not an input error; stdout
             # goes to devnull so that the interpreter's final flush is quiet
@@ -321,11 +343,11 @@ def cmd_check(args) -> int:
         "satisfied": report.satisfied,
     }
     if args.json:
-        _emit([json.dumps(payload, sort_keys=True, indent=2) + "\n"], args.out)
+        _emit([(json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()], args.out)
     else:
         lines = [f"{key} = {_fmt(val) if isinstance(val, float) else str(val).lower()}"
                  for key, val in payload.items()]
-        _emit(["\n".join(lines) + "\n"], args.out)
+        _emit([("\n".join(lines) + "\n").encode()], args.out)
     return 0 if report.satisfied else 2
 
 
@@ -370,7 +392,7 @@ def cmd_verify(args) -> int:
         omega=args.omega,
         truncation_tolerance=args.trunc_tolerance,
     )
-    _emit([json.dumps(report, sort_keys=True, indent=2) + "\n"], args.out)
+    _emit([(json.dumps(report, sort_keys=True, indent=2) + "\n").encode()], args.out)
     return 0 if report["pass"] else 2
 
 
@@ -381,7 +403,7 @@ def cmd_spectrum(args) -> int:
         kgrid, pump, args.T, args.mu, args.tau_in, args.tau_fin, tol=args.tol,
         convention=args.omega_convention,
     )
-    _emit([spectrum_csv(results, 2 if args.graviton else 1)], args.out)
+    _emit([spectrum_csv(results, 2 if args.graviton else 1).encode()], args.out)
     return 0
 
 

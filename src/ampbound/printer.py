@@ -117,9 +117,11 @@ def fmt_array(values) -> np.ndarray:
     g1, g2 = top - lead * 10**4, q - top * 10**4
     g3 = low // 10**4
     g4 = low - g3 * 10**4
-    tz = zeros[g1]
-    for g in (g2, g3, g4):
-        tz = np.where(g == 0, tz + 4, zeros[g])
+    # trailing zeros; a group counts only behind groups of 0000 (round numbers)
+    tz = zeros[g4]
+    for run, g in ((4, g3), (8, g2), (12, g1)):
+        ends = np.flatnonzero(tz == run)
+        tz[ends] += zeros[g[ends]]
     # byte j of the three words is digit j
     words = np.empty((3, len(v)), np.uint64)
     words[0] = (lead.astype(np.uint64) + 48) | quads[g1] << 8 | quads[g2] << 40
@@ -129,8 +131,8 @@ def fmt_array(values) -> np.ndarray:
     fixed = (E >= -4) & (E < 17)
     small = fixed & (E < 0)
     key = np.where(fixed, np.maximum(E + 1, 0), 1) * 18 + 17 - tz
-    moved = words & frac[:, key]
-    body = (words & keep[:, key]) | moved << 8 | dots[:, key]
+    moved = words & np.take(frac, key, axis=1)
+    body = (words & np.take(keep, key, axis=1)) | moved << 8 | np.take(dots, key, axis=1)
     body[1:] |= moved[:-1] >> 56
     # the sign and, below 1, "0." and its zeros go in front; numpy shifts
     # by 64 bits give 0

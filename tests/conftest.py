@@ -104,20 +104,20 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def run_python(*args, timeout=CHILD_TIMEOUT_S):
+def run_python(*args, timeout=CHILD_TIMEOUT_S, text=True):
     """Run ``python *args`` in a child that imports ``ampbound`` from ``src``.
 
-    Returns the ``CompletedProcess`` with text output captured.  A child
-    still running after ``timeout`` seconds is killed and the call raises
-    ``subprocess.TimeoutExpired``, so a hang fails its test instead of
-    stalling the suite.
+    Returns the ``CompletedProcess`` with its output captured, as text
+    unless ``text`` is false.  A child still running after ``timeout``
+    seconds is killed and the call raises ``subprocess.TimeoutExpired``, so
+    a hang fails its test instead of stalling the suite.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=timeout)
+                          text=text, timeout=timeout)
 
 
-def run_cli(*argv, timeout=CHILD_TIMEOUT_S):
+def run_cli(*argv, timeout=CHILD_TIMEOUT_S, text=True):
     """``ampbound *argv`` in a child process; see :func:`run_python`."""
-    return run_python("-m", "ampbound.cli", *argv, timeout=timeout)
+    return run_python("-m", "ampbound.cli", *argv, timeout=timeout, text=text)

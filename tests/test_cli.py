@@ -19,7 +19,7 @@ from ampbound import analytic, cli, dynamics, printer
 from ampbound.cli import ScanConfig, main, scan_csv
 from conftest import (
     CHILD_TIMEOUT_S, MALFORMED_PUMPS, NON_FINITE_PUMPS, SRC, run_cli, run_python)
-from map_reference import ratio_grid, reference_csv
+from map_reference import ratio_at, ratio_grid, reference_csv
 
 
 def strict_json(text):
@@ -211,13 +211,27 @@ def streamed_plane(x_points):
     return chunks, sizes, peak
 
 
+@functools.cache
+def exponent_plane():
+    """An ``omegaT_vs_r`` plane with mu = -1 of 11 x 9 cells, 11 rows being
+    no multiple of the text block: negative x and y values, the N_bar = 0
+    cells at r = 0, and at the ends of the r axis a ratio within about 1e-8
+    of 1, whose log10 field has the exponent form."""
+    lo, hi = 0.1, 5.0
+    for _ in range(30):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if ratio_at("omegaT_vs_r", -0.5, mid, -1.0) > 1.0 else (lo, mid)
+    return ScanConfig(plane="omegaT_vs_r", x_range=(-0.5, 1.0, 11, "linear"),
+                      y_range=(-hi, hi, 9, "linear"), mu=-1.0)
+
+
 class TestMap:
     CONFIG = dict(plane="nbar_vs_nq",
                   x_range=(0.1, 10.0, 3, "log10"),
                   y_range=(0.1, 10.0, 3, "log10"))
 
     def test_row_major_y_fastest(self):
-        text = "".join(scan_csv(ScanConfig(**self.CONFIG)))
+        text = b"".join(scan_csv(ScanConfig(**self.CONFIG))).decode()
         rows = [line.split(",") for line in text.strip().split("\n")[1:]]
         xs = [float(r[0]) for r in rows]
         ys = [float(r[1]) for r in rows]
@@ -226,15 +240,16 @@ class TestMap:
         assert xs[0] == xs[1] == xs[2]
 
     def test_deterministic(self):
-        a = "".join(scan_csv(ScanConfig(**self.CONFIG)))
-        b = "".join(scan_csv(ScanConfig(**self.CONFIG)))
+        a = b"".join(scan_csv(ScanConfig(**self.CONFIG))).decode()
+        b = b"".join(scan_csv(ScanConfig(**self.CONFIG))).decode()
         assert a == b
 
     def test_zero_total_cell_empty_log(self):
         config = ScanConfig(plane="nbar_vs_r",
                             x_range=(0.5, 2.0, 2, "linear"),
                             y_range=(0.0, 1.0, 2, "linear"))
-        rows = [line.split(",") for line in "".join(scan_csv(config)).strip().split("\n")[1:]]
+        text = b"".join(scan_csv(config)).decode()
+        rows = [line.split(",") for line in text.strip().split("\n")[1:]]
         zero_rows = [r for r in rows if float(r[1]) == 0.0]
         assert zero_rows
         for r in zero_rows:
@@ -277,7 +292,7 @@ class TestMap:
     ])
     def test_matches_cell_by_cell_reference(self, plane, x_range, y_range, mu):
         config = ScanConfig(plane=plane, x_range=x_range, y_range=y_range, mu=mu)
-        assert "".join(scan_csv(config)) == reference_csv(config)
+        assert b"".join(scan_csv(config)).decode() == reference_csv(config)
 
     @pytest.mark.parametrize("flag, value", [
         ("--x-min", "nan"), ("--x-max", "inf"), ("--y-min", "-inf"),
@@ -373,6 +388,39 @@ class TestMap:
         assert out.read_bytes() == b"earlier,output\n"
         assert to_stdout.stdout == ""
 
+    def test_chunks_are_the_bytes_of_one_x_row_each(self):
+        config = exponent_plane()
+        chunks = list(scan_csv(config))
+        assert all(type(chunk) is bytes for chunk in chunks)
+        assert chunks[0] == b"x,y,log10_ratio,satisfied\n"
+        xs = config.axes()[0].tolist()
+        assert len(chunks) == 1 + len(xs)
+        for x, chunk in zip(xs, chunks[1:]):
+            lines = chunk.decode().split("\n")
+            assert len(lines) == 9 + 1 and lines[-1] == ""
+            assert {line.split(",")[0] for line in lines[:-1]} == {cli._fmt(x)}
+
+    def test_stdout_has_the_bytes_of_out(self, tmp_path):
+        config = exponent_plane()
+        (x_min, x_max, x_points, _), (y_min, y_max, y_points, _) = config.x_range, config.y_range
+        argv = ["map", "--plane", config.plane, f"--x-min={x_min!r}", f"--x-max={x_max!r}",
+                f"--x-points={x_points}", "--x-scale=linear", f"--y-min={y_min!r}",
+                f"--y-max={y_max!r}", f"--y-points={y_points}", "--y-scale=linear",
+                f"--mu={config.mu!r}"]
+        out = tmp_path / "grid.csv"
+        to_file = run_cli(*argv, "--out", str(out), text=False)
+        to_stdout = run_cli(*argv, text=False)
+        assert to_file.returncode == to_stdout.returncode == 0
+        assert to_file.stderr == to_stdout.stderr == b""
+        expected = reference_csv(config).encode()
+        assert out.read_bytes() == to_stdout.stdout == expected
+        # the plane has what it is meant to: exponent-form and empty log10
+        # fields, and negative x and y values
+        rows = [line.split(b",") for line in expected.split(b"\n")[1:-1]]
+        assert any(b"e-" in row[2] for row in rows) and any(row[2] == b"" for row in rows)
+        assert any(row[0].startswith(b"-") for row in rows)
+        assert any(row[1].startswith(b"-") for row in rows)
+
     def test_reader_closing_early_exits_quietly(self):
         # 300 x 300 cells are about 3 MB of text, far more than a pipe holds
         env = dict(os.environ)
@@ -424,7 +472,7 @@ class TestMap:
                                 y_range=(*y_range[:2], 7, y_range[2]), mu=mu)
             chunks = list(scan_csv(config))
             assert len(chunks) == 1 + x_points
-            assert "".join(chunks) == reference_csv(config)
+            assert b"".join(chunks).decode() == reference_csv(config)
 
     def test_temperature_and_occupation_planes_agree(self):
         # omegaT_vs_nq and nbar_vs_nq at n_bar = 1/expm1(omega/T) evaluate
@@ -441,7 +489,8 @@ class TestMap:
         config = ScanConfig(plane="omegaT_vs_r",
                             x_range=(0.5, 2.0, 2, "log10"),
                             y_range=(-1.0, 1.0, 5, "linear"))
-        rows = [line.split(",") for line in "".join(scan_csv(config)).strip().split("\n")[1:]]
+        text = b"".join(scan_csv(config)).decode()
+        rows = [line.split(",") for line in text.strip().split("\n")[1:]]
         # amplification is even in r
         by_xy = {(r[0], float(r[1])): r[2] for r in rows}
         for (x, y), val in by_xy.items():
@@ -858,6 +907,42 @@ def test_axis_errors_name_their_axis(pump_file, tmp_path, capsys, argv, axis):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {axis} axis ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, axis, points", [
+    (["map", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2", "--y-min", "1",
+      "--y-max", "2", "--x-points", str(10**20)], "x", 10**20),
+    (["map", "--config", "SCAN"], "y", 10**400),
+    (["spectrum", "--pump", "PUMP", "--T", "1", "--k-min", "1", "--k-max", "2",
+      "--k-points", str(10**20), "--tau-in", "0", "--tau-fin", "1"], "k", 10**20),
+], ids=["map", "map-config", "spectrum"])
+def test_axis_too_large_to_allocate_names_its_axis(pump_file, tmp_path, capsys, argv, axis,
+                                                   points):
+    # numpy's "Maximum allowed size exceeded" named no axis; neither count
+    # is allocated, numpy refuses it first
+    files = {"PUMP": pump_file({"kind": "constant", "q0": 0.1}), "SCAN": tmp_path / "scan.json"}
+    files["SCAN"].write_text(json.dumps({**SCAN, "y": {**SCAN["y"], "points": 10**400}}))
+    assert main([str(files.get(arg, arg)) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {axis} axis of {points} points is too large to allocate\n"
+
+
+@pytest.mark.parametrize("scale", ["linear", "log10"])
+def test_axis_out_of_memory_names_its_axis(monkeypatch, capsys, scale):
+    # --x-points 1000000000000000 ended in an _ArrayMemoryError traceback
+    # where the address space is limited; the refusal is simulated here
+    def refuse(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(np, "logspace", refuse)
+    assert main(["map", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2",
+                 "--x-points", str(10**15), "--x-scale", scale, "--y-min", "1",
+                 "--y-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: x axis of {10**15} points is too large to allocate\n"
 
 
 def readme_json(heading):

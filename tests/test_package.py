@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ampbound
+from conftest import run_python
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ampbound.__path__))
 # what only the command line may import: its arguments, files, streams and
@@ -60,3 +61,17 @@ def test_only_cli_imports_the_command_line_modules(path):
               if isinstance(node, ast.ImportFrom) and node.level == 0}
     imported = {name.partition(".")[0] for name in names}
     assert imported & CLI_ONLY == set()
+
+
+def test_only_map_loads_the_printer():
+    # cli imports the printer inside map's text generator, so check,
+    # verify and spectrum neither compile nor hold it
+    code = """
+import os, sys
+import ampbound.cli as cli
+cli.main(["check", "--nbar", "1", "--nq", "1", "--omega", "1", "--T", "1", "--out", os.devnull])
+print("ampbound.printer" in sys.modules)
+"""
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
