@@ -7,6 +7,9 @@ Subcommands:
 * ``verify``    oracle sweep comparing closed forms against the Fock engine
 * ``spectrum``  per-mode field scan for a pump profile
 
+Each command imports the modules it runs where it first needs them, so a
+cold command compiles and loads no other ampbound module.
+
 All numeric output uses 17 significant digits with '.' as decimal separator,
 ``%.17g``: ``_fmt`` prints one number and ``printer.fmt_array``, byte for byte
 the same, the arrays of ``map``.  ``_emit`` writes every command's output as
@@ -25,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import analytic, dynamics, field_modes, fock_oracle
+from . import analytic
 
 __all__ = ["main", "ScanConfig", "build_parser", "pump_from_dict", "scan_csv",
            "spectrum_csv"]
@@ -96,6 +99,8 @@ def _config_fields(spec, fields: dict, what: str, prefix: str = "") -> dict:
 def pump_from_dict(spec) -> dynamics.PumpProfile:
     """The pump of a config (see the README), made by the constructor of its
     ``kind``; a malformed config raises :class:`CliError` naming the field."""
+    from . import dynamics
+
     kinds = dynamics.PumpProfile.KINDS
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if isinstance(spec, dict) and kind not in list(kinds):
@@ -386,6 +391,8 @@ def cmd_verify(args) -> int:
     points = _parse_points(args.point)
     if not points:
         raise CliError("verify needs at least one --point n_bar,r")
+    from . import fock_oracle
+
     report = fock_oracle.verify_grid(
         points,
         tolerance=args.tolerance,
@@ -397,6 +404,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import field_modes
+
     pump = pump_from_dict(_load_config(args.pump, "pump config"))
     kgrid = _axis("k", args.k_min, args.k_max, args.k_points, args.k_scale)
     results = field_modes.spectrum(
@@ -485,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     spect.add_argument("--pump", required=True, help="pump profile JSON path")
     spect.add_argument("--T", type=float, required=True)
     spect.add_argument("--mu", type=float, default=0.0)
-    spect.add_argument("--omega-convention", choices=sorted(field_modes.OMEGA_CONVENTIONS),
+    spect.add_argument("--omega-convention", choices=("k", "sqrt_k_over_2"),
                        default="k")
     spect.add_argument("--k-min", type=float, required=True)
     spect.add_argument("--k-max", type=float, required=True)
@@ -512,9 +521,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError, dynamics.IntegrationError,
-            fock_oracle.TruncationError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(": ".join(filter(None, ("error: out of memory", str(exc)))), file=sys.stderr)
         return 1
 
 

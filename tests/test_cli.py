@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ampbound import analytic, cli, dynamics, printer
-from ampbound.cli import ScanConfig, main, scan_csv
+from ampbound import analytic, cli, dynamics, field_modes, fock_oracle, printer
+from ampbound.cli import ScanConfig, build_parser, main, scan_csv
 from conftest import (
     CHILD_TIMEOUT_S, MALFORMED_PUMPS, NON_FINITE_PUMPS, SRC, run_cli, run_python)
 from map_reference import ratio_at, ratio_grid, reference_csv
@@ -648,6 +648,16 @@ class TestVerify:
         assert record == {"n_bar": 1.0, "r": 0.5, "error": record["error"]}
         assert "rounds to 0" in record["error"]
 
+    def test_truncation_error_recorded_per_point(self, capsys, monkeypatch):
+        # main does not catch TruncationError: verify_grid records it
+        def fail(*args, **kwargs):
+            raise fock_oracle.TruncationError("probe failure")
+
+        monkeypatch.setattr(fock_oracle, "verify_point", fail)
+        code, out = run(capsys, "verify", "--point", "1,0.5")
+        assert code == 2
+        assert json.loads(out)["records"] == [{"n_bar": 1.0, "r": 0.5, "error": "probe failure"}]
+
     @pytest.mark.parametrize("flag", ["--seed", "--threads"])
     def test_removed_flags_rejected(self, capsys, flag):
         assert run(capsys, flag, "1", "verify", "--point", "0,0")[0] == 1
@@ -856,6 +866,26 @@ class TestSpectrum:
         assert len(rows) == 2
         assert all(row.endswith(f"needs more than {dynamics._MAX_STEPS} steps") for row in rows)
 
+    def test_integration_error_recorded_per_mode(self, pump_file, capsys, monkeypatch):
+        # main does not catch IntegrationError: spectrum records it per mode
+        def fail(*args):
+            raise dynamics.IntegrationError("probe failure")
+
+        monkeypatch.setattr(dynamics, "integrate_modes", fail)
+        code, out = run(capsys, "spectrum", "--pump", pump_file({"kind": "de_sitter"}),
+                        "--T", "1", "--k-min", "0.5", "--k-max", "2", "--k-points", "3",
+                        "--tau-in", "-20", "--tau-fin", "-0.5")
+        assert code == 0
+        assert [row.split(",")[-1] for row in out.splitlines()[1:]] == ["probe failure"] * 3
+
+    def test_omega_conventions_are_those_of_field_modes(self):
+        # the parser lists the conventions itself, so that building it does
+        # not import field_modes
+        sub = next(action for action in build_parser()._actions if action.dest == "command")
+        choices = next(action.choices for action in sub.choices["spectrum"]._actions
+                       if action.dest == "omega_convention")
+        assert list(choices) == sorted(field_modes.OMEGA_CONVENTIONS)
+
     def test_singular_pump_isolated_per_mode(self, pump_file, capsys):
         path = pump_file({"kind": "de_sitter"})
         code, out = run(capsys, "spectrum", "--pump", path, "--T", "1",
@@ -943,6 +973,35 @@ def test_axis_out_of_memory_names_its_axis(monkeypatch, capsys, scale):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: x axis of {10**15} points is too large to allocate\n"
+
+
+NUMPY_OUT_OF_MEMORY = ("Unable to allocate 1.34 GiB for an array with shape (8, 30000000, 6) "
+                       "and data type uint64")
+
+
+@pytest.mark.parametrize("argv, module, name, exc, err", [
+    (["map", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2", "--y-min", "1",
+      "--y-max", "2"], printer, "fmt_array", MemoryError(NUMPY_OUT_OF_MEMORY),
+     f"error: out of memory: {NUMPY_OUT_OF_MEMORY}\n"),
+    (["spectrum", "--pump", "PUMP", "--T", "1", "--k-min", "1", "--k-max", "2", "--tau-in",
+      "-20", "--tau-fin", "-0.5"], field_modes, "spectrum", MemoryError(),
+     "error: out of memory\n"),
+], ids=["map", "spectrum"])
+def test_out_of_memory_is_one_error_line(pump_file, tmp_path, monkeypatch, capsys, argv, module,
+                                         name, exc, err):
+    # a grid whose axes fit but whose text or modes did not ended in a
+    # traceback from fmt_array or spectrum where the address space is
+    # limited; the refusal is simulated here
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(module, name, refuse)
+    pump = pump_file({"kind": "de_sitter"})
+    argv = [pump if arg == "PUMP" else arg for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 def readme_json(heading):

@@ -33,14 +33,53 @@ def test_module_all_resolves(name):
 
 
 def test_package_reexports_public_names():
-    tree = ast.parse(Path(ampbound.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"ampbound.{node.module}")
-        for alias in node.names:
-            assert getattr(ampbound, alias.name) is getattr(module, alias.name)
-            assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+    # each name of the package's table resolves, on first use, to the very
+    # object of the module that defines it, which lists it in its __all__
+    assert ampbound._EXPORTS
+    for name, module_name in ampbound._EXPORTS.items():
+        module = importlib.import_module(f"ampbound.{module_name}")
+        assert getattr(ampbound, name) is getattr(module, name)
+        assert name in module.__all__, f"{module_name}.{name}"
+
+
+def test_package_lists_the_names_of_its_table():
+    assert ampbound.__all__ == list(ampbound._EXPORTS)
+    assert sorted(ampbound._SUBMODULES) == MODULES
+    assert set(ampbound.__all__) | {"__version__"} <= set(dir(ampbound))
+    namespace = {}
+    exec("from ampbound import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace == {name: getattr(ampbound, name) for name in ampbound.__all__}
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        ampbound.no_such_name
+    assert not hasattr(ampbound, "stats")
+    with pytest.raises(ImportError):
+        exec("from ampbound import no_such_name", {})
+
+
+def test_import_ampbound_loads_no_submodule_until_a_name_is_used():
+    code = """
+import sys
+import ampbound
+
+def loaded():
+    return " ".join(sorted(m for m in sys.modules if m.startswith("ampbound.")))
+
+print(loaded())
+print(ampbound.dynamics.__name__, "|", loaded())
+print(ampbound.verify_point.__module__, "|", loaded())
+"""
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "",
+        "ampbound.dynamics | ampbound.dynamics",
+        "ampbound.fock_oracle | ampbound.analytic ampbound.dynamics ampbound.fock_oracle "
+        "ampbound.su11",
+    ]
 
 
 def test_a_warning_from_the_package_is_an_error():
@@ -63,15 +102,32 @@ def test_only_cli_imports_the_command_line_modules(path):
     assert imported & CLI_ONLY == set()
 
 
-def test_only_map_loads_the_printer():
-    # cli imports the printer inside map's text generator, so check,
-    # verify and spectrum neither compile nor hold it
+# each command's arguments, and the ampbound modules beyond ampbound,
+# ampbound.analytic and ampbound.cli that it loads; PUMP is a pump config
+COMMAND_MODULES = {
+    "check": (["--nbar", "1", "--nq", "1", "--omega", "1", "--T", "1"], []),
+    "map": (["--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2", "--x-points", "3",
+             "--y-min", "1", "--y-max", "2", "--y-points", "3"], ["printer"]),
+    "verify": (["--point", "1,0.5"], ["fock_oracle", "su11"]),
+    "spectrum": (["--pump", "PUMP", "--T", "1", "--k-min", "0.5", "--k-max", "2",
+                  "--k-points", "3", "--tau-in", "-20", "--tau-fin", "-0.5"],
+                 ["dynamics", "field_modes"]),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_its_modules(pump_file, command):
+    # cli imports each command's modules where the command first needs
+    # them, so a cold command neither compiles nor holds the others
+    argv, extra = COMMAND_MODULES[command]
+    pump = pump_file({"kind": "de_sitter"})
     code = """
 import os, sys
 import ampbound.cli as cli
-cli.main(["check", "--nbar", "1", "--nq", "1", "--omega", "1", "--T", "1", "--out", os.devnull])
-print("ampbound.printer" in sys.modules)
+status = cli.main(sys.argv[1:] + ["--out", os.devnull])
+print(status, *sorted(m for m in sys.modules if m.partition(".")[0] == "ampbound"))
 """
-    result = run_python("-c", code)
+    result = run_python("-c", code, command, *(pump if arg == "PUMP" else arg for arg in argv))
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    modules = ["ampbound", "ampbound.analytic", "ampbound.cli"] + [f"ampbound.{m}" for m in extra]
+    assert result.stdout.split() == ["0", *sorted(modules)]
