@@ -21,6 +21,8 @@ Exit codes: 0 success (bound satisfied for ``check``, report passing for
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -29,6 +31,9 @@ import sys
 import numpy as np
 
 from . import analytic
+
+# at exit the heap is frozen, so the final collections skip it and the OS frees it
+atexit.register(gc.freeze)
 
 __all__ = ["main", "ScanConfig", "build_parser", "pump_from_dict", "scan_csv",
            "spectrum_csv"]
@@ -308,23 +313,33 @@ def spectrum_csv(results, polarizations: int = 1) -> str:
 
 def _emit(chunks, out_path: str | None) -> None:
     """Write the byte chunks, in order, to ``out_path`` or to stdout."""
-    if out_path:
-        with open(out_path, "wb") as fh:
-            fh.writelines(chunks)
-    else:
+    if not out_path:
         try:
-            # text printed before goes first; a stream with no byte layer,
-            # such as io.StringIO, takes the chunks decoded
-            sys.stdout.flush()
-            out = getattr(sys.stdout, "buffer", None)
-            if out is None:
-                out, chunks = sys.stdout, (chunk.decode() for chunk in chunks)
-            out.writelines(chunks)
-            out.flush()
+            sys.stdout.flush()  # text printed before goes first
+            sys.stdout.buffer.writelines(chunks)
+            sys.stdout.buffer.flush()
         except BrokenPipeError:
             # the reader closed early, which is not an input error; stdout
             # goes to devnull so that the interpreter's final flush is quiet
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return
+    target = os.path.realpath(out_path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a device or a FIFO, such as os.devnull, is written in place
+        with open(out_path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    # a regular file, or none yet, gets every chunk or keeps its bytes: they go to
+    # a new file beside it, made as open() makes one, which then replaces it
+    temp = f"{target}.{os.getpid()}.tmp"
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def cmd_check(args) -> int:

@@ -1,11 +1,14 @@
 import contextlib
+import errno
 import functools
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -33,6 +36,17 @@ def strict_json(text):
 SCAN = {"plane": "nbar_vs_nq",
         "x": {"min": 0.1, "max": 10.0, "points": 3},
         "y": {"min": 0.1, "max": 10.0, "points": 3}}
+
+
+def byte_stdout():
+    """A stand-in for ``sys.stdout`` with a byte layer, as the real one has."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+
+
+def written(stream) -> str:
+    """Everything written to a :func:`byte_stdout`, text and bytes, decoded."""
+    stream.flush()
+    return stream.buffer.getvalue().decode()
 
 
 def run(capsys, *argv):
@@ -1004,6 +1018,137 @@ def test_out_of_memory_is_one_error_line(pump_file, tmp_path, monkeypatch, capsy
     assert captured.err == err
 
 
+# a small map, and what an existing --out file holds before it runs
+SMALL_MAP = ["map", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2", "--x-points", "3",
+             "--y-min", "1", "--y-max", "2", "--y-points", "4"]
+EARLIER = b"earlier,output\n"
+
+
+class FullDisk:
+    """A file opened for writing whose writes fail after ``chunks`` chunks,
+    as on a full disk."""
+
+    def __init__(self, *args, chunks):
+        self.file, self.left = open(*args), chunks
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            if not self.left:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.left -= 1
+            self.file.write(chunk)
+
+
+class TestOut:
+    """A regular ``--out`` file, or one not there yet, gets every chunk or
+    keeps its bytes; a device or a FIFO is written in place."""
+
+    @pytest.mark.parametrize("failure", ["validation", "memory", "write"])
+    def test_failed_map_keeps_an_existing_out(self, tmp_path, monkeypatch, capsys, failure):
+        # the text is made while it is written, so a failure after the
+        # validation pass once left a truncated or partial file
+        out = tmp_path / "grid.csv"
+        out.write_bytes(EARLIER)
+        argv = SMALL_MAP
+        if failure == "validation":
+            argv = ["map", "--plane", "nbar_vs_nq", "--x-min", "1e200", "--x-max", "1e201",
+                    "--x-points", "2", "--y-min", "1e200", "--y-max", "1e201",
+                    "--y-points", "2"]
+            err = "error: N_bar = n_q (n_bar + 1) is not finite"
+        elif failure == "memory":
+            scan = cli._scan_chunks
+
+            def scan_then_fail(*args):
+                chunks = scan(*args)
+                yield next(chunks)
+                yield next(chunks)
+                raise MemoryError()
+
+            monkeypatch.setattr(cli, "_scan_chunks", scan_then_fail)
+            err = "error: out of memory"
+        else:
+            monkeypatch.setattr(cli, "open", functools.partial(FullDisk, chunks=2),
+                                raising=False)
+            err = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err) and captured.err.count("\n") == 1
+        assert out.read_bytes() == EARLIER
+        assert sorted(tmp_path.iterdir()) == [out]
+
+    def test_new_out_gets_the_mode_open_gives(self, tmp_path, capsysbinary):
+        # the umask applies, as to open(path, "wb"); not mkstemp's 0600
+        assert main(SMALL_MAP) == 0
+        expected = capsysbinary.readouterr().out
+        out = tmp_path / "grid.csv"
+        umask = os.umask(0o027)
+        try:
+            assert main(SMALL_MAP + ["--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+        assert out.read_bytes() == expected
+        assert sorted(tmp_path.iterdir()) == [out]
+
+    def test_out_through_a_symlink_replaces_its_target(self, tmp_path, capsysbinary):
+        assert main(SMALL_MAP) == 0
+        expected = capsysbinary.readouterr().out
+        target, link = tmp_path / "grid.csv", tmp_path / "link.csv"
+        target.write_bytes(EARLIER)
+        link.symlink_to(target)
+        assert main(SMALL_MAP + ["--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == expected
+        assert sorted(tmp_path.iterdir()) == [target, link]
+
+    def test_out_to_a_fifo_streams(self, tmp_path, capsysbinary):
+        # about 0.8 MB of text, more than a pipe holds, passes to a reader
+        # as it is made
+        argv = ["map", "--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2",
+                "--x-points", "100", "--y-min", "1", "--y-max", "2", "--y-points", "100"]
+        assert main(argv) == 0
+        expected = capsysbinary.readouterr().out
+        assert len(expected) > 2**19
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        assert main(argv + ["--out", str(fifo)]) == 0
+        reader.join(CHILD_TIMEOUT_S)
+        assert received == [expected]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == [fifo]
+
+    @pytest.mark.parametrize("through_symlink", [False, True])
+    def test_out_to_devnull_keeps_the_device(self, tmp_path, through_symlink):
+        # a file moved onto os.devnull would replace the device node
+        out = os.devnull
+        if through_symlink:
+            out = tmp_path / "null"
+            out.symlink_to(os.devnull)
+        assert main(SMALL_MAP + ["--out", str(out)]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert os.path.islink(out) == through_symlink
+        assert list(tmp_path.iterdir()) == ([out] if through_symlink else [])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_out_to_a_full_device_exits_1(self, capsys):
+        assert main(SMALL_MAP + ["--out", "/dev/full"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: [Errno {errno.ENOSPC}]")
+        assert captured.err.count("\n") == 1
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+
 def readme_json(heading):
     """Every JSON value in the ``json`` code blocks of README's section ``heading``."""
     text = (SRC.parent / "README.md").read_text(encoding="utf-8")
@@ -1075,7 +1220,7 @@ def test_spectrum_keeps_the_exit_contract_over_pump_configs(tmp_path_factory, pu
     # which in-process is an exception out of main, and never a warning
     path = tmp_path_factory.getbasetemp() / "fuzz_pump.json"
     path.write_text(json.dumps(pump))
-    out, err = io.StringIO(), io.StringIO()
+    out, err = byte_stdout(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
@@ -1086,10 +1231,10 @@ def test_spectrum_keeps_the_exit_contract_over_pump_configs(tmp_path_factory, pu
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
     assert code in (0, 1)
     if code == 1:
-        assert out.getvalue() == ""
+        assert written(out) == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:
-        assert err.getvalue() == "" and len(out.getvalue().splitlines()) == 3
+        assert err.getvalue() == "" and len(written(out).splitlines()) == 3
 
 
 @pytest.mark.parametrize("command", ["map", "spectrum"])
@@ -1184,7 +1329,7 @@ def run_contract(argv):
     ``main``, no warning, an exit code in {0, 1, 2}, and on exit 1 an empty
     stdout above argparse's usage or exactly one error line.  Returns the
     code and stdout."""
-    out, err = io.StringIO(), io.StringIO()
+    out, err = byte_stdout(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
@@ -1193,12 +1338,12 @@ def run_contract(argv):
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
     assert code in (0, 1, 2)
     if code == 1:
-        assert out.getvalue() == ""
+        assert written(out) == ""
         assert err.getvalue().startswith("usage: ") or (
             err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1)
     else:
         assert err.getvalue() == ""
-    return code, out.getvalue()
+    return code, written(out)
 
 
 def assert_finite_numbers(value):

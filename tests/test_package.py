@@ -3,6 +3,7 @@ package re-exports must resolve, so a removed function cannot linger as a
 stale string until ``from ampbound.x import *`` fails."""
 
 import ast
+import gc
 import importlib
 import pkgutil
 import warnings
@@ -11,12 +12,13 @@ from pathlib import Path
 import pytest
 
 import ampbound
+from ampbound import cli
 from conftest import run_python
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ampbound.__path__))
 # what only the command line may import: its arguments, files, streams and
-# JSON configs
-CLI_ONLY = {"argparse", "json", "os", "sys"}
+# JSON configs, and the exit handler that freezes the heap
+CLI_ONLY = {"argparse", "atexit", "gc", "json", "os", "sys"}
 NON_CLI_FILES = sorted(path for path in Path(ampbound.__file__).parent.glob("*.py")
                        if path.stem != "cli")
 
@@ -131,3 +133,68 @@ print(status, *sorted(m for m in sys.modules if m.partition(".")[0] == "ampbound
     assert result.returncode == 0, result.stderr
     modules = ["ampbound", "ampbound.analytic", "ampbound.cli"] + [f"ampbound.{m}" for m in extra]
     assert result.stdout.split() == ["0", *sorted(modules)]
+
+
+# a child that reports, from an atexit handler registered before ampbound is
+# imported, the count of objects frozen when the interpreter exits; handlers
+# run last registered first, so this one runs after any that ampbound adds
+REPORT_FREEZE_AT_EXIT = """
+import atexit, gc, os
+atexit.register(lambda: os.write(2, b"frozen %d" % gc.get_freeze_count()))
+"""
+
+
+def command_argv(pump_file, command):
+    argv, _ = COMMAND_MODULES[command]
+    pump = pump_file({"kind": "de_sitter"})
+    return [command, *(pump if arg == "PUMP" else arg for arg in argv)]
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_a_command_leaves_its_heap_to_the_os_with_the_same_output(pump_file, tmp_path,
+                                                                  capsysbinary, command):
+    # cli registers gc.freeze with atexit, so the interpreter's final
+    # collections skip every object alive at exit; the output to --out and
+    # to stdout is the bytes of an in-process run
+    argv = command_argv(pump_file, command)
+    assert cli.main(argv + ["--out", str(tmp_path / "in_process.out")]) == 0
+    assert cli.main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    code = REPORT_FREEZE_AT_EXIT + """
+import sys
+import ampbound.cli as cli
+assert cli.main(sys.argv[2:] + ["--out", sys.argv[1]]) == 0
+assert cli.main(sys.argv[2:]) == 0
+"""
+    result = run_python("-c", code, str(tmp_path / "child.out"), *argv, text=False)
+    assert result.returncode == 0, result.stderr
+    label, count = result.stderr.split()
+    assert label == b"frozen" and int(count) > 0
+    assert result.stdout == stdout
+    assert (tmp_path / "child.out").read_bytes() == (tmp_path / "in_process.out").read_bytes()
+
+
+def test_importing_the_package_freezes_nothing_at_exit():
+    # the exit handler comes with cli alone; a library user's exit is as before
+    code = REPORT_FREEZE_AT_EXIT + """
+import ampbound
+assert ampbound.bound_ratio and ampbound.verify_point and ampbound.dynamics
+"""
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "frozen 0"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_main_leaves_the_collector_as_it_was(pump_file, tmp_path, command, enabled):
+    # an in-process caller of main, such as this suite, is never frozen
+    argv = command_argv(pump_file, command)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
