@@ -26,6 +26,7 @@ import gc
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -323,18 +324,25 @@ def _emit(chunks, out_path: str | None) -> None:
             # goes to devnull so that the interpreter's final flush is quiet
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
+    # a regular file, or a new one, gets every chunk or keeps its bytes: a new file
+    # beside it takes them and the old one's mode, then replaces it.  Other targets
+    # (os.devnull, a FIFO) and a file whose directory takes no new file are written in place
     target = os.path.realpath(out_path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        # a device or a FIFO, such as os.devnull, is written in place
+    temp = f"{target}.{os.getpid()}.tmp"
+    old = os.stat(target) if os.path.exists(target) else None
+    try:
+        fd = (os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+              if old is None or stat.S_ISREG(old.st_mode) else -1)
+    except OSError:
+        fd = -1
+    if fd < 0:
         with open(out_path, "wb") as fh:
             fh.writelines(chunks)
         return
-    # a regular file, or none yet, gets every chunk or keeps its bytes: they go to
-    # a new file beside it, made as open() makes one, which then replaces it
-    temp = f"{target}.{os.getpid()}.tmp"
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
             fh.writelines(chunks)
         os.replace(temp, target)
     except BaseException:
@@ -378,12 +386,8 @@ def cmd_map(args) -> int:
         required = (args.plane, args.x_min, args.x_max, args.y_min, args.y_max)
         if any(v is None for v in required):
             raise CliError("map needs --config or --plane with full x/y ranges")
-        config = ScanConfig(
-            plane=args.plane,
-            x_range=(args.x_min, args.x_max, args.x_points, args.x_scale),
-            y_range=(args.y_min, args.y_max, args.y_points, args.y_scale),
-            mu=args.mu,
-        )
+        config = ScanConfig(args.plane, (args.x_min, args.x_max, args.x_points, args.x_scale),
+                            (args.y_min, args.y_max, args.y_points, args.y_scale), args.mu)
     # --out takes precedence over the config's output_path
     _emit(scan_csv(config), args.out or config.output_path)
     return 0
@@ -408,12 +412,8 @@ def cmd_verify(args) -> int:
         raise CliError("verify needs at least one --point n_bar,r")
     from . import fock_oracle
 
-    report = fock_oracle.verify_grid(
-        points,
-        tolerance=args.tolerance,
-        omega=args.omega,
-        truncation_tolerance=args.trunc_tolerance,
-    )
+    report = fock_oracle.verify_grid(points, tolerance=args.tolerance, omega=args.omega,
+                                     truncation_tolerance=args.trunc_tolerance)
     _emit([(json.dumps(report, sort_keys=True, indent=2) + "\n").encode()], args.out)
     return 0 if report["pass"] else 2
 

@@ -1097,6 +1097,43 @@ class TestOut:
         assert out.read_bytes() == expected
         assert sorted(tmp_path.iterdir()) == [out]
 
+    def test_existing_out_keeps_its_mode(self, tmp_path, capsysbinary):
+        # the new file that replaces it must not widen a private file's mode
+        assert main(SMALL_MAP) == 0
+        expected = capsysbinary.readouterr().out
+        out = tmp_path / "grid.csv"
+        out.write_bytes(EARLIER)
+        out.chmod(0o600)
+        assert main(SMALL_MAP + ["--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_bytes() == expected
+        assert sorted(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("case", ["long_name", "leftover"])
+    def test_out_is_written_in_place_when_no_file_fits_beside_it(self, tmp_path,
+                                                                capsysbinary, case):
+        # a basename too long for the temporary file's suffix, or a temporary
+        # file a killed run left under this process's id, is no error
+        assert main(SMALL_MAP) == 0
+        expected = capsysbinary.readouterr().out
+        out = tmp_path / ("g" * 250 if case == "long_name" else "grid.csv")
+        out.write_bytes(EARLIER)
+        leftover = tmp_path / f"{out.name}.{os.getpid()}.tmp"
+        if case == "leftover":
+            leftover.write_bytes(EARLIER)
+        assert main(SMALL_MAP + ["--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+        assert sorted(tmp_path.iterdir()) == sorted([out] + [leftover] * (case == "leftover"))
+
+    def test_unwritable_out_names_the_given_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "grid.csv"
+        assert main(SMALL_MAP + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+                                f"'{out}'\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_through_a_symlink_replaces_its_target(self, tmp_path, capsysbinary):
         assert main(SMALL_MAP) == 0
         expected = capsysbinary.readouterr().out
