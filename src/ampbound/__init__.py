@@ -14,8 +14,8 @@ import importlib
 
 # each public name, by the submodule that defines it
 _EXPORTS = {name: module for module, names in (
-    ("analytic", "BoundReport Multiplicities ThermalSpec bound_ratio delta_N delta_Q delta_S "
-                 "entropy_gain geometric_weights joint_purity nbar_from_thermal "
+    ("analytic", "BoundReport Multiplicities ThermalSpec bose_einstein bound_ratio delta_N "
+                 "delta_Q delta_S entropy_gain geometric_weights joint_purity nbar_from_thermal "
                  "ratio_from_occupation ratio_from_temperature"),
     ("dynamics", "BogoliubovPair PumpProfile integrate_qm integrate_uv"),
     ("field_modes", "ModeResult ModeSpec make_mode spectrum total_entropy"),

@@ -33,6 +33,7 @@ __all__ = [
     "Multiplicities",
     "ThermalSpec",
     "BoundReport",
+    "bose_einstein",
     "nbar_from_thermal",
     "pair_occupation",
     "geometric_weights",
@@ -134,17 +135,20 @@ class BoundReport:
 _TINY = np.finfo(float).tiny
 
 
-def nbar_from_thermal(spec: ThermalSpec) -> float:
-    """Bose-Einstein occupation ``1/(exp((omega - mu)/T) - 1)``.
-
-    Evaluated as ``exp(-x)/(1 - exp(-x))`` with ``x = (omega - mu)/T``,
-    which never overflows and underflows gracefully to 0 for a frozen-out
-    mode.  An ``x`` that rounds to 0 or to a subnormal gives ``inf``,
-    without a warning, for the caller's finiteness check to reject.
+def bose_einstein(x):
+    """Bose-Einstein occupation ``1/(exp(x) - 1)`` at ``x = (omega - mu)/T``, a
+    float for a scalar and an array for an array, as ``exp(-x)/(1 - exp(-x))``:
+    it never overflows and underflows gracefully to 0 for a frozen-out mode.  An
+    ``x`` that rounds to 0 or to a subnormal gives ``inf``, without a warning,
+    for the caller's finiteness check to reject.
     """
-    x = (spec.omega - spec.mu) / spec.T
     with np.errstate(divide="ignore", over="ignore"):
-        return float(np.exp(-x) / -np.expm1(-x))
+        return _result(np.exp(-x) / -np.expm1(-x))
+
+
+def nbar_from_thermal(spec: ThermalSpec) -> float:
+    """:func:`bose_einstein` at the ``(omega - mu)/T`` of ``spec``."""
+    return bose_einstein((spec.omega - spec.mu) / spec.T)
 
 
 def pair_occupation(r: float) -> float:
@@ -284,14 +288,17 @@ def ratio_from_temperature(T, omega, mu, N_bar):
 
     ``(T/(omega-mu)) * ((N+1)ln(N+1) - N ln N) / N``; returns 0 at N=0 and
     at ``T = 0``.  The arguments are scalars or broadcastable arrays; the
-    result is a float when all of them are scalars.  A negative or subnormal
-    ``N_bar``, or an overflowing or subnormal ratio, raises ``ValueError``;
-    so does a ``(omega - mu)/T`` that overflows at a nonzero ``T`` and a
-    nonzero ``N_bar``, where the ratio would round to a false 0.
+    result is a float when all of them are scalars.  ``ValueError`` is raised
+    for a negative or subnormal ``N_bar``, ``omega - mu <= 0``, ``T < 0``, an
+    overflowing or subnormal ratio, and a ``(omega - mu)/T`` that overflows
+    at nonzero ``T`` and ``N_bar``, where the ratio would round to a false 0.
     """
     N = _occupations(N_bar)
-    with np.errstate(divide="ignore", over="ignore"):
-        beta = np.subtract(omega, mu) / T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gap = np.subtract(omega, mu)
+        beta = gap / T
+    if np.any(gap <= 0) or np.any(np.asarray(T) < 0):
+        raise ValueError("bound ratio needs omega - mu > 0 and T >= 0")
     if np.any(np.isinf(beta) & (np.asarray(T) != 0) & (N != 0)):
         raise ValueError("bound ratio underflows: N_bar or T/(omega - mu) out of range")
     return _ratio(N, beta)

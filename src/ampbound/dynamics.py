@@ -321,7 +321,8 @@ def _step_grid(pump, phi, bounds, tol):
     Each round estimates the steps not yet accepted and cuts each one over
     ``tol`` into as many equal pieces as the ``h^5`` scaling of the
     estimate asks for, 2 to ``_MAX_SPLIT`` (the most for a NaN estimate).
-    A grid past ``_MAX_STEPS`` steps raises :class:`IntegrationError`.
+    A grid past ``_MAX_STEPS`` steps raises :class:`IntegrationError`, and
+    so does a step too short to cut.
     """
     edges = np.asarray(bounds, dtype=float)
     todo = np.ones(edges.size - 1, dtype=bool)
@@ -345,6 +346,10 @@ def _step_grid(pump, phi, bounds, tol):
         j = np.arange(float(step.size)) - np.repeat(np.cumsum(pieces) - pieces, counts)
         cut = edges[step] + (edges[step + 1] - edges[step]) * (j / pieces[step])
         edges = np.append(np.minimum(cut, edges[step + 1]), edges[-1])
+        flat = edges[1:] <= edges[:-1]
+        if flat.any():
+            raise IntegrationError(f"integrator failed: tolerance {tol:.3e} needs a step below "
+                                   f"the spacing of doubles at t = {edges[flat.argmax()]:.17g}")
         todo = np.repeat(pieces > 1.0, counts)
     return edges
 

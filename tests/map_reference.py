@@ -26,12 +26,14 @@ def ratio_at(plane: str, x: float, y: float, mu: float) -> float:
     if plane == "nbar_vs_nq":
         return analytic.ratio_from_occupation(x, y * (x + 1.0))
     if plane == "omegaT_vs_nq":
-        return analytic.ratio_from_temperature(1.0, x, mu, y * (1.0 / np.expm1(x - mu) + 1.0))
+        return analytic.ratio_from_temperature(
+            1.0, x, mu, y * (analytic.bose_einstein(x - mu) + 1.0))
     if plane == "nbar_vs_r":
         return analytic.ratio_from_occupation(x, float(np.sinh(y) ** 2) * (x + 1.0))
     if plane == "omegaT_vs_r":
         n_q = float(np.sinh(y) ** 2)
-        return analytic.ratio_from_temperature(1.0, x, mu, n_q * (1.0 / np.expm1(x - mu) + 1.0))
+        return analytic.ratio_from_temperature(
+            1.0, x, mu, n_q * (analytic.bose_einstein(x - mu) + 1.0))
     raise ValueError(f"unknown plane {plane!r}")
 
 

@@ -11,6 +11,7 @@ from ampbound import analytic
 from ampbound.analytic import (
     Multiplicities,
     ThermalSpec,
+    bose_einstein,
     bound_ratio,
     delta_N,
     delta_Q,
@@ -90,6 +91,26 @@ class TestThermalSpec:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert nbar_from_thermal(ThermalSpec(T=0.01, omega=20.0)) == 0.0
+
+    def test_nbar_is_bose_einstein_at_the_reduced_frequency(self):
+        spec = ThermalSpec(T=0.7, omega=1.3, mu=-0.2)
+        assert nbar_from_thermal(spec) == bose_einstein((1.3 + 0.2) / 0.7)
+        assert type(bose_einstein(1.0)) is float
+
+    def test_bose_einstein_array_is_its_scalar_calls(self):
+        xs = np.logspace(-300.0, np.log10(745.0), 2001)
+        got = bose_einstein(xs)
+        assert got.shape == xs.shape
+        assert got.tobytes() == np.array([bose_einstein(float(x)) for x in xs]).tobytes()
+
+    def test_bose_einstein_keeps_the_subnormal_occupation(self):
+        # exp(x) overflows past x = 709.78, but the occupation exp(-x) is a
+        # subnormal until x = 745.13; 1/expm1(x) would round it to 0
+        assert bose_einstein(720.0) == math.exp(-720.0) > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bose_einstein(np.array([746.0, 1e308])).tolist() == [0.0, 0.0]
+            assert bose_einstein(np.array([0.0, 5e-324])).tolist() == [math.inf, math.inf]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -262,6 +283,10 @@ class TestFlows:
         assert delta_N(Multiplicities(1.0, 1.0)) == 2.0
         assert delta_N(Multiplicities(0.0, 5.0)) == 5.0
 
+    def test_non_positive_frequency_heat_rejected(self):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            delta_Q(0.0, Multiplicities(1.0, 1.0))
+
     def test_entropy_gain_rejects_negative(self):
         with pytest.raises(ValueError):
             entropy_gain(-0.5)
@@ -383,6 +408,16 @@ class TestArrayForms:
         # 1/x overflows for a nonzero x below the smallest normal double
         with pytest.raises(ValueError, match="at least"):
             fn(np.array([[1.0, 0.0], [2.0, 1e-310]]))
+
+    @pytest.mark.parametrize("T, omega, mu", [
+        (1.0, 0.5, 1.0),  # mu above omega: the ratio read -2.77
+        (-1.0, 1.0, 0.0),  # a negative temperature: -1.39
+        (1.0, 1.0, 1.0),
+        (np.array([1.0, 1.0]), 1.0, np.array([0.0, 2.0])),
+        (0.0, -1.7e308, 1.7e308)])  # omega - mu overflows to -inf, without a warning
+    def test_bath_outside_its_domain_rejected(self, T, omega, mu):
+        with pytest.raises(ValueError, match="needs omega - mu > 0 and T >= 0"):
+            ratio_from_temperature(T, omega, mu, 1.0)
 
     def test_zero_temperature_gives_zero(self):
         assert ratio_from_temperature(0.0, 1.0, 0.0, 2.0) == 0.0

@@ -489,12 +489,12 @@ class TestMap:
             assert b"".join(chunks).decode() == reference_csv(config)
 
     def test_temperature_and_occupation_planes_agree(self):
-        # omegaT_vs_nq and nbar_vs_nq at n_bar = 1/expm1(omega/T) evaluate
-        # the same cells, down to N_bar = 1e-20
+        # omegaT_vs_nq and nbar_vs_nq at the Bose-Einstein n_bar of omega/T
+        # evaluate the same cells, down to N_bar = 1e-20
         xs = np.logspace(math.log10(0.05), math.log10(20.0), 201)
         nqs = np.logspace(-20.0, 2.0, 221)
         by_temperature = ratio_grid("omegaT_vs_nq", xs, nqs, 0.0)
-        by_occupation = ratio_grid("nbar_vs_nq", 1.0 / np.expm1(xs), nqs, 0.0)
+        by_occupation = ratio_grid("nbar_vs_nq", analytic.bose_einstein(xs), nqs, 0.0)
         rel = np.abs(by_temperature - by_occupation) / by_occupation
         assert rel.max() <= 1e-14
         assert np.array_equal(by_temperature <= 1.0, by_occupation <= 1.0)
@@ -560,6 +560,37 @@ class TestMap:
         err = capsys.readouterr().err
         assert err.startswith("error: scan config") and field in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "2"],
+         "map needs --config or --plane with full x/y ranges"),
+        (["--plane", "omegaT_vs_nq", "--x-min", "0.1", "--x-max", "2", "--y-min", "1",
+          "--y-max", "2", "--mu", "0.5"], "omega/T axis must stay above mu/T"),
+        (["--plane", "nbar_vs_nq", "--x-min", "-1e308", "--x-max", "1e308", "--x-scale",
+          "linear", "--y-min", "1", "--y-max", "2"],
+         "x axis overflows: the length of [-1e+308, 1e+308] is past the largest float"),
+        (["--plane", "nbar_vs_nq", "--x-min", "1", "--x-max", "1.7976931348623157e308",
+          "--y-min", "1", "--y-max", "2"],
+         "x axis overflows: its log10 point at max 1.7976931348623157e+308 rounds past the "
+         "largest float"),
+        (["--config", "SCAN"], f"unknown plane 'nope'; choose from {cli.PLANES}"),
+        # omega/T - mu/T overflows: no warning, in the axis checks or in n_bar,
+        # and the ratio names the cell's fault
+        (["--plane", "omegaT_vs_nq", "--x-min", "1e308", "--x-max", "1.5e308", "--y-min",
+          "0.1", "--y-max", "1", "--mu", "-1e308"],
+         "bound ratio underflows: N_bar or T/(omega - mu) out of range"),
+        (["--plane", "N_vs_omegaT", "--x-min", "0.1", "--x-max", "1", "--y-min", "1e308",
+          "--y-max", "1.5e308", "--mu", "-1e308"],
+         "bound ratio underflows: N_bar or T/(omega - mu) out of range"),
+    ], ids=["ranges", "mu", "length", "log10-top", "plane", "omega-far-above-mu",
+            "omega-far-above-mu-on-y"])
+    def test_input_errors_exit_1_and_write_nothing(self, tmp_path, capsys, argv, message):
+        scan, out = tmp_path / "scan.json", tmp_path / "grid.csv"
+        scan.write_text(json.dumps({**SCAN, "plane": "nope"}))
+        argv = [str(scan) if arg == "SCAN" else arg for arg in argv]
+        assert main(["map", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
 
@@ -910,7 +941,81 @@ class TestSpectrum:
         assert all(r[-1] != "" for r in rows)
 
 
-@pytest.mark.parametrize("command, what", [("map", "scan config"), ("spectrum", "pump config")])
+def check_printed(capsys, *argv):
+    """The exit code of the text-form ``check`` at T = 1 and its printed fields."""
+    code, out = run(capsys, "check", "--T", "1", *argv)
+    return code, dict(line.split(" = ") for line in out.splitlines())
+
+
+def csv_rows(text):
+    lines = text.splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+# the check flags that evaluate the map cell printed as x, y: n_bar = 0 makes
+# N_bar = n_q, and --from-thermal takes n_bar at omega = x, T = 1
+MAP_AS_CHECK = {
+    "N_vs_omegaT": lambda x, y: ["--nbar", "0", "--nq", x, "--omega", y],
+    "omegaT_vs_nq": lambda x, y: ["--from-thermal", "--nq", y, "--omega", x],
+    "omegaT_vs_r": lambda x, y: ["--from-thermal", "--r", y, "--omega", x],
+}
+
+
+class TestOneEvaluationPath:
+    """Every command prints the numbers that ``check`` prints at the same point,
+    compared as printed: the closed forms, the Bose-Einstein ``n_bar`` among
+    them, have one evaluation path."""
+
+    @pytest.mark.parametrize("mu", ["0", "0.025", "-0.5"])
+    @pytest.mark.parametrize("plane, x_axis, y_axis", [
+        ("N_vs_omegaT", ["1e-4", "1e4", "11", "log10"], ["0.05", "20", "9", "log10"]),
+        ("omegaT_vs_nq", ["0.05", "20", "31", "log10"], ["1e-3", "1e3", "9", "log10"]),
+        # r = 0 is a cell of ratio 0, an empty log10 field
+        ("omegaT_vs_r", ["0.05", "20", "31", "log10"], ["-3", "3", "9", "linear"]),
+    ])
+    def test_map_cells_are_check_at_the_same_point(self, capsys, plane, x_axis, y_axis, mu):
+        axes = [f"--{axis}-{key}={value}" for axis, values in (("x", x_axis), ("y", y_axis))
+                for key, value in zip(("min", "max", "points", "scale"), values)]
+        assert main(["map", "--plane", plane, *axes, f"--mu={mu}"]) == 0
+        rows = csv_rows(capsys.readouterr().out)
+        assert len(rows) == int(x_axis[2]) * int(y_axis[2])
+        for row in rows:
+            code, printed = check_printed(capsys, *MAP_AS_CHECK[plane](row["x"], row["y"]),
+                                          f"--mu={mu}")
+            ratio = float(printed["ratio"])
+            log10 = "" if ratio == 0.0 else cli._fmt(math.log10(ratio))
+            assert (row["log10_ratio"], row["satisfied"]) == (
+                log10, "true" if code == 0 else "false"), row
+
+    @pytest.mark.parametrize("mu", ["0", "-0.5"])
+    def test_spectrum_rows_are_check_at_the_same_point(self, pump_file, capsys, mu):
+        assert main(["spectrum", "--pump", pump_file({"kind": "de_sitter"}), "--T", "1",
+                     f"--mu={mu}", "--k-min", "0.1", "--k-max", "10", "--k-points", "7",
+                     "--tau-in", "-50", "--tau-fin", "-0.1"]) == 0
+        rows = csv_rows(capsys.readouterr().out)
+        assert len(rows) == 7 and all(row["error"] == "" for row in rows)
+        for row in rows:
+            code, printed = check_printed(capsys, "--from-thermal", "--omega", row["k"],
+                                          "--r", row["r_k"], f"--mu={mu}")
+            assert [row[f"{name}_k"] for name in ("delta_S", "delta_Q", "delta_N", "ratio")] == [
+                printed[name] for name in ("delta_S_nats", "delta_Q", "delta_N", "ratio")]
+            assert row["satisfied"] == ("true" if code == 0 else "false")
+
+    def test_verify_flows_are_check_at_the_same_point(self, capsys):
+        points = [(0.0, 0.3), (0.5, 1.2), (2.0, 0.05), (7.5, 2.0)]
+        assert main(["verify", "--omega", "1.5",
+                     *[f"--point={n_bar!r},{r!r}" for n_bar, r in points]]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [(rec["n_bar"], rec["r"]) for rec in records] == points
+        for rec in records:
+            _, printed = check_printed(capsys, "--nbar", repr(rec["n_bar"]), "--r",
+                                       repr(rec["r"]), "--omega", "1.5")
+            # verify's JSON holds the shortest repr, check's text %.17g: the same doubles
+            assert [rec[f"{name}_analytic"] for name in ("delta_S", "delta_Q", "delta_N")] == [
+                float(printed[name]) for name in ("delta_S_nats", "delta_Q", "delta_N")]
+
+
+@pytest.mark.parametrize("command, what",[("map", "scan config"), ("spectrum", "pump config")])
 @pytest.mark.parametrize("text", [b"{bad", b"\xff\xfe", b"[" * 200_000],
                          ids=["syntax", "encoding", "nesting"])
 def test_config_the_json_parser_rejects_exits_1(tmp_path, capsys, command, what, text):
@@ -1249,6 +1354,10 @@ def test_wide_gaussian_pulse_exits_1(pump_file, capsys):
 # warned above the rows
 @example(pump={"kind": "tabulated", "samples": [[-1e300, 0.0], [1.7976931348623157e308, 0.0]],
                "theta_in": 0.0}, tau_in=0.0, tau_fin=0.0)
+# each round cut the step at the spacing of doubles near -1e300 into 63
+# zero-length steps and itself, until the grid reached the step budget
+@example(pump={"kind": "gaussian_pulse", "amplitude": 1e300, "center": -1e300, "width": 1.0},
+         tau_in=-1e300, tau_fin=0.0)
 @given(pump=PUMP_CONFIGS, tau_in=NUMBERS, tau_fin=NUMBERS)
 def test_spectrum_keeps_the_exit_contract_over_pump_configs(tmp_path_factory, pump, tau_in,
                                                             tau_fin):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -591,6 +592,16 @@ class TestStepper:
         assert errors[1] > 1e-11
         assert 40 < errors[0] / errors[1] < 100
 
+    def test_step_at_the_spacing_of_doubles_ends_the_grid(self):
+        # near t = -1e300 the NaN estimate of a 1e300 pulse cut the step at
+        # the spacing of doubles into 63 zero-length steps and itself, round
+        # after round, for 4.6 s until the grid reached the step budget
+        start = time.perf_counter()
+        with pytest.raises(IntegrationError, match=r"^integrator failed: tolerance 1\.000e-10 "
+                           r"needs a step below the spacing of doubles at t = -1\.0+1e\+300$"):
+            integrate_uv(PumpProfile.gaussian_pulse(1e300, -1e300, 1.0), 0.1, -1e300, 0.0)
+        assert time.perf_counter() - start < 1.0
+
     def test_step_budget_ends_an_unreachable_tolerance(self):
         # at tol 5e-324 the grid outgrows the budget in its third round;
         # a constant pump still takes its one exact step
@@ -800,6 +811,10 @@ class TestDeSitter:
     def test_strength_restriction(self):
         with pytest.raises(ValueError):
             desitter_exact_pair(1.0, -10.0, -1.0, strength=0.5)
+
+    def test_exact_pair_needs_a_positive_k(self):
+        with pytest.raises(ValueError, match="k must be positive"):
+            desitter_exact_pair(0.0, -2.0, -1.0)
 
 
 POWER_SPAN = (-20.0, -0.5)

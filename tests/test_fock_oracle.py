@@ -205,6 +205,10 @@ class TestJointReduction:
             assert tiled.dropped_mass == pytest.approx(whole.dropped_mass,
                                                        rel=0, abs=1e-15)
 
+    def test_negative_occupation_rejected(self):
+        with pytest.raises(ValueError, match="n_bar must be nonnegative"):
+            reduce_joint_state(-1.0, 0.5, TruncationSpec(2, 2, 1e-3))
+
     def test_reduction_holds_a_few_tiles(self):
         # (100, 1.0) evaluates 1.1e7 weights; the reduction keeps O(M + L)
         # sums and one tile's buffers, not a block of weights
